@@ -229,6 +229,8 @@ def _load_exported_certificate(out_dir):
                 scalars[key.strip()] = float(val)
             except ValueError:
                 continue
+    if "C" not in scalars:
+        raise MissingInput(f"{path} has no 'C' entry")
     from types import SimpleNamespace
     return SimpleNamespace(C=scalars["C"])
 
@@ -337,7 +339,6 @@ def write_manifest(out_dir, config_path, seed, produced):
 
 def run_subcommand(name, cfg, out_dir, seed, config_path=None):
     os.makedirs(out_dir, exist_ok=True)
-    np.random.seed(seed)            # belt and braces; all samplers take seeds
     produced = SUBCOMMANDS[name](cfg, out_dir, seed)
     if config_path is not None:
         write_manifest(out_dir, config_path, seed, produced)

@@ -108,15 +108,6 @@ class DampingSpec:
         )
         return float(val)
 
-    def sup_output_norm(self, dim, u_weights=None):
-        """Bound on ||sigma(s)||_U over all s, or None when sigma is unbounded."""
-        if self.kind in ("linear", "weak_damping"):
-            return None
-        if self.kind == "norm_saturation":
-            return self.s0
-        w = np.ones(dim) if u_weights is None else np.asarray(u_weights, dtype=float)
-        return float(self.s0 * np.sqrt(np.sum(w)))
-
 
 def _u_norm(s, u_weights):
     if u_weights is None:

@@ -32,7 +32,10 @@ def save_matrix(path, M):
 def load_matrix(path):
     with open(path) as fh:
         tokens = fh.read().split()
-    rows, cols = int(tokens[0]), int(tokens[1])
+    try:
+        rows, cols = int(tokens[0]), int(tokens[1])
+    except (IndexError, ValueError):
+        raise ValueError(f"matrix file {path} has no 'rows cols' header") from None
     vals = np.array([float(t) for t in tokens[2:2 + rows * cols]])
     if vals.size != rows * cols:
         raise ValueError(f"matrix file {path} truncated")

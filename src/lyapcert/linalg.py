@@ -2,7 +2,12 @@
 Gramian quadrature, dissipativity margins and weighted operator norms.
 
 All matrices are plain numpy arrays.  Inner products other than the
-Euclidean one are carried by :class:`InnerProduct`.
+Euclidean one are carried by :class:`InnerProduct`.  Every constant is a
+closed form: the Lyapunov equation by Bartels-Stewart with one residual
+correction, the dissipativity margin and the operator norms as extreme
+eigenvalues of one generalized symmetric eigenproblem K z = lam W z.
+``gramian_quadrature`` keeps the Gramian's integral form as an independent
+check of the algebraic solve.
 """
 
 from dataclasses import dataclass, field
@@ -74,23 +79,29 @@ def solve_lyapunov(Atilde, Q):
     """Solve Atilde^T P + P Atilde = -Q for symmetric positive-definite P.
 
     Uses the Bartels-Stewart solver; the test suite cross-checks against an
-    independent Kronecker-vectorization solve.  Requires Atilde Hurwitz and
-    Q symmetric positive definite.
+    independent Kronecker-vectorization solve.  When the residual R exceeds
+    1e-10 ||Q||_F, one correction Atilde^T dP + dP Atilde = -R is solved with
+    the same solver and added; SingularSystem if the bound still fails.
+    Requires Atilde Hurwitz and Q symmetric positive definite.
     """
     Atilde = np.asarray(Atilde, dtype=float)
     Q = np.asarray(Q, dtype=float)
     require_hurwitz(Atilde, "Lyapunov equation matrix")
+    tol = 1e-10 * np.linalg.norm(Q, "fro")
     try:
         P = sla.solve_continuous_lyapunov(Atilde.T, -Q)
+        P = 0.5 * (P + P.T)
+        R = Atilde.T @ P + P @ Atilde + Q
+        if np.linalg.norm(R, "fro") > tol:
+            dP = sla.solve_continuous_lyapunov(Atilde.T, -R)
+            P = P + 0.5 * (dP + dP.T)
     except (sla.LinAlgError, ValueError) as exc:
         raise SingularSystem(f"Lyapunov solve failed: {exc}") from exc
-    P = 0.5 * (P + P.T)
     res = np.linalg.norm(Atilde.T @ P + P @ Atilde + Q, "fro")
-    qnorm = np.linalg.norm(Q, "fro")
-    if not np.all(np.isfinite(P)) or res > 1e-10 * qnorm:
+    if not np.all(np.isfinite(P)) or res > tol:
         raise SingularSystem(
             f"Lyapunov solve numerically rank-deficient (residual {res:.3e}, "
-            f"tolerance {1e-10 * qnorm:.3e})"
+            f"tolerance {tol:.3e})"
         )
     return P
 
@@ -138,76 +149,34 @@ def gramian_quadrature(A, alpha=0.0, tol=1e-8, t_max=1e6):
     return G + alpha * np.eye(A.shape[0])
 
 
-def dissipativity_margin(A, ip=None, samples=64, seed=0):
+def _generalized_eigvalsh(K, W):
+    """Ascending eigenvalues of K z = lam W z for symmetric K and SPD W."""
+    return sla.eigh(0.5 * (K + K.T), W, eigvals_only=True)
+
+
+def dissipativity_margin(A, ip=None):
     """Max of <Az,z> + <z,Az> over unit vectors; <= 0 means dissipative.
 
-    Combines the exact maximum (largest eigenvalue of the symmetrized weighted
-    operator, for moderate dimensions) with seeded random unit-vector sampling.
+    Exact: the largest eigenvalue of (A^T W + W A) z = lam W z.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
     if ip is None:
-        ip = InnerProduct.euclidean(n)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+        ip = InnerProduct.euclidean(A.shape[0])
     W = ip.weight
-    S = A.T @ W + W @ A
-    S = 0.5 * (S + S.T)
-
-    margin = -np.inf
-    if n <= 2000:
-        margin = float(sla.eigh(S, W, eigvals_only=True)[-1])
-
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((samples, n))
-    for z in Z:
-        nz = ip.norm(z)
-        if nz == 0.0:
-            continue
-        z = z / nz
-        margin = max(margin, float(z @ S @ z))
-    return margin
+    return float(_generalized_eigvalsh(A.T @ W + W @ A, W)[-1])
 
 
-def _power_iteration(apply_op, weight_ip, n, rtol=1e-8, max_iter=200000):
-    """Largest generalized Rayleigh quotient z^T (W op z) / z^T W z for a
-    weight-self-adjoint positive operator, by power iteration.
-
-    Stops on the eigen-residual ||op z - lam z||_W <= rtol * lam, which is
-    robust against the slow-plateau failure of a pure value-change criterion.
-    """
-    z = np.ones(n) + 1e-3 * np.arange(n)
-    z /= weight_ip.norm(z)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = apply_op(z)
-        lam = float(weight_ip.inner(z, y))
-        ny = weight_ip.norm(y)
-        if ny == 0.0:
-            return 0.0
-        res = weight_ip.norm(y - lam * z)
-        z = y / ny
-        if res <= rtol * max(abs(lam), 1e-300):
-            return lam
-    return lam
+def operator_norm(P, ip):
+    """Operator norm of a matrix P self-adjoint w.r.t. ip: the largest |lam| of
+    (W P) z = lam W z."""
+    lam = _generalized_eigvalsh(ip.weight @ P, ip.weight)
+    return float(max(-lam[0], lam[-1]))
 
 
-def operator_norm(P, ip, rtol=1e-8):
-    """Operator norm of a self-adjoint (w.r.t. ip) positive operator matrix P."""
-    n = ip.dim
-    return _power_iteration(lambda z: P @ z, ip, n, rtol=rtol)
-
-
-def operator_norm_nonsym(M, ip_dom, ip_codom=None, rtol=1e-8):
-    """Operator norm sup ||Mz||_codom / ||z||_dom via power iteration on M* M."""
+def operator_norm_nonsym(M, ip_dom, ip_codom=None):
+    """Operator norm sup ||Mz||_codom / ||z||_dom: sqrt of the largest
+    eigenvalue of (M^T W_codom M) z = lam W_dom z."""
     if ip_codom is None:
         ip_codom = ip_dom
-    Wc = ip_codom.weight
-    Wd = ip_dom.weight
-    K = M.T @ Wc @ M
-
-    def apply_op(z):
-        return np.linalg.solve(Wd, K @ z)
-
-    lam = _power_iteration(apply_op, ip_dom, ip_dom.dim, rtol=rtol)
+    lam = _generalized_eigvalsh(M.T @ ip_codom.weight @ M, ip_dom.weight)[-1]
     return float(np.sqrt(max(lam, 0.0)))

@@ -19,9 +19,8 @@ import scipy.linalg as sla
 
 from . import damping as dmp
 from .errors import CalibrationFailed, MissingCS, WrongNormChoice
-from .linalg import (InnerProduct, gramian_quadrature, matrix_exponential,
-                     operator_norm, operator_norm_nonsym, require_hurwitz,
-                     solve_lyapunov)
+from .linalg import (InnerProduct, matrix_exponential, operator_norm,
+                     operator_norm_nonsym, require_hurwitz, solve_lyapunov)
 
 KINDS = ("global_exp_SU", "semiglobal_exp_SneqU", "semiglobal_poly", "finite_dim")
 
@@ -156,14 +155,15 @@ def calibrate_C_theta(system, gain, G1, gamma, t_grid=None, n_probes=32, seed=0)
 
 
 def build_poly_certificate(system, damping, r, gamma, C_theta=None, shift=0.1,
-                           tol=1e-10, t_grid=None, n_probes=32, seed=0):
+                           t_grid=None, n_probes=32, seed=0):
     """Quadratic certificate from the Gramian construction (control-norm damping).
 
-    The quadratic part is the truncated observability-type Gramian of the
-    closed loop plus a coercivity shift.  C_theta must dominate the weighted
-    decay of the quadratic part along probe trajectories (CalibrationFailed
-    otherwise); C_theta=None calibrates it with 5% headroom.  gamma <= 1/2 is
-    accepted but flagged.
+    The quadratic part is the closed loop's observability-type Gramian
+    int_0^inf e^{s Atilde^T} W e^{s Atilde} ds, taken exactly as the solution
+    of Atilde^T G + G Atilde = -W, plus the coercivity shift * W.  C_theta
+    must dominate the weighted decay of the quadratic part along probe
+    trajectories (CalibrationFailed otherwise); C_theta=None calibrates it
+    with 5% headroom.  gamma <= 1/2 is accepted but flagged.
     """
     if damping.kind == "weak_damping":
         raise ValueError("weak damping has decreasing h; certificate formulas do not apply")
@@ -171,14 +171,8 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, shift=0.1,
         raise ValueError("radius r must be positive")
     Atilde = system.closed_loop(damping.C1)
     require_hurwitz(Atilde, "closed-loop matrix")
-
     W = system.H_ip.weight
-    L = sla.cholesky(W, lower=True)
-    Linv = sla.solve_triangular(L, np.eye(system.n), lower=True)
-    Ahat = L.T @ Atilde @ Linv.T
-    Ghat = gramian_quadrature(Ahat, alpha=0.0, tol=tol)
-    G1 = L @ Ghat @ L.T + shift * W
-    G1 = 0.5 * (G1 + G1.T)
+    G1 = solve_lyapunov(Atilde, W) + shift * W
     P1 = np.linalg.solve(W, G1)
 
     needed = calibrate_C_theta(system, damping.C1, G1, gamma,
@@ -189,7 +183,7 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, shift=0.1,
         raise CalibrationFailed(
             f"C_theta={C_theta!r} below the probe requirement {needed!r}")
 
-    # exact decrease constant of the truncated construction (= 1 up to the tail)
+    # exact decrease constant of the shifted Gramian (= 1 up to rounding)
     D = -(Atilde.T @ G1 + G1 @ Atilde)
     C = float(min(1.0, sla.eigh(0.5 * (D + D.T), W, eigvals_only=True)[0]))
 

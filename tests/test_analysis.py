@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from lyapcert import analysis, damping, lyapunov, models, sim
-from lyapcert.errors import InsufficientData, NoLinearPhase
+from lyapcert.errors import InsufficientData, NoLinearPhase, NotHurwitz
 from lyapcert.linalg import InnerProduct, gramian_quadrature, matrix_exponential
 from lyapcert.models import SemiDiscreteSystem
 
-from conftest import random_dissipative_hurwitz
+from conftest import random_dissipative_hurwitz, random_hurwitz, random_spd
 
 
 def synthetic(times, norms):
@@ -181,6 +182,40 @@ class TestPolyChain:
                                              z0=rng.standard_normal(n),
                                              t_grid=np.linspace(0.0, 6.0, 7))
             assert rep.passed and rep.max_violation <= 1e-8
+
+
+    def test_tail_margin_matches_quadrature(self):
+        # independent oracle: the tail int_t^inf ||z(s)||^2 ds by adaptive quadrature
+        rng = np.random.default_rng(17)
+        n = 3
+        A = random_hurwitz(rng, n)
+        W = random_spd(rng, n)
+        sysd = SemiDiscreteSystem(A=A, B=np.zeros((n, 1)), k=1.0,
+                                  H_ip=InnerProduct(W), U_weights=np.ones(1))
+        P = np.linalg.solve(W, random_spd(rng, n))
+        z0 = rng.standard_normal(n)
+        t_grid = np.linspace(0.0, 4.0, 5)
+        rep = analysis.verify_poly_chain(sysd, P, C=1.0, z0=z0, t_grid=t_grid)
+
+        def norm_sq(s):
+            z = matrix_exponential(A, s) @ z0
+            return float(z @ W @ z)
+
+        G = W @ P
+        worst = np.inf
+        for t in t_grid:
+            zt = matrix_exponential(A, t) @ z0
+            tail, _ = quad(norm_sq, t, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
+            worst = min(worst, float(zt @ G @ zt) - tail)
+        assert rep.details["tail_margin"] == pytest.approx(worst, rel=1e-8, abs=1e-12)
+
+    def test_skew_flow_not_hurwitz(self):
+        sysd = SemiDiscreteSystem(A=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                  B=np.zeros((2, 1)), k=1.0,
+                                  H_ip=InnerProduct.euclidean(2), U_weights=np.ones(1))
+        with pytest.raises(NotHurwitz):
+            analysis.verify_poly_chain(sysd, np.eye(2), C=1.0, z0=np.ones(2),
+                                       t_grid=np.linspace(0.0, 2.0, 3))
 
 
 class TestLinearPhase:

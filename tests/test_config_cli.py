@@ -259,6 +259,33 @@ z0 = file z0.vec
         _, rows = read_csv(tmp_path / "trajectory.csv")
         assert abs(float(rows[0][1]) - 2.0) < 1e-12
 
+    def test_empty_matrix_file_reported(self, tmp_path, capsys):
+        (tmp_path / "A.mat").write_text("")
+        save_matrix(tmp_path / "B.mat", np.array([[1.0], [0.0]]))
+        cfg = MINIMAL.replace("A = 0, 1; -1, 0", "A_file = A.mat") + """
+[sim]
+dt = 1e-2
+t_end = 1.0
+error_control = off
+"""
+        rc = run(tmp_path, "simulate", cfg)
+        out = capsys.readouterr().out.strip().splitlines()
+        assert rc != 0
+        assert out[-1].startswith("ERROR ValueError:") and "A.mat" in out[-1]
+
+    def test_certificate_without_C_reported(self, tmp_path, capsys):
+        assert run(tmp_path, "simulate", SCALAR_SAT) == 0
+        assert run(tmp_path, "certify", SCALAR_SAT) == 0
+        cert_path = tmp_path / "certificate.txt"
+        lines = cert_path.read_text().splitlines()
+        cert_path.write_text("\n".join(ln for ln in lines
+                                       if not ln.startswith("C = ")) + "\n")
+        capsys.readouterr()
+        rc = run(tmp_path, "verify", SCALAR_SAT)
+        out = capsys.readouterr().out.strip().splitlines()
+        assert rc == 4
+        assert out[-1].startswith("ERROR MissingInput:") and "'C'" in out[-1]
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):

@@ -110,6 +110,31 @@ class TestPolyCertificate:
         assert cert.M == th.C2 * cert.C_theta * h_val * cert.B_norm * cert.r
         assert cert.gamma == 1.0 and not cert.flags
 
+    def test_gramian_matches_kron_oracle(self):
+        system = models.discretize_wave(16, lambda x: 1.0, k=1.0)
+        th = damping.tanh_saturation(1.0)
+        cert = lyapunov.build_poly_certificate(system, th, r=2.0, gamma=1.0,
+                                               shift=0.1, seed=0)
+        W = system.H_ip.weight
+        oracle = kron_lyapunov_oracle(system.closed_loop(th.C1), W)
+        assert np.allclose(cert.G - 0.1 * W, oracle,
+                           atol=1e-10 * np.linalg.norm(oracle))
+
+    def test_localized_wave64_builds(self, clamp1):
+        # damping on [0.3, 0.7]: the first Bartels-Stewart pass misses the
+        # 1e-10 ||Q|| residual bound here; the correction step recovers it
+        system = models.discretize_wave(
+            64, lambda x: 1.0 if 0.3 <= x <= 0.7 else 0.0, k=1.0)
+        sg = lyapunov.build_semiglobal_certificate(system, clamp1, r=5.0, c_S=0.3)
+        poly = lyapunov.build_poly_certificate(
+            system, damping.tanh_saturation(1.0), r=2.0, gamma=1.0, seed=0)
+        for cert in (sg, poly):
+            At = system.closed_loop(cert.damping_ref.C1)
+            W = system.H_ip.weight
+            G = cert.G - (0.1 * W if cert is poly else 0.0)
+            res = np.linalg.norm(At.T @ G + G @ At + W)
+            assert res <= 1e-10 * np.linalg.norm(W)
+
     def test_calibration_rejects_small_constant(self, oscillator):
         with pytest.raises(CalibrationFailed):
             lyapunov.build_poly_certificate(oscillator, damping.linear(), r=1.0,
