@@ -56,21 +56,29 @@ def _profile_from_config(cfg):
 
 
 def _matrix_from_config(cfg, key):
+    """The matrix `key` given inline or through `key_file`, and the key that gave it."""
     val = cfg.get("system", key)
-    if val is None:
-        path = cfg.get("system", key + "_file")
-        if path is None:
-            raise ValidationError([f"[system] {key}: required for finite_dim"])
-        return load_matrix(os.path.join(cfg.base_dir, str(path)))
-    return np.atleast_2d(np.asarray(val, dtype=float))
+    if val is not None:
+        try:
+            return np.atleast_2d(np.asarray(val, dtype=float)), key
+        except ValueError:
+            raise ValidationError([f"[system] {key}: not a numeric matrix: {val!r}"]) from None
+    path = cfg.get("system", key + "_file")
+    if path is None:
+        raise ValidationError([f"[system] {key}: required for finite_dim"])
+    return load_matrix(os.path.join(cfg.base_dir, str(path))), key + "_file"
 
 
 def build_system(cfg):
     name = cfg.get("system", "name")
     k = float(cfg.get("system", "k", 1.0))
     if name == "finite_dim":
-        A = _matrix_from_config(cfg, "A")
-        B = _matrix_from_config(cfg, "B")
+        (A, a_key), (B, b_key) = _matrix_from_config(cfg, "A"), _matrix_from_config(cfg, "B")
+        if A.shape[0] != A.shape[1]:
+            raise ValidationError([f"[system] {a_key}: A must be square, got shape {A.shape}"])
+        if B.shape[0] != A.shape[0]:
+            raise ValidationError([f"[system] {b_key}: B must have {A.shape[0]} rows "
+                                   f"like A, got shape {B.shape}"])
         if not np.any(B):
             # uncontrolled decay runs (B = 0) skip the controllability gate
             from .linalg import InnerProduct
@@ -89,12 +97,19 @@ def build_system(cfg):
 def initial_state(cfg, system):
     spec = cfg.get("sim", "z0", "eigvec 0 1.0")
     toks = str(spec).split()
-    if toks[0] == "file":
-        return load_matrix(os.path.join(cfg.base_dir, toks[1])).ravel()
-    if toks[0] != "eigvec":
-        raise ValidationError([f"[sim] z0: expected 'eigvec index scale' or "
-                               f"'file path', got {spec!r}"])
-    index, scale = int(toks[1]), float(toks[2])
+    if toks[:1] == ["file"] and len(toks) == 2:
+        z0 = load_matrix(os.path.join(cfg.base_dir, toks[1])).ravel()
+        if z0.size != system.n:
+            raise ValidationError([f"[sim] z0: {toks[1]} holds {z0.size} entries, "
+                                   f"the state has {system.n}"])
+        return z0
+    try:
+        index, scale = int(toks[1]), float(toks[2])
+    except (IndexError, ValueError):
+        index = -1
+    if toks[:1] != ["eigvec"] or len(toks) != 3 or not 0 <= index < system.n:
+        raise ValidationError([f"[sim] z0: expected 'eigvec index scale' with "
+                               f"0 <= index < {system.n}, or 'file path', got {spec!r}"])
     zhat = models.leading_eigvec(system.closed_loop(), index)
     return (scale / system.norm_DA(zhat)) * zhat
 
@@ -180,7 +195,12 @@ def _load_trajectory(out_dir):
     header, rows = read_csv(path)
     if header != TRAJECTORY_COLUMNS:
         raise MissingInput(f"{path} has unexpected columns {header}")
-    data = np.array([[float(x) for x in row] for row in rows])
+    if not rows:
+        raise MissingInput(f"{path} has a header but no samples")
+    try:
+        data = np.array([[float(x) for x in row] for row in rows]).reshape(len(rows), 5)
+    except ValueError:
+        raise MissingInput(f"{path} has rows that are not 5 numbers") from None
     V = data[:, 3]
     return sim.Trajectory.from_norms(data[:, 0], data[:, 1],
                                      V_values=None if np.all(np.isnan(V)) else V)
@@ -367,7 +387,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"ERROR MissingInput: {exc}")
         return EXIT_CODES["MissingInput"]
-    except (LyapcertError, ValueError) as exc:
+    except (LyapcertError, ValueError, OSError) as exc:     # OSError: unreadable paths
         name = type(exc).__name__
         print(f"ERROR {name}: {exc}")
         return EXIT_CODES.get(name, 5)

@@ -90,7 +90,10 @@ def parse_config(text):
         key = key.strip()
         if not key:
             raise ParseError(f"line {lineno}: empty key")
-        cfg.section(section)[key] = _parse_value(val)
+        try:
+            cfg.section(section)[key] = _parse_value(val)
+        except ValueError as exc:           # matrix rows that are not numbers
+            raise ParseError(f"line {lineno}: {key}: {exc}") from None
         cfg.lines[(section, key)] = lineno
 
     for sect, defaults in SUBCOMMAND_DEFAULTS.items():
@@ -113,7 +116,16 @@ def validate(cfg):
     def bad(sect, key, msg):
         problems.append(f"[{sect}] {key}: {msg}{where(sect, key)}")
 
-    name = cfg.get("system", "name")
+    def choice(sect, key):
+        # a key that names one of several choices; a number, list or matrix
+        # there names none of them
+        val = cfg.get(sect, key)
+        return val if val is None or isinstance(val, str) else repr(val)
+
+    def positive(x):
+        return isinstance(x, (int, float)) and 0 < x < np.inf
+
+    name = choice("system", "name")
     if name is None:
         bad("system", "name", "required; one of " + "|".join(SYSTEM_NAMES))
     elif name not in SYSTEM_NAMES:
@@ -124,38 +136,38 @@ def validate(cfg):
             bad("system", "N", f"must be an integer >= 16, got {N!r}")
     if name == "kdv":
         L = cfg.get("system", "L", 2 * np.pi)
-        if not isinstance(L, (int, float)) or L <= 0:
+        if not positive(L):
             bad("system", "L", f"must be positive, got {L!r}")
     k = cfg.get("system", "k", 1.0)
-    if not isinstance(k, (int, float)) or k <= 0:
+    if not positive(k):
         bad("system", "k", f"must be positive, got {k!r}")
     prof = cfg.get("system", "a_profile")
     if prof is not None and name in ("kdv", "wave"):
         toks = str(prof).split()
-        if toks[0] not in ("constant", "indicator"):
+        if toks[:1] not in (["constant"], ["indicator"]):
             bad("system", "a_profile", "expected 'constant c' or 'indicator lo hi amplitude'")
         elif toks[0] == "constant" and len(toks) != 2:
             bad("system", "a_profile", "constant profile takes one amplitude")
         elif toks[0] == "indicator" and len(toks) != 4:
             bad("system", "a_profile", "indicator profile takes lo hi amplitude")
 
-    kind = cfg.get("damping", "kind")
+    kind = choice("damping", "kind")
     if kind not in DAMPING_KINDS:
         bad("damping", "kind", f"unknown kind {kind!r}; one of " + "|".join(DAMPING_KINDS))
     s0 = cfg.get("damping", "s0")
-    if not isinstance(s0, (int, float)) or s0 <= 0:
+    if not positive(s0):
         bad("damping", "s0", f"must be positive, got {s0!r}")
     q = cfg.get("damping", "q")
     if kind == "weak" and not (isinstance(q, (int, float)) and 0 < q < 1):
         bad("damping", "q", f"must lie in (0, 1), got {q!r}")
 
     dt = cfg.get("sim", "dt")
-    if not isinstance(dt, (int, float)) or dt <= 0:
-        bad("sim", "dt", f"must be positive, got {dt!r}")
+    if not positive(dt):
+        bad("sim", "dt", f"must be positive and finite, got {dt!r}")
     t_end = cfg.get("sim", "t_end")
-    if not isinstance(t_end, (int, float)) or t_end <= 0:
-        bad("sim", "t_end", f"must be positive, got {t_end!r}")
-    ec = cfg.get("sim", "error_control")
+    if not positive(t_end):
+        bad("sim", "t_end", f"must be positive and finite, got {t_end!r}")
+    ec = choice("sim", "error_control")
     if ec not in ("on", "off"):
         bad("sim", "error_control", f"must be on|off, got {ec!r}")
 
@@ -164,9 +176,8 @@ def validate(cfg):
         if not isinstance(radii, list):
             radii = [radii]
             cfg.analysis["radii"] = radii
-        vals = [r for r in radii if isinstance(r, (int, float))]
-        if (len(vals) != len(radii) or any(r <= 0 for r in vals)
-                or any(b <= a for a, b in zip(vals, vals[1:]))):
+        vals = [r for r in radii if positive(r)]
+        if len(vals) != len(radii) or any(b <= a for a, b in zip(vals, vals[1:])):
             bad("analysis", "radii", f"must be positive and increasing, got {radii!r}")
     fits = cfg.get("analysis", "fits")
     if fits is not None:
@@ -174,9 +185,9 @@ def validate(cfg):
             fits = [fits]
             cfg.analysis["fits"] = fits
         for f in fits:
-            if f not in ("exponential", "polynomial"):
+            if not isinstance(f, str) or f not in ("exponential", "polynomial"):
                 bad("analysis", "fits", f"unknown fit {f!r}")
-    certkind = cfg.get("analysis", "certificate")
+    certkind = choice("analysis", "certificate")
     if certkind is not None and certkind not in ("exp", "semiglobal", "poly"):
         bad("analysis", "certificate", f"must be exp|semiglobal|poly, got {certkind!r}")
 

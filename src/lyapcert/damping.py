@@ -55,15 +55,15 @@ class DampingSpec:
     # --- evaluation ---
 
     def apply(self, s, u_weights=None):
-        """sigma(s) for a vector s; u_weights are the diagonal U-norm weights."""
+        """sigma(s) along the last axis: one vector s or a (trials, dim) block;
+        u_weights are the diagonal U-norm weights."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if self.kind == "linear":
             return s.copy()
         if self.kind == "norm_saturation":
-            ns = _u_norm(s, u_weights)
-            if ns <= self.s0:
-                return s.copy()
-            return s * (self.s0 / ns)
+            w = 1.0 if u_weights is None else np.asarray(u_weights)
+            ns = np.sqrt(np.sum(w * s * s, axis=-1, keepdims=True))
+            return s * (self.s0 / np.maximum(ns, self.s0))
         if self.kind == "componentwise_saturation":
             return _scalar_sat(self.scalar_rule, self.s0, s)
         # weak damping: c * sign(s) * |s|^q entrywise
@@ -91,28 +91,22 @@ class DampingSpec:
         return self.kind != "weak_damping" and self.h_kind == "constant"
 
     def k_integral(self, X, b_norm):
-        """K(X) = int_0^X sqrt(v) h(b_norm sqrt(v)) dv, closed form where possible."""
-        if X < 0:
+        """K(X) = int_0^X sqrt(v) h(b_norm sqrt(v)) dv for a scalar or an array
+        X >= 0, closed form where possible."""
+        X = np.asarray(X, dtype=float)
+        if np.any(X < 0):
             raise DomainError("K is defined on X >= 0")
-        if X == 0.0:
-            return 0.0
         if self.h_is_constant():
-            return (2.0 / 3.0) * X ** 1.5
-        if self.kind == "weak_damping" or self.h_kind == "power":
+            K = (2.0 / 3.0) * X ** 1.5
+        elif self.kind == "weak_damping" or self.h_kind == "power":
             # sqrt(v) * (b sqrt(v))^(q-1) = b^(q-1) v^(q/2)
             p = 0.5 * self.q + 1.0
-            return float(b_norm ** (self.q - 1.0) * X**p / p)
-        val, _ = quad(
-            lambda v: np.sqrt(v) * self.h_eval_scalar_unchecked(b_norm * np.sqrt(v)),
-            0.0, X, epsabs=0.0, epsrel=1e-10,
-        )
-        return float(val)
-
-
-def _u_norm(s, u_weights):
-    if u_weights is None:
-        return float(np.linalg.norm(s))
-    return float(np.sqrt(np.sum(np.asarray(u_weights) * s * s)))
+            K = b_norm ** (self.q - 1.0) * X**p / p
+        else:
+            K = np.array([quad(
+                lambda v: np.sqrt(v) * self.h_eval_scalar_unchecked(b_norm * np.sqrt(v)),
+                0.0, x, epsabs=0.0, epsrel=1e-10)[0] for x in X.ravel()]).reshape(X.shape)
+        return float(K) if K.ndim == 0 else K
 
 
 def _scalar_sat(rule, s0, x):
@@ -213,34 +207,6 @@ class DampingReport:
         return "\n".join(lines)
 
 
-def _dual_prime_norm(spec, v, u_weights):
-    # Componentwise damping pairs the sup norm with its weighted-l1 dual;
-    # when S = U the dual norm is the U norm itself.
-    w = np.ones(v.shape) if u_weights is None else np.asarray(u_weights, dtype=float)
-    if spec.kind in ("componentwise_saturation", "weak_damping"):
-        return float(np.sum(w * np.abs(v)))
-    return _u_norm(v, u_weights)
-
-
-def _s_norm(spec, s, u_weights):
-    if spec.kind in ("componentwise_saturation", "weak_damping"):
-        return float(np.max(np.abs(s))) if s.size else 0.0
-    return _u_norm(s, u_weights)
-
-
-def _apply_rows(spec, S, w):
-    """sigma row by row for a (trials, dim) sample block."""
-    if spec.kind == "linear":
-        return S.copy()
-    if spec.kind == "componentwise_saturation":
-        return _scalar_sat(spec.scalar_rule, spec.s0, S)
-    if spec.kind == "weak_damping":
-        return spec.c * np.sign(S) * np.abs(S) ** spec.q
-    norms = np.sqrt(np.sum(w * S * S, axis=1, keepdims=True))
-    scale = np.where(norms <= spec.s0, 1.0, spec.s0 / np.maximum(norms, 1e-300))
-    return S * scale
-
-
 def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None,
                       s_norm_floor=1e-6):
     """Sampled check of the three definition items; failures land in the report.
@@ -264,7 +230,7 @@ def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None,
         S1 = rng.uniform(-radius, radius, size=(trials // 3 + 1, dim))
         S2 = S1 + rng.uniform(-0.1 * radius, 0.1 * radius, size=S1.shape)
         d = u_norms(S1 - S2)
-        num = u_norms(_apply_rows(spec, S1, w) - _apply_rows(spec, S2, w))
+        num = u_norms(spec.apply(S1, w) - spec.apply(S2, w))
         ok = d > 1e-14
         report.lipschitz_ratios[radius] = float(np.max(num[ok] / d[ok])) if np.any(ok) else 0.0
     report.item1_pass = all(np.isfinite(v) and v < 1e8
@@ -274,7 +240,7 @@ def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None,
     scales = 10.0 ** rng.uniform(-3, 2, size=(trials, 1))
     S1 = scales * rng.standard_normal((trials, dim))
     S2 = scales * rng.standard_normal((trials, dim))
-    pair = np.sum(w * (_apply_rows(spec, S1, w) - _apply_rows(spec, S2, w))
+    pair = np.sum(w * (spec.apply(S1, w) - spec.apply(S2, w))
                   * (S1 - S2), axis=1)
     report.monotonicity_min = float(np.min(pair))
     report.item2_pass = report.monotonicity_min >= -1e-12
@@ -289,7 +255,7 @@ def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None,
     keep = s_norms > (s_norm_floor if spec.kind == "weak_damping" else 0.0)
     skipped = int(trials - np.sum(keep))
     S, s_norms = S[keep], s_norms[keep]
-    sig = _apply_rows(spec, S, w)
+    sig = spec.apply(S, w)
     pairing = np.sum(w * sig * S, axis=1)
     diff = sig - spec.C1 * S
     if spec.kind in ("componentwise_saturation", "weak_damping"):

@@ -8,6 +8,8 @@ bytes.
 
 import numpy as np
 
+from .errors import MissingInput
+
 
 def format_value(v):
     if isinstance(v, (bool, np.bool_)):
@@ -35,8 +37,13 @@ def load_matrix(path):
     try:
         rows, cols = int(tokens[0]), int(tokens[1])
     except (IndexError, ValueError):
-        raise ValueError(f"matrix file {path} has no 'rows cols' header") from None
-    vals = np.array([float(t) for t in tokens[2:2 + rows * cols]])
+        rows = cols = 0
+    if rows < 1 or cols < 1:
+        raise ValueError(f"matrix file {path} has no 'rows cols' header")
+    try:
+        vals = np.array([float(t) for t in tokens[2:2 + rows * cols]])
+    except ValueError as exc:
+        raise ValueError(f"matrix file {path}: {exc}") from None
     if vals.size != rows * cols:
         raise ValueError(f"matrix file {path} truncated")
     return vals.reshape(rows, cols)
@@ -53,6 +60,8 @@ def write_csv(path, header, rows):
 def read_csv(path):
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise MissingInput(f"{path} is empty")
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows

@@ -57,8 +57,11 @@ class InnerProduct:
         return float(np.asarray(x) @ self.weight @ np.asarray(y))
 
     def norm(self, x):
-        # ||x||_W via the Cholesky factor; cheaper and never negative under roundoff
-        return float(np.linalg.norm(self._chol.T @ np.asarray(x)))
+        """||x||_W along the last axis: a float for one vector, the row norms
+        of a block.  Via the Cholesky factor, so never negative under roundoff."""
+        y = np.asarray(x) @ self._chol
+        nrm = np.sqrt(np.einsum("...i,...i->...", y, y))
+        return float(nrm) if nrm.ndim == 0 else nrm
 
     def is_identity(self):
         return bool(np.array_equal(self.weight, np.eye(self.dim)))

@@ -46,8 +46,10 @@ class LyapunovCertificate:
     flags: tuple = ()
 
     def quad_form(self, z):
+        """<Pz, z>_H along the last axis."""
         z = np.asarray(z, dtype=float)
-        return float(z @ self.G @ z)
+        q = np.einsum("...i,...i->...", z @ self.G, z)
+        return float(q) if q.ndim == 0 else q
 
     def scalars(self):
         out = {"kind": self.kind, "C": self.C, "alpha": self.alpha, "M": self.M,
@@ -207,7 +209,7 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, shift=0.1,
 
 
 def eval_V(cert, z):
-    """Value of the certificate functional at state z."""
+    """Value of the certificate functional at state z (along the last axis)."""
     z = np.asarray(z, dtype=float)
     quad = cert.quad_form(z)
     nH = cert.system.norm_H(z)

@@ -54,14 +54,8 @@ class SemiDiscreteSystem:
         return self.H_ip.norm(z)
 
     def norm_DA(self, z):
-        """Graph norm ||z||_H + ||Az||_H."""
-        return self.H_ip.norm(z) + self.H_ip.norm(self.A @ z)
-
-    def u_inner(self, u, v):
-        return float(np.sum(self.U_weights * np.asarray(u) * np.asarray(v)))
-
-    def u_norm(self, u):
-        return float(np.sqrt(max(self.u_inner(u, u), 0.0)))
+        """Graph norm ||z||_H + ||Az||_H along the last axis."""
+        return self.H_ip.norm(z) + self.H_ip.norm(np.asarray(z) @ self.A.T)
 
 
 def kalman_rank(A, B):

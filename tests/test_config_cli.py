@@ -87,6 +87,17 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_config("[warp_drive]\n")
 
+    def test_malformed_values_rejected_with_config_errors(self):
+        # each of these once escaped parse_config as a bare numpy or index error
+        for text in ("[system]\nname = ;", "[analysis]\ncertificate = 1; 2",
+                     "[system]\nname = kdv\nN = 16\na_profile =",
+                     KDV_SWEEP.replace("t_end = 20.0", "t_end = inf")):
+            with pytest.raises(ValidationError):
+                parse_config(text)
+        with pytest.raises(ParseError) as exc:
+            parse_config("[system]\nname = finite_dim\nA = 0, x; 1, 0")
+        assert "line 3" in str(exc.value)
+
     def test_comments_and_blanks(self):
         cfg = parse_config(MINIMAL + "\n# trailing comment\n\n")
         assert cfg.get("system", "name") == "finite_dim"
@@ -285,6 +296,77 @@ error_control = off
         out = capsys.readouterr().out.strip().splitlines()
         assert rc == 4
         assert out[-1].startswith("ERROR MissingInput:") and "'C'" in out[-1]
+
+
+FILES_CFG = """
+[system]
+name = finite_dim
+A_file = A.mat
+B_file = B.mat
+
+[damping]
+kind = clamp
+
+[sim]
+dt = 1e-2
+t_end = 1.0
+error_control = off
+z0 = file z0.vec
+"""
+
+
+def last_line(capsys):
+    return capsys.readouterr().out.strip().splitlines()[-1]
+
+
+class TestMalformedInputs:
+    """Each malformed input ends in a nonzero exit with the ERROR line last,
+    naming the file or the config key at fault."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "A.mat").write_text("2 2\n0 1\n-1 0\n")
+        (tmp_path / "B.mat").write_text("2 1\n1\n0\n")
+        (tmp_path / "z0.vec").write_text("2 1\n2\n0\n")
+        return tmp_path
+
+    def test_well_formed_files_run(self, files):
+        assert run(files, "simulate", FILES_CFG) == 0
+
+    def test_non_numeric_entry(self, files, capsys):
+        (files / "A.mat").write_text("2 2\n0 1\n-1 x\n")
+        assert run(files, "simulate", FILES_CFG) != 0
+        line = last_line(capsys)
+        assert line.startswith("ERROR ValueError:") and "A.mat" in line and "'x'" in line
+
+    def test_non_square_A(self, files, capsys):
+        (files / "A.mat").write_text("2 3\n0 1 0\n-1 0 0\n")
+        assert run(files, "simulate", FILES_CFG) == 3
+        line = last_line(capsys)
+        assert line.startswith("ERROR ValidationError:") and "[system] A_file" in line
+
+    def test_B_rows_differ_from_A(self, files, capsys):
+        (files / "B.mat").write_text("3 1\n1\n0\n0\n")
+        assert run(files, "simulate", FILES_CFG) == 3
+        line = last_line(capsys)
+        assert line.startswith("ERROR ValidationError:") and "[system] B_file" in line
+
+    def test_z0_wrong_length(self, files, capsys):
+        (files / "z0.vec").write_text("3 1\n2\n0\n1\n")
+        assert run(files, "simulate", FILES_CFG) == 3
+        line = last_line(capsys)
+        assert line.startswith("ERROR ValidationError:") and "[sim] z0" in line
+
+    def test_directory_as_matrix_file(self, files, capsys):
+        assert run(files, "simulate", FILES_CFG.replace("A_file = A.mat", "A_file = .")) != 0
+        assert last_line(capsys).startswith("ERROR IsADirectoryError:")
+
+    @pytest.mark.parametrize("content", ["", "t,norm_H,norm_DA,V,damping_power\n"])
+    def test_trajectory_without_samples(self, tmp_path, capsys, content):
+        (tmp_path / "trajectory.csv").write_text(content)
+        assert run(tmp_path, "fit-decay", SCALAR_SAT) == 4
+        line = last_line(capsys)
+        assert line.startswith("ERROR MissingInput:") and "trajectory.csv" in line
 
 
 class TestDeterminism:

@@ -37,6 +37,17 @@ class TestApply:
         assert np.allclose(wd.apply([4.0, -9.0]), [4.0, -6.0])
 
 
+    @pytest.mark.parametrize("spec", ALL_BOUNDED + [damping.norm_saturation(0.4),
+                                                    damping.weak_damping(2.0, 0.3)])
+    def test_block_matches_rows(self, spec):
+        # one (trials, dim) call equals the vector calls row by row, weighted or not
+        rng = np.random.default_rng(2)
+        S = rng.standard_normal((60, 5)) * 10.0 ** rng.uniform(-2, 1, size=(60, 1))
+        for w in (None, rng.uniform(0.1, 3.0, 5)):
+            rows = np.array([spec.apply(s, w) for s in S])
+            np.testing.assert_allclose(spec.apply(S, w), rows, rtol=1e-15, atol=0)
+
+
 class TestH:
     def test_saturations_have_unit_h(self):
         assert damping.tanh_saturation(1.0).h_eval(7.3) == 1.0
@@ -77,6 +88,15 @@ class TestKIntegral:
         grid = np.linspace(0.0, 9.0, 40)
         vals = [cl.k_integral(x, 0.7) for x in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_array_matches_scalars(self):
+        table = damping.DampingSpec(kind="norm_saturation", C1=1.0, C2=1.0,
+                                    h_kind="table", h_table=((0.0, 10.0), (1.0, 3.0)))
+        X = np.array([[0.0, 0.5], [2.0, 7.0]])
+        for spec in (damping.clamp(1.0), damping.weak_damping(1.0, 0.5), table):
+            K = spec.k_integral(X, 0.7)
+            assert K.shape == X.shape
+            assert np.array_equal(K, [[spec.k_integral(x, 0.7) for x in row] for row in X])
 
     def test_tabulated_h_quadrature(self):
         # a flat table must reproduce the constant-h closed form through the

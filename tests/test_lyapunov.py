@@ -231,6 +231,29 @@ class TestFunctionalEvaluation:
             v = lyapunov.eval_V(cert, z)
             assert lo <= v * (1 + 1e-9) and v <= up * (1 + 1e-9)
 
+    def test_block_evaluation_matches_rows(self, oscillator, kdv64, wave32, clamp1):
+        # eval_V and norm_DA on a (steps, n) block equal their one-state values
+        table = damping.DampingSpec(kind="norm_saturation", C1=1.0, C2=1.0,
+                                    h_kind="table", h_table=((0.0, 50.0), (1.0, 2.0)))
+        certs = [
+            lyapunov.build_exp_certificate(oscillator, clamp1),
+            lyapunov.build_exp_certificate(oscillator, table),
+            lyapunov.build_semiglobal_certificate(kdv64, clamp1, 5.0, c_S=0.3),
+            lyapunov.build_poly_certificate(wave32, damping.tanh_saturation(1.0),
+                                            2.0, 1.0),
+        ]
+        rng = np.random.default_rng(5)
+        for cert in certs:
+            system = cert.system
+            Z = rng.standard_normal((7, system.n)) * 10.0 ** rng.uniform(-2, 1, (7, 1))
+            np.testing.assert_allclose(
+                lyapunov.eval_V(cert, Z), [lyapunov.eval_V(cert, z) for z in Z],
+                rtol=1e-13, atol=0)
+            np.testing.assert_allclose(
+                system.norm_DA(Z), [system.norm_DA(z) for z in Z], rtol=1e-13, atol=0)
+            assert isinstance(lyapunov.eval_V(cert, Z[0]), float)
+            assert isinstance(system.norm_DA(Z[0]), float)
+
     def test_export_text_full_precision(self, oscillator, clamp1):
         cert = lyapunov.build_exp_certificate(oscillator, clamp1)
         text = lyapunov.export_text(cert)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import lyapcert.sim as sim_mod
 from lyapcert import damping, lyapunov, models, sim
@@ -133,6 +134,100 @@ class TestIntegrate:
         assert abs(traj.V_values[0] - lyapunov.eval_V(cert, traj.states[0])) < 1e-12
 
 
+def reference_integrate(system, spec, z0, config, cert=None):
+    """Independent oracle for `sim.integrate`: the IMEX step as one LU solve
+    of (I - dt/2 A) z_new = z + dt/2 A z + dt g(z_half) per step, with every
+    diagnostic evaluated per step from the weight matrix.  Returns
+    (times, norm_H, norm_DA, damping_power, V)."""
+    A, W, w = system.A, system.H_ip.weight, system.U_weights
+    sqrtk = np.sqrt(system.k)
+    eye = np.eye(system.n)
+
+    def control(z):
+        return sqrtk * (system.Bstar @ z)
+
+    def nonlinear(z):
+        return -sqrtk * (system.B @ spec.apply(control(z), w))
+
+    def step(z, dt):
+        z_half = z + 0.5 * dt * (A @ z + nonlinear(z))
+        rhs = z + 0.5 * dt * (A @ z) + dt * nonlinear(z_half)
+        return sla.lu_solve(sla.lu_factor(eye - 0.5 * dt * A), rhs)
+
+    def w_norm(z):
+        return float(np.sqrt(z @ W @ z))
+
+    def record(t, z):
+        s = control(z)
+        out.append((t, w_norm(z), w_norm(z) + w_norm(A @ z),
+                    float(np.sum(w * spec.apply(s, w) * s)),
+                    np.nan if cert is None else lyapunov.eval_V(cert, z)))
+
+    out = []
+    z = np.asarray(z0, dtype=float)
+    norm0 = system.norm_H(z)
+    t, dt = 0.0, min(config.dt, config.t_end)
+    record(t, z)
+    while t < config.t_end - 1e-12 * config.t_end:
+        dt = min(dt, config.t_end - t)
+        grow = False
+        if config.error_control == "step-halving":
+            while True:
+                z_fine = step(step(z, 0.5 * dt), 0.5 * dt)
+                err = system.norm_H(step(z, dt) - z_fine) / 3.0
+                tol = config.local_error_target * max(system.norm_H(z), 1e-9 * norm0)
+                if err <= tol:
+                    break
+                dt *= 0.5
+            z_new, grow = z_fine, err <= 0.125 * tol
+        else:
+            z_new = step(z, dt)
+        t += dt
+        z = z_new
+        record(t, z)
+        if grow:
+            dt = min(2.0 * dt, config.dt)
+    return tuple(np.array(col) for col in zip(*out))
+
+
+class TestAgainstReference:
+    """`sim.integrate` (per-dt propagator, diagnostics after the loop) against
+    the per-step LU-solve reference, to 1e-10 relative.  The damping power is
+    compared relative to its largest value along the run: where the control
+    signal crosses zero its pointwise relative error is set by the rounding
+    of the state, not by the scheme."""
+
+    @staticmethod
+    def assert_matches(traj, ref, with_V):
+        times, norm_H, norm_DA, power, V = ref
+        assert np.array_equal(traj.times, times)
+        np.testing.assert_allclose(traj.norm_H, norm_H, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(traj.norm_DA, norm_DA, rtol=1e-10, atol=0)
+        assert np.max(np.abs(traj.damping_power - power)) <= 1e-10 * np.max(np.abs(power))
+        if with_V:
+            np.testing.assert_allclose(traj.V_values, V, rtol=1e-10, atol=0)
+
+    def test_kdv_clamp_fixed_step(self, kdv64, clamp1):
+        zhat = models.leading_eigvec(kdv64.closed_loop())
+        z0 = 5.0 * zhat / kdv64.norm_DA(zhat)
+        cert = lyapunov.build_semiglobal_certificate(
+            kdv64, clamp1, 5.0, c_S=models.estimate_cS(kdv64))
+        config = sim.IntegratorConfig(dt=2e-3, t_end=2.0, error_control="none")
+        traj = sim.integrate(kdv64, clamp1, z0, config, cert=cert)
+        self.assert_matches(traj, reference_integrate(kdv64, clamp1, z0, config, cert),
+                            with_V=True)
+
+    def test_oscillator_step_halving(self, oscillator):
+        sat = damping.norm_saturation(1.0)
+        cert = lyapunov.build_exp_certificate(oscillator, sat)
+        z0 = np.array([20.0, 0.0])
+        config = sim.IntegratorConfig(dt=1e-2, t_end=10.0, error_control="step-halving")
+        traj = sim.integrate(oscillator, sat, z0, config, cert=cert)
+        ref = reference_integrate(oscillator, sat, z0, config, cert)
+        assert len(np.unique(np.round(np.diff(ref[0]), 12))) > 2    # dt did change
+        self.assert_matches(traj, ref, with_V=True)
+
+
 class TestUnitBallEntry:
     def test_starts_inside(self):
         traj = sim.Trajectory.from_norms([0.0, 1.0, 2.0], [0.5, 0.4, 0.3])
@@ -164,6 +259,10 @@ class TestConfigValidation:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             sim.IntegratorConfig(dt=0.0, t_end=1.0)
+
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(ValueError):
+            sim.IntegratorConfig(dt=1e-3, t_end=np.inf)
 
     def test_bad_scheme(self):
         with pytest.raises(ValueError):
