@@ -6,8 +6,6 @@ two-phase (linear then exponential) envelope analysis.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import InsufficientData, NoLinearPhase
 from .linalg import matrix_exponential, solve_lyapunov
@@ -168,9 +166,6 @@ class SweepResult:
     rows: list                      # (r, mu, prefactor, r_squared)
     mu_trend_ok: bool
 
-    def table(self):
-        return list(self.rows)
-
 
 def _relative_tail_window(traj, rel_hi=1e-3, rel_lo=1e-7):
     """Time window where the norm has decayed into (rel_lo, rel_hi) of its start.
@@ -209,34 +204,6 @@ def sweep_semiglobal(system, damping, radii, config, trend_slack=0.2):
     return SweepResult(rows=rows, mu_trend_ok=ok)
 
 
-class DecayBracket:
-    """Bracket function F(X) = K(X) + lam_min X, its inverse g and G(x) = int_1^x dv/g."""
-
-    def __init__(self, damping, B_norm, lam_min):
-        self.damping = damping
-        self.B_norm = B_norm
-        self.lam_min = lam_min
-
-    def F(self, X):
-        return self.damping.k_integral(X, self.B_norm) + self.lam_min * X
-
-    def g(self, v):
-        """Inverse of F by bisection to 1e-10 (absolute + relative)."""
-        if v <= 0.0:
-            return 0.0
-        hi = max(v / max(self.lam_min, 1e-300), 1.0)
-        while self.F(hi) < v:
-            hi *= 2.0
-        return brentq(lambda X: self.F(X) - v, 0.0, hi, xtol=1e-10, rtol=1e-12)
-
-    def G(self, x):
-        """int_1^x dv / g(v) by adaptive quadrature."""
-        if x == 1.0:
-            return 0.0
-        val, _ = quad(lambda v: 1.0 / self.g(v), 1.0, x, epsrel=1e-8, limit=200)
-        return float(val)
-
-
 @dataclass
 class BehaviorProfile:
     t_star: float
@@ -254,80 +221,74 @@ def behavior_profile(traj, damping, B_norm, cert, C3=None, C4=None,
     """Two-phase envelope: comparison-function bound before unit-ball entry,
     exponential bound after.
 
-    C4 rescales the certificate functional into the bracket F; C3 rescales the
-    norm envelope.  Both are calibrated on the given run when not supplied, so
-    a smaller-radius run can pin them for larger radii.
+    C4 rescales the certificate functional into the bracket
+    F(X) = K(X) + lam_min X; C3 rescales the norm envelope.  Both are
+    calibrated on the given run when not supplied, so a smaller-radius run can
+    pin them for larger radii.  Weak damping (decreasing h) is rejected.
     """
+    if damping.kind == "weak_damping":
+        raise ValueError("weak damping has decreasing h; the envelope brackets do not apply")
     if traj.t_star is None:
         raise NoLinearPhase("trajectory never enters the unit ball")
     lam_min = cert.alpha
     M = cert.M
     P_norm = cert.P_norm_H
-    h0 = damping.h_eval(0.0) if damping.kind != "weak_damping" else None
-    bracket = DecayBracket(damping, B_norm, lam_min)
+    h = damping.h_eval(0.0)                 # constant for every other kind
+
+    def F(X):
+        return damping.k_integral(X, B_norm) + lam_min * X
+
+    def F_up(X):
+        return P_norm * X + M * X**1.5 * h
+
+    def F_lo(X):
+        return lam_min * X + (2.0 * M * h / 3.0) * X**1.5
 
     n0 = traj.norm_H[0]
     X0 = n0 * n0
-
-    def F_up(X):
-        h_at = damping.h_eval(B_norm * np.sqrt(X)) if B_norm * X > 0 else h0
-        return P_norm * X + M * X**1.5 * h_at
-
-    def F_lo(X):
-        return lam_min * X + (2.0 * M * h0 / 3.0) * X**1.5
-
     if C4 is None:
         grid = np.geomspace(1.0, max(X0, 1.0 + 1e-9), 64)
-        C4 = float(max(F_up(X) / bracket.F(X) for X in grid))
+        C4 = float(np.max(F_up(grid) / F(grid)))
 
     V0 = float(traj.V_values[0]) if traj.V_values is not None else F_up(X0)
-
-    # tabulate G on [v_lo, V0/C4] once; the envelope inverts it by interpolation
     v_hi = max(V0 / C4, 1.0 + 1e-9)
-    v_grid = np.geomspace(1e-6, v_hi, 300)
-    g_vals = np.array([bracket.g(v) for v in v_grid])
-    inv_g = 1.0 / np.maximum(g_vals, 1e-300)
-    G_grid = np.concatenate([[0.0], np.cumsum(0.5 * (inv_g[1:] + inv_g[:-1])
+
+    # One table of F on a geometric X-grid serves every inversion: g = F^-1
+    # is the grid itself, G(v) = int dv / g(v) a cumulative trapezoid of 1/X
+    # over v = F(X), and F_lo^-1 a log-log lookup.  F and F_lo are both
+    # >= lam_min X, so the grid reaches F^-1(v_hi) and F_lo^-1(C4 v_hi); it
+    # starts where F is about 1e-6 or below.
+    X_grid = np.geomspace(1e-6 / max(1.0, lam_min), max(1.0, C4) * v_hi / lam_min, 4096)
+    v_grid = F(X_grid)
+    inv_X = 1.0 / X_grid
+    G_grid = np.concatenate([[0.0], np.cumsum(0.5 * (inv_X[1:] + inv_X[:-1])
                                               * np.diff(v_grid))])
-    G_grid += bracket.G(v_grid[0])        # anchor at the adaptive-quadrature value
-
-    def G_inv(y):
-        y = np.clip(y, G_grid[0], G_grid[-1])
-        return float(np.interp(y, G_grid, v_grid))
-
-    G_at_start = float(np.interp(v_hi, v_grid, G_grid))
-
-    def v_pred(t):
-        return C4 * G_inv(G_at_start - t / C4)
+    G_at_start = np.interp(v_hi, v_grid, G_grid)
+    log_X, log_F_lo = np.log(X_grid), np.log(F_lo(X_grid))
 
     def norm_pred(t):
-        v = v_pred(t)
-        hi = max(X0, 1.0)
-        while F_lo(hi) < v:
-            hi *= 2.0
-        X = brentq(lambda X: F_lo(X) - v, 0.0, hi, xtol=1e-12, rtol=1e-12)
-        return np.sqrt(X)
+        v = C4 * np.interp(G_at_start - t / C4, G_grid, v_grid)
+        return np.exp(0.5 * np.interp(np.log(v), log_F_lo, log_X))
 
     pre_mask = traj.times <= traj.t_star
     pre_t = traj.times[pre_mask]
     pre_obs = traj.norm_H[pre_mask]
     stride = max(1, len(pre_t) // n_samples)
     pre_t, pre_obs = pre_t[::stride], pre_obs[::stride]
-    raw_pred = np.array([norm_pred(t) for t in pre_t])
+    raw_pred = norm_pred(pre_t)
     if C3 is None:
         C3 = float(np.max(pre_obs / np.maximum(raw_pred, 1e-300)))
     pre_pred = C3 * raw_pred
     pre_ratio = float(np.max(pre_obs / np.maximum(pre_pred, 1e-300)))
 
     # post-entry: exponential envelope with the in-ball decrease constant
-    h_at_B = damping.h_eval(B_norm) if B_norm > 0 else h0
-    C_V = 1.0 / (P_norm + M * h_at_B)
+    C_V = 1.0 / (P_norm + M * h)
     post_mask = traj.times >= traj.t_star
     post_t = traj.times[post_mask]
     post_obs = traj.norm_H[post_mask]
     stride = max(1, len(post_t) // n_samples)
     post_t, post_obs = post_t[::stride], post_obs[::stride]
-    amp = np.sqrt((P_norm + M * h_at_B) / lam_min)
+    amp = np.sqrt((P_norm + M * h) / lam_min)
     post_pred = amp * np.exp(-0.5 * C_V * (post_t - traj.t_star))
     post_ratio = float(np.max(post_obs / np.maximum(post_pred, 1e-300)))
 

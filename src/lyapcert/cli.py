@@ -60,9 +60,12 @@ def _matrix_from_config(cfg, key):
     val = cfg.get("system", key)
     if val is not None:
         try:
-            return np.atleast_2d(np.asarray(val, dtype=float)), key
+            M = np.atleast_2d(np.asarray(val, dtype=float))
         except ValueError:
             raise ValidationError([f"[system] {key}: not a numeric matrix: {val!r}"]) from None
+        if not np.all(np.isfinite(M)):
+            raise ValidationError([f"[system] {key}: matrix has non-finite entries"])
+        return M, key
     path = cfg.get("system", key + "_file")
     if path is None:
         raise ValidationError([f"[system] {key}: required for finite_dim"])
@@ -106,10 +109,12 @@ def initial_state(cfg, system):
     try:
         index, scale = int(toks[1]), float(toks[2])
     except (IndexError, ValueError):
-        index = -1
-    if toks[:1] != ["eigvec"] or len(toks) != 3 or not 0 <= index < system.n:
+        index, scale = -1, np.nan
+    if (toks[:1] != ["eigvec"] or len(toks) != 3 or not 0 <= index < system.n
+            or not np.isfinite(scale)):
         raise ValidationError([f"[sim] z0: expected 'eigvec index scale' with "
-                               f"0 <= index < {system.n}, or 'file path', got {spec!r}"])
+                               f"0 <= index < {system.n} and a finite scale, "
+                               f"or 'file path', got {spec!r}"])
     zhat = models.leading_eigvec(system.closed_loop(), index)
     return (scale / system.norm_DA(zhat)) * zhat
 

@@ -55,6 +55,13 @@ def _parse_scalar(tok):
     return tok
 
 
+def _finite_number(tok):
+    try:
+        return bool(np.isfinite(float(tok)))
+    except ValueError:
+        return False
+
+
 def _parse_value(text):
     text = text.strip()
     if ";" in text:
@@ -93,7 +100,7 @@ def parse_config(text):
         try:
             cfg.section(section)[key] = _parse_value(val)
         except ValueError as exc:           # matrix rows that are not numbers
-            raise ParseError(f"line {lineno}: {key}: {exc}") from None
+            raise ParseError(f"line {lineno}: [{section}] {key}: {exc}") from None
         cfg.lines[(section, key)] = lineno
 
     for sect, defaults in SUBCOMMAND_DEFAULTS.items():
@@ -114,7 +121,8 @@ def validate(cfg):
         return f" (line {ln})" if ln is not None else ""
 
     def bad(sect, key, msg):
-        problems.append(f"[{sect}] {key}: {msg}{where(sect, key)}")
+        # one line: the repr of a matrix value spans several
+        problems.append(" ".join(f"[{sect}] {key}: {msg}{where(sect, key)}".split()))
 
     def choice(sect, key):
         # a key that names one of several choices; a number, list or matrix
@@ -150,6 +158,8 @@ def validate(cfg):
             bad("system", "a_profile", "constant profile takes one amplitude")
         elif toks[0] == "indicator" and len(toks) != 4:
             bad("system", "a_profile", "indicator profile takes lo hi amplitude")
+        elif not all(_finite_number(t) for t in toks[1:]):
+            bad("system", "a_profile", f"bounds and amplitude must be finite numbers, got {prof!r}")
 
     kind = choice("damping", "kind")
     if kind not in DAMPING_KINDS:
@@ -160,6 +170,14 @@ def validate(cfg):
     q = cfg.get("damping", "q")
     if kind == "weak" and not (isinstance(q, (int, float)) and 0 < q < 1):
         bad("damping", "q", f"must lie in (0, 1), got {q!r}")
+    for key in ("c", "C1", "C2"):
+        val = cfg.get("damping", key)
+        if val is not None and not positive(val):
+            bad("damping", key, f"must be positive and finite, got {val!r}")
+    for key, least in (("verify_dim", 1), ("verify_trials", 100)):
+        val = cfg.get("damping", key)
+        if not isinstance(val, int) or val < least:
+            bad("damping", key, f"must be an integer >= {least}, got {val!r}")
 
     dt = cfg.get("sim", "dt")
     if not positive(dt):
@@ -187,6 +205,12 @@ def validate(cfg):
         for f in fits:
             if not isinstance(f, str) or f not in ("exponential", "polynomial"):
                 bad("analysis", "fits", f"unknown fit {f!r}")
+    for key, may_be_auto in (("r", False), ("gamma", False), ("c_S", True), ("C_theta", True)):
+        val = cfg.get("analysis", key)
+        if val is None or positive(val) or (may_be_auto and choice("analysis", key) == "auto"):
+            continue
+        bad("analysis", key, "must be positive and finite" + (" or auto" if may_be_auto else "")
+            + f", got {val!r}")
     certkind = choice("analysis", "certificate")
     if certkind is not None and certkind not in ("exp", "semiglobal", "poly"):
         bad("analysis", "certificate", f"must be exp|semiglobal|poly, got {certkind!r}")

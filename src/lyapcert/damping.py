@@ -10,7 +10,6 @@ sigma(s) = c * sign(s) * |s|^q with q < 1.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 
@@ -32,25 +31,21 @@ class DampingSpec:
     c: float = 1.0
     C1: float = 1.0
     C2: float = 1.0
-    h_kind: str = "constant"          # constant | power | table
-    h_table: tuple = ()               # (xs, ys) for h_kind == "table"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown damping kind {self.kind!r}")
         if self.kind == "componentwise_saturation" and self.scalar_rule not in SCALAR_RULES:
             raise ValueError(f"unknown scalar rule {self.scalar_rule!r}")
-        if self.kind in ("norm_saturation", "componentwise_saturation") and self.s0 <= 0:
-            raise ValueError("saturation level s0 must be > 0")
+        if self.kind in ("norm_saturation", "componentwise_saturation"):
+            _check_level(self.s0)
         if self.kind == "weak_damping":
             if not (0.0 < self.q < 1.0):
                 raise ValueError("weak damping exponent q must lie in (0, 1)")
-            if self.c < 0.0:
-                raise ValueError("weak damping gain c must be >= 0")
-        if self.C1 <= 0 or self.C2 <= 0:
-            raise ValueError("C1 and C2 must be positive")
-        if self.h_kind == "constant" and self.h_eval_scalar_unchecked(0.0) <= 0.0:
-            raise ValueError("h(0) must be positive for constant h")
+            if not 0.0 <= self.c < np.inf:
+                raise ValueError("weak damping gain c must be finite and >= 0")
+        if not (0.0 < self.C1 < np.inf and 0.0 < self.C2 < np.inf):
+            raise ValueError("C1 and C2 must be positive and finite")
 
     # --- evaluation ---
 
@@ -70,42 +65,28 @@ class DampingSpec:
         return self.c * np.sign(s) * np.abs(s) ** self.q
 
     def h_eval(self, x):
-        """h(x) for x >= 0; unbounded at 0 for weak damping (DomainError)."""
+        """h(x) for x >= 0: 1 for every kind but weak damping, whose
+        h(x) = x^(q-1) is unbounded at 0 (DomainError)."""
         if x < 0:
             raise DomainError("h is defined on x >= 0")
-        if self.kind == "weak_damping":
-            if x == 0.0:
-                raise DomainError("h(x) = x^(q-1) is unbounded at x = 0")
-            return float(x ** (self.q - 1.0))
-        return self.h_eval_scalar_unchecked(x)
-
-    def h_eval_scalar_unchecked(self, x):
-        if self.h_kind == "constant":
+        if self.kind != "weak_damping":
             return 1.0
-        if self.h_kind == "power":
-            return float(x ** (self.q - 1.0)) if x > 0 else np.inf
-        xs, ys = self.h_table
-        return float(np.interp(x, xs, ys))
-
-    def h_is_constant(self):
-        return self.kind != "weak_damping" and self.h_kind == "constant"
+        if x == 0.0:
+            raise DomainError("h(x) = x^(q-1) is unbounded at x = 0")
+        return float(x ** (self.q - 1.0))
 
     def k_integral(self, X, b_norm):
-        """K(X) = int_0^X sqrt(v) h(b_norm sqrt(v)) dv for a scalar or an array
-        X >= 0, closed form where possible."""
+        """K(X) = int_0^X sqrt(v) h(b_norm sqrt(v)) dv in closed form, for a
+        scalar or an array X >= 0."""
         X = np.asarray(X, dtype=float)
         if np.any(X < 0):
             raise DomainError("K is defined on X >= 0")
-        if self.h_is_constant():
-            K = (2.0 / 3.0) * X ** 1.5
-        elif self.kind == "weak_damping" or self.h_kind == "power":
+        if self.kind == "weak_damping":
             # sqrt(v) * (b sqrt(v))^(q-1) = b^(q-1) v^(q/2)
             p = 0.5 * self.q + 1.0
             K = b_norm ** (self.q - 1.0) * X**p / p
         else:
-            K = np.array([quad(
-                lambda v: np.sqrt(v) * self.h_eval_scalar_unchecked(b_norm * np.sqrt(v)),
-                0.0, x, epsabs=0.0, epsrel=1e-10)[0] for x in X.ravel()]).reshape(X.shape)
+            K = (2.0 / 3.0) * X**1.5
         return float(K) if K.ndim == 0 else K
 
 
@@ -125,8 +106,8 @@ def linear():
 
 
 def _check_level(s0):
-    if s0 <= 0:
-        raise ValueError("saturation level s0 must be > 0")
+    if not 0.0 < s0 < np.inf:
+        raise ValueError("saturation level s0 must be positive and finite")
     return s0
 
 
@@ -150,7 +131,7 @@ def arctan_saturation(s0=1.0):
 
 
 def weak_damping(c=1.0, q=0.5):
-    return DampingSpec(kind="weak_damping", c=c, q=q, C1=c, C2=1.0, h_kind="power")
+    return DampingSpec(kind="weak_damping", c=c, q=q, C1=c, C2=1.0)
 
 
 def from_name(name, **kw):

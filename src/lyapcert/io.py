@@ -46,6 +46,8 @@ def load_matrix(path):
         raise ValueError(f"matrix file {path}: {exc}") from None
     if vals.size != rows * cols:
         raise ValueError(f"matrix file {path} truncated")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"matrix file {path} has non-finite entries")
     return vals.reshape(rows, cols)
 
 

@@ -115,8 +115,10 @@ def build_semiglobal_certificate(system, damping, r, c_S=None):
         raise WrongNormChoice("system does not use the sup-norm choice")
     if c_S is None:
         raise MissingCS("pass c_S from estimate_cS(system)")
-    if r <= 0:
-        raise ValueError("radius r must be positive")
+    if not 0 <= c_S < np.inf:
+        raise ValueError(f"c_S must be finite and >= 0, got {c_S!r}")
+    if not 0 < r < np.inf:
+        raise ValueError(f"radius r must be positive and finite, got {r!r}")
     _, G, P, alpha, P_norm_H, B_norm = _norms_and_form(system, damping.C1)
     P_norm_DA = _p_norm_DA(system, P)
     h_val = damping.h_eval(B_norm * r) if B_norm * r > 0 else damping.h_eval(0.0)
@@ -165,12 +167,17 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, shift=0.1,
     of Atilde^T G + G Atilde = -W, plus the coercivity shift * W.  C_theta
     must dominate the weighted decay of the quadratic part along probe
     trajectories (CalibrationFailed otherwise); C_theta=None calibrates it
-    with 5% headroom.  gamma <= 1/2 is accepted but flagged.
+    with 5% headroom.  r, gamma and C_theta must be positive and finite;
+    gamma <= 1/2 is accepted but flagged.
     """
     if damping.kind == "weak_damping":
         raise ValueError("weak damping has decreasing h; certificate formulas do not apply")
-    if r <= 0:
-        raise ValueError("radius r must be positive")
+    if not 0 < r < np.inf:
+        raise ValueError(f"radius r must be positive and finite, got {r!r}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    if C_theta is not None and not 0 < C_theta < np.inf:
+        raise ValueError(f"C_theta must be positive and finite, got {C_theta!r}")
     Atilde = system.closed_loop(damping.C1)
     require_hurwitz(Atilde, "closed-loop matrix")
     W = system.H_ip.weight

@@ -83,8 +83,8 @@ def make_finite_dim(A, B, k=1.0):
         raise NotDissipative(f"A has dissipativity margin {margin:.3e} > {DISSIPATIVITY_TOL}")
     if kalman_rank(A, B) < n:
         raise NotControllable(f"Kalman rank {kalman_rank(A, B)} < {n}")
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     Atilde = A - k * B @ B.T
     if spectral_abscissa(Atilde) >= 0:
         raise NotStabilized("A - k B B^T is not Hurwitz")
@@ -98,8 +98,8 @@ def _profile_values(a_profile, x):
         if callable(a_profile) else np.asarray(a_profile, dtype=float)
     if a.shape != x.shape:
         raise ValueError("a_profile length does not match the grid")
-    if np.any(a < -1e-14):
-        raise ValueError("a_profile must be nonnegative")
+    if not np.all(np.isfinite(a)) or np.any(a < -1e-14):
+        raise ValueError("a_profile must be finite and nonnegative")
     return np.maximum(a, 0.0)
 
 
@@ -114,8 +114,8 @@ def discretize_kdv(L, N, a_profile, k=1.0):
     """
     if N < 16:
         raise ValueError("N must be >= 16")
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if not 0 < L < np.inf:
+        raise ValueError("L must be positive and finite")
     h = L / (N + 1)
     x = h * np.arange(1, N + 1)
     a = _profile_values(a_profile, x)
@@ -199,9 +199,6 @@ def estimate_cS(system, n_probes=1000, seed=0):
     probes = np.vstack([rng.standard_normal((n_probes, n)), vecs.real.T, vecs.imag.T])
 
     sup_vals = np.max(np.abs(probes @ Bs.T), axis=1)
-    L = system.H_ip._chol
-    norm_H = np.linalg.norm(probes @ L, axis=1)
-    norm_AH = np.linalg.norm(probes @ system.A.T @ L, axis=1)
-    denom = norm_H + norm_AH
+    denom = system.norm_DA(probes)
     ok = denom > 1e-300
     return float(np.max(sup_vals[ok] / denom[ok])) if np.any(ok) else 0.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from lyapcert import analysis, damping, lyapunov, models, sim
 from lyapcert.errors import InsufficientData, NoLinearPhase, NotHurwitz
@@ -260,12 +261,6 @@ class TestSweep:
 
 
 class TestBehaviorProfile:
-    def test_bracket_inverse_property(self, oscillator, clamp1):
-        cert = lyapunov.build_exp_certificate(oscillator, clamp1)
-        br = analysis.DecayBracket(clamp1, cert.B_norm, cert.alpha)
-        for X in (0.25, 1.0, 7.0, 40.0):
-            assert abs(br.g(br.F(X)) - X) <= 1e-9 * max(1.0, X)
-
     def test_two_phase_envelopes(self, oscillator, clamp1):
         cert = lyapunov.build_exp_certificate(oscillator, clamp1)
         cfg = sim.IntegratorConfig(dt=1e-3, t_end=45.0, error_control="none")
@@ -284,6 +279,46 @@ class TestBehaviorProfile:
                                              C3=prof_small.C3, C4=prof_small.C4)
         assert prof_big.pre_ratio <= 1.1
         assert prof_big.post_ratio <= 1.1
+
+    def test_envelope_matches_closed_form(self, oscillator, clamp1):
+        # For constant h, F(X) = (2/3) X^1.5 + lam X and G(F(X)) = 2 sqrt(X) +
+        # lam ln X, so the bracket X(t) solves
+        # 2 (sqrt(X0) - sqrt(X)) + lam ln(X0 / X) = t / C4 with F(X0) = V0 / C4,
+        # and the raw envelope is sqrt(F_lo^-1(C4 F(X(t)))).
+        cert = lyapunov.build_exp_certificate(oscillator, clamp1)
+        cfg = sim.IntegratorConfig(dt=1e-3, t_end=45.0, error_control="none")
+        traj = sim.integrate(oscillator, clamp1,
+                             20.0 * np.array([1.0, 1.0]) / np.sqrt(2.0), cfg,
+                             cert=cert)
+        prof = analysis.behavior_profile(traj, clamp1, cert.B_norm, cert)
+        lam, M, C4 = cert.alpha, cert.M, prof.C4
+
+        def F(X):
+            return (2.0 / 3.0) * X**1.5 + lam * X
+
+        def F_lo(X):
+            return lam * X + (2.0 * M / 3.0) * X**1.5
+
+        def inverse(f, v):
+            return brentq(lambda X: f(X) - v, 0.0, v / lam, xtol=1e-300, rtol=1e-15)
+
+        X0 = inverse(F, traj.V_values[0] / C4)
+        for t, _, pred in prof.pre_samples:
+            X = X0 if t == 0.0 else brentq(
+                lambda X: 2.0 * (np.sqrt(X0) - np.sqrt(X)) + lam * np.log(X0 / X) - t / C4,
+                1e-12, X0, xtol=1e-300, rtol=1e-15)
+            exact = np.sqrt(inverse(F_lo, C4 * F(X)))
+            assert abs(pred / prof.C3 - exact) <= 1e-4 * exact
+
+    def test_rejects_weak_damping(self, wave32):
+        wd = damping.weak_damping(1.0, 0.5)
+        cert = lyapunov.build_semiglobal_certificate(wave32, wd, 2.0, c_S=0.3)
+        traj = sim.Trajectory.from_norms(np.linspace(0.0, 2.0, 21),
+                                         np.linspace(2.0, 0.5, 21),
+                                         V_values=np.linspace(8.0, 0.5, 21))
+        assert traj.t_star is not None
+        with pytest.raises(ValueError, match="weak damping"):
+            analysis.behavior_profile(traj, wd, cert.B_norm, cert)
 
     def test_saturation_envelope_is_affine(self, oscillator, clamp1):
         cert = lyapunov.build_exp_certificate(oscillator, clamp1)

@@ -361,6 +361,40 @@ class TestMalformedInputs:
         assert run(files, "simulate", FILES_CFG.replace("A_file = A.mat", "A_file = .")) != 0
         assert last_line(capsys).startswith("ERROR IsADirectoryError:")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("damping", "C1", "nan"), ("damping", "C2", "inf"), ("damping", "c", "nan"),
+        ("damping", "verify_dim", "2.5"), ("damping", "verify_trials", "x"),
+        ("analysis", "r", "nan"), ("analysis", "gamma", "nan"), ("analysis", "c_S", "nan"),
+        ("analysis", "C_theta", "inf"), ("sim", "z0", "eigvec 0 nan"),
+        ("system", "A", "0, 1; -1, nan")])
+    def test_non_finite_or_non_numeric_value(self, files, capsys, section, key, value):
+        text = FILES_CFG + f"\n[{section}]\n{key} = {value}\n"
+        assert run(files, "simulate", text) == 3
+        line = last_line(capsys)
+        assert line.startswith("ERROR ValidationError:") and f"[{section}] {key}:" in line
+
+    @pytest.mark.parametrize("profile", ["constant x", "constant nan",
+                                         "indicator 0.2 x 1", "indicator 0.2 0.8 inf"])
+    def test_non_numeric_profile(self, tmp_path, capsys, profile):
+        text = KDV_SWEEP.replace("a_profile = constant 1.0", f"a_profile = {profile}")
+        assert run(tmp_path, "simulate", text) == 3
+        assert "[system] a_profile:" in last_line(capsys)
+
+    @pytest.mark.parametrize("name, content", [("A.mat", "2 2\n0 1\n-1 nan\n"),
+                                               ("B.mat", "2 1\ninf\n0\n"),
+                                               ("z0.vec", "2 1\n-inf\n0\n")])
+    def test_non_finite_matrix_entry(self, files, capsys, name, content):
+        (files / name).write_text(content)
+        assert run(files, "simulate", FILES_CFG) != 0
+        line = last_line(capsys)
+        assert line.startswith("ERROR ValueError:") and name in line and "non-finite" in line
+
+    def test_certify_rejects_nan_embedding_constant(self, tmp_path, capsys):
+        text = KDV_SWEEP + "certificate = semiglobal\nr = 5.0\nc_S = nan\n"
+        assert run(tmp_path, "certify", text) == 3
+        assert "[analysis] c_S:" in last_line(capsys)
+        assert not (tmp_path / "certificate.txt").exists()
+
     @pytest.mark.parametrize("content", ["", "t,norm_H,norm_DA,V,damping_power\n"])
     def test_trajectory_without_samples(self, tmp_path, capsys, content):
         (tmp_path / "trajectory.csv").write_text(content)

@@ -37,9 +37,10 @@ VALUES = st.one_of(
                      "a, b; c, d", "on", "off", "exp", "semiglobal", "poly",
                      "exponential", "polynomial", "exponential, polynomial",
                      "linear", "clamp", "tanh", "arctan", "weak", "norm_saturation",
-                     "constant 1.0", "constant", "constant x", "indicator 0.2 0.8 1",
+                     "constant 1.0", "constant", "constant x", "constant nan",
+                     "indicator 0.2 0.8 1", "indicator 0.2 x 1", "indicator 0.2 0.8 inf",
                      "indicator 0.2", "finite_dim", "kdv", "wave", "eigvec 0 1.0",
-                     "eigvec", "eigvec 7 1", "eigvec -1 2", "eigvec x y",
+                     "eigvec", "eigvec 7 1", "eigvec -1 2", "eigvec x y", "eigvec 0 nan",
                      "file z0.vec", "file", "file missing.vec", "file .", ".", "auto"]),
     FREE_TEXT)
 KEYS = st.sampled_from(["name", "A", "B", "A_file", "B_file", "k", "L",
@@ -145,8 +146,10 @@ SUBCOMMANDS = st.sampled_from(["simulate", "certify", "check-damping", "fit-deca
 SIZED = st.sampled_from([("sim", "dt", v) for v in ("0", "-1", "x", "nan", "0.1", "1e300")]
                         + [("sim", "t_end", v) for v in ("0", "x", "inf", "0.5", "1e-300")]
                         + [("system", "N", v) for v in ("16", "4", "x", "-4", "16.5")]
-                        + [("damping", "verify_dim", v) for v in ("0", "-1", "x", "3")]
-                        + [("damping", "verify_trials", v) for v in ("10", "x", "120")])
+                        + [("damping", "verify_dim", v)
+                           for v in ("0", "-1", "x", "3", "2.5", "nan", "inf")]
+                        + [("damping", "verify_trials", v)
+                           for v in ("10", "x", "120", "150.5", "nan", "inf")])
 
 
 @fuzz(200)
@@ -179,3 +182,48 @@ def test_cli_exits_zero_or_prints_error_line_last(subcommand, edits, a_text, b_t
                        "--out", tmp])
     printed = out.getvalue().strip().splitlines()
     assert rc == 0 or (printed and ERROR_LINE.match(printed[-1])), (rc, printed[-3:])
+
+
+# a key that takes a number (or a file that holds numbers), the text that
+# sets it with {} standing for the drawn token, and the name the ERROR line
+# must carry
+NUMERIC_INPUTS = st.sampled_from(
+    [(sect, key, "{}", f"[{sect}] {key}:")
+     for sect, key in (("damping", "C1"), ("damping", "C2"), ("damping", "c"),
+                       ("damping", "verify_dim"), ("damping", "verify_trials"),
+                       ("analysis", "r"), ("analysis", "gamma"), ("analysis", "c_S"),
+                       ("analysis", "C_theta"))]
+    + [("sim", "z0", "eigvec 0 {}", "[sim] z0:"),
+       ("system", "A", "0, 1; -1, {}", "[system] A:"),
+       ("system", "a_profile", "constant {}", "[system] a_profile:"),
+       ("system", "a_profile", "indicator {} 0.8 1", "[system] a_profile:"),
+       ("file", "A.mat", "2 2\n0 1\n-1 {}\n", "A.mat"),
+       ("file", "B.mat", "2 1\n{}\n0\n", "B.mat"),
+       ("file", "z0.vec", "2 1\n{}\n0\n", "z0.vec")])
+NOT_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e309", "NaN", "x", "1x", "0x10", "1; 2"])
+
+
+@fuzz(120)
+@given(target=NUMERIC_INPUTS, token=NOT_FINITE)
+def test_cli_names_the_key_of_a_non_finite_or_non_numeric_value(target, token):
+    sect, key, template, name = target
+    sections = {s: dict(keys) for s, keys in BASE_CONFIG.items()}
+    sections["sim"]["z0"] = "file z0.vec"
+    files = {"A.mat": "2 2\n0 1\n-1 0\n", "B.mat": "2 1\n1\n0\n", "z0.vec": "2 1\n2\n0\n"}
+    value = template.format(token)
+    if sect == "file":
+        files[key] = value
+    else:
+        sections[sect][key] = value
+    if key == "a_profile":
+        sections["system"].update(name="kdv", N="16")
+    text = "\n".join(f"[{s}]\n" + "\n".join(f"{k} = {v}" for k, v in keys.items())
+                     for s, keys in sections.items()) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        for fname, content in list(files.items()) + [("run.cfg", text)]:
+            write(os.path.join(tmp, fname), content)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["simulate", "--config", os.path.join(tmp, "run.cfg"), "--out", tmp])
+    printed = out.getvalue().strip().splitlines()
+    assert rc != 0 and ERROR_LINE.match(printed[-1]) and name in printed[-1], (rc, printed[-3:])

@@ -95,6 +95,13 @@ class TestSemiglobalCertificate:
         with pytest.raises(MissingCS):
             lyapunov.build_semiglobal_certificate(kdv64, clamp1, r=1.0)
 
+    @pytest.mark.parametrize("kwargs", [{"c_S": np.nan}, {"c_S": np.inf}, {"c_S": -0.3},
+                                        {"r": np.nan}, {"r": np.inf}, {"r": 0.0}])
+    def test_non_finite_inputs_rejected(self, kdv64, clamp1, kwargs):
+        args = {"r": 5.0, "c_S": 0.3, **kwargs}
+        with pytest.raises(ValueError):
+            lyapunov.build_semiglobal_certificate(kdv64, clamp1, **args)
+
     def test_control_norm_damping_rejected(self, kdv64):
         with pytest.raises(WrongNormChoice):
             lyapunov.build_semiglobal_certificate(kdv64, damping.linear(), r=1.0,
@@ -139,6 +146,13 @@ class TestPolyCertificate:
         with pytest.raises(CalibrationFailed):
             lyapunov.build_poly_certificate(oscillator, damping.linear(), r=1.0,
                                             gamma=1.0, C_theta=1e-9)
+
+    @pytest.mark.parametrize("kwargs", [{"r": np.nan}, {"gamma": np.nan}, {"gamma": 0.0},
+                                        {"C_theta": np.nan}, {"C_theta": np.inf}])
+    def test_non_finite_inputs_rejected(self, oscillator, kwargs):
+        args = {"r": 1.0, "gamma": 1.0, **kwargs}
+        with pytest.raises(ValueError):
+            lyapunov.build_poly_certificate(oscillator, damping.linear(), **args)
 
     def test_gamma_below_half_flagged(self, oscillator):
         cert = lyapunov.build_poly_certificate(oscillator, damping.linear(), r=1.0,
@@ -233,11 +247,8 @@ class TestFunctionalEvaluation:
 
     def test_block_evaluation_matches_rows(self, oscillator, kdv64, wave32, clamp1):
         # eval_V and norm_DA on a (steps, n) block equal their one-state values
-        table = damping.DampingSpec(kind="norm_saturation", C1=1.0, C2=1.0,
-                                    h_kind="table", h_table=((0.0, 50.0), (1.0, 2.0)))
         certs = [
             lyapunov.build_exp_certificate(oscillator, clamp1),
-            lyapunov.build_exp_certificate(oscillator, table),
             lyapunov.build_semiglobal_certificate(kdv64, clamp1, 5.0, c_S=0.3),
             lyapunov.build_poly_certificate(wave32, damping.tanh_saturation(1.0),
                                             2.0, 1.0),

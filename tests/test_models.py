@@ -73,6 +73,12 @@ class TestKdV:
         with pytest.raises(ValueError):
             models.discretize_kdv(1.0, 32, lambda x: -1.0)
 
+    @pytest.mark.parametrize("L, amplitude", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),
+                                              (1.0, np.inf)])
+    def test_non_finite_length_or_profile_rejected(self, L, amplitude):
+        with pytest.raises(ValueError):
+            models.discretize_kdv(L, 32, lambda x: amplitude)
+
     def test_localized_profile(self):
         L = 2 * np.pi
         sysloc = models.discretize_kdv(
