@@ -13,7 +13,8 @@ from .lyapunov import (LyapunovCertificate, build_exp_certificate,
                        eval_V, sandwich_bounds)
 from .models import (SemiDiscreteSystem, discretize_kdv, discretize_wave,
                      estimate_cS, make_finite_dim)
-from .sim import IntegratorConfig, Trajectory, detect_unit_ball_entry, integrate
+from .sim import (IntegratorConfig, Trajectory, detect_unit_ball_entry, integrate,
+                  integrate_batch)
 from .analysis import (DecayEstimate, VerificationReport, behavior_profile,
                        fit_exponential, fit_linear_phase, fit_polynomial,
                        sweep_semiglobal, verify_lyapunov_decrease,
@@ -30,7 +31,8 @@ __all__ = [
     "LyapunovCertificate", "build_exp_certificate",
     "build_semiglobal_certificate", "build_poly_certificate", "eval_V",
     "sandwich_bounds",
-    "IntegratorConfig", "Trajectory", "integrate", "detect_unit_ball_entry",
+    "IntegratorConfig", "Trajectory", "integrate", "integrate_batch",
+    "detect_unit_ball_entry",
     "DecayEstimate", "VerificationReport", "fit_exponential",
     "fit_polynomial", "fit_linear_phase", "verify_lyapunov_decrease",
     "verify_poly_chain", "sweep_semiglobal", "behavior_profile",

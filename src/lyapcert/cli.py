@@ -17,8 +17,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, analysis, damping as dmp, lyapunov, models, sim
-from .config import parse_config
-from .errors import LyapcertError, MissingInput, ParseError, ValidationError
+from .config import parse_config, serialize
+from .errors import (LyapcertError, MissingInput, ParseError, StaleCertificate,
+                     ValidationError)
 from .io import load_matrix, read_csv, save_matrix, write_csv
 
 TRAJECTORY_COLUMNS = ["t", "norm_H", "norm_DA", "V", "damping_power"]
@@ -168,12 +169,20 @@ def cmd_simulate(cfg, out_dir, seed):
     return ["trajectory.csv"]
 
 
+def config_hash(cfg):
+    """Hash of the parsed config in its serialized form, blind to comments and
+    layout; certify records it and verify compares it.  The prefix keeps the
+    certificate line non-numeric for readers of the scalars."""
+    return "sha256:" + hashlib.sha256(serialize(cfg).encode()).hexdigest()
+
+
 def cmd_certify(cfg, out_dir, seed):
     system = build_system(cfg)
     damping = build_damping(cfg)
     cert = build_certificate(cfg, system, damping, seed=seed)
     with open(os.path.join(out_dir, "certificate.txt"), "w") as fh:
         fh.write(lyapunov.export_text(cert))
+        fh.write(f"config_hash = {config_hash(cfg)}\n")
     save_matrix(os.path.join(out_dir, "certificate_P.mat"), cert.P)
     save_matrix(os.path.join(out_dir, "system_A.mat"), system.A)
     save_matrix(os.path.join(out_dir, "system_B.mat"), system.B)
@@ -246,10 +255,12 @@ def _load_exported_certificate(out_dir):
     path = os.path.join(out_dir, "certificate.txt")
     if not os.path.exists(path):
         return None
-    scalars = {}
+    scalars, recorded = {}, None
     with open(path) as fh:
         for line in fh:
             key, _, val = line.partition(" = ")
+            if key.strip() == "config_hash":
+                recorded = val.strip()
             try:
                 scalars[key.strip()] = float(val)
             except ValueError:
@@ -257,7 +268,7 @@ def _load_exported_certificate(out_dir):
     if "C" not in scalars:
         raise MissingInput(f"{path} has no 'C' entry")
     from types import SimpleNamespace
-    return SimpleNamespace(C=scalars["C"])
+    return SimpleNamespace(C=scalars["C"], config_hash=recorded)
 
 
 def cmd_verify(cfg, out_dir, seed):
@@ -266,6 +277,10 @@ def cmd_verify(cfg, out_dir, seed):
         raise MissingInput("trajectory.csv has no V column values; "
                            "simulate with a certificate configured")
     cert = _load_exported_certificate(out_dir)
+    if cert is not None and cert.config_hash not in (None, config_hash(cfg)):
+        raise StaleCertificate(
+            f"{os.path.join(out_dir, 'certificate.txt')} was certified for config "
+            f"{cert.config_hash}, not this config ({config_hash(cfg)}); run certify again")
     if cert is None:
         system = build_system(cfg)
         damping = build_damping(cfg)

@@ -133,6 +133,9 @@ def validate(cfg):
     def positive(x):
         return isinstance(x, (int, float)) and 0 < x < np.inf
 
+    def finite(x):
+        return isinstance(x, (int, float)) and bool(np.isfinite(x))
+
     name = choice("system", "name")
     if name is None:
         bad("system", "name", "required; one of " + "|".join(SYSTEM_NAMES))
@@ -188,6 +191,9 @@ def validate(cfg):
     ec = choice("sim", "error_control")
     if ec not in ("on", "off"):
         bad("sim", "error_control", f"must be on|off, got {ec!r}")
+    target = cfg.get("sim", "local_error_target")
+    if not positive(target):
+        bad("sim", "local_error_target", f"must be positive and finite, got {target!r}")
 
     radii = cfg.get("analysis", "radii")
     if radii is not None:
@@ -211,6 +217,12 @@ def validate(cfg):
             continue
         bad("analysis", key, "must be positive and finite" + (" or auto" if may_be_auto else "")
             + f", got {val!r}")
+    lo, hi = cfg.get("analysis", "window_lo"), cfg.get("analysis", "window_hi")
+    for key, val in (("window_lo", lo), ("window_hi", hi)):
+        if val is not None and not finite(val):
+            bad("analysis", key, f"must be a finite time, got {val!r}")
+    if finite(lo) and finite(hi) and lo >= hi:
+        bad("analysis", "window_hi", f"must exceed window_lo = {lo!r}, got {hi!r}")
     certkind = choice("analysis", "certificate")
     if certkind is not None and certkind not in ("exp", "semiglobal", "poly"):
         bad("analysis", "certificate", f"must be exp|semiglobal|poly, got {certkind!r}")

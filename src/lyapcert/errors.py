@@ -71,6 +71,10 @@ class ContractionViolation(LyapcertError):
     """State norm increased beyond tolerance; the scheme or model is inconsistent."""
 
 
+class SubflowNotConverged(LyapcertError):
+    """The Newton solve of an implicit-midpoint damping substep did not converge."""
+
+
 # --- analysis ---
 
 class InsufficientData(LyapcertError):
@@ -97,3 +101,7 @@ class ValidationError(LyapcertError):
 
 class MissingInput(LyapcertError):
     """A subcommand's required input file is absent from the run directory."""
+
+
+class StaleCertificate(LyapcertError):
+    """The run directory's certificate.txt was certified for a different config."""

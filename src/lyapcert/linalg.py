@@ -50,6 +50,11 @@ class InnerProduct:
         return cls(np.eye(n))
 
     @property
+    def factor(self):
+        """Lower Cholesky factor L of the weight, W = L L^T: ||x||_W = |x @ L|."""
+        return self._chol
+
+    @property
     def dim(self):
         return self.weight.shape[0]
 

@@ -1,16 +1,31 @@
 """Time integration of dz/dt = Az - sqrt(k) B sigma(sqrt(k) B* z).
 
-The scheme splits additively: implicit trapezoidal on the (stiff, dissipative)
-linear part, explicit midpoint on the globally Lipschitz damping term.  For
-each distinct step dt, I - dt/2 A is factored once and two matrices are kept:
-the Cayley propagator R = (I - dt/2 A)^{-1}(I + dt/2 A), a contraction in the
-system's energy norm, and the input map -dt sqrt(k) (I - dt/2 A)^{-1} B, so a
-step is R z plus that map applied to sigma at the midpoint.  The loop records
-times, states, the energy norm and the damping power; the graph norm and the
-certificate functional are evaluated once on the recorded states after the
-loop.  The integrator aborts if the recorded norm ever grows beyond a tight
-tolerance, since that signals a scheme or model inconsistency rather than a
-property of the dynamics.
+Each step is one Strang splitting (Strang, SIAM J. Numer. Anal. 5, 1968):
+half a Cayley step C = (I - dt/4 A)^{-1}(I + dt/4 A) for the linear part, the
+damping subflow dz/dt = -sqrt(k) B sigma(sqrt(k) B* z) over the whole step,
+and half a Cayley step again.  C contracts the energy norm because A is
+dissipative, and the subflow of a monotone sigma is nonexpansive (Crandall &
+Liggett, Amer. J. Math. 93, 1971), so every step contracts, Lipschitz sigma or
+not; the scheme is second order.
+
+In the control coordinates s = sqrt(k) B* z the subflow reads
+ds/dt = -G sigma(s) with G = k B*B, and z moves only within range(B).  Where G
+is diagonal (kdv, wave and every single-input system) the components
+decouple and the subflow is exact: closed forms for linear, clamp, tanh and
+weak damping, and for norm saturation with equal gains, a clamp on the norm.
+The other cases (arctan, a non-diagonal G, norm saturation with unequal
+gains) take one implicit-midpoint step, nonexpansive too, solved by
+vectorized Newton; a solve that does not converge raises.
+
+At a fixed step the loop carries a = C z and s = sqrt(k) B* a for a block of
+initial states, and one stacked product per step gives the next state, the
+next a, the next s and the Cholesky image of the next state for the energy
+norm.  Step halving (Richardson error control) runs one state at a time with
+the three stages unfused.  The growth of the energy norm is checked for
+every step (at a fixed step on the recorded norms, CHECK_EVERY steps at a
+time): growth beyond a tight tolerance signals an implementation or model
+inconsistency and aborts.  The graph norm, the damping power and the
+certificate functional are evaluated on the recorded states after the loop.
 """
 
 from dataclasses import dataclass
@@ -18,10 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ContractionViolation, StepRejectionLimit
+from .errors import ContractionViolation, StepRejectionLimit, SubflowNotConverged
 
 GROWTH_TOL = 1e-10      # per-step admissible relative growth of the state norm
 MAX_HALVINGS = 45
+NEWTON_MAXITER = 50
+NEWTON_RTOL = 1e-13     # Newton stops when every update is this small relative to its row
+CHECK_EVERY = 64        # fixed-step norms are checked in blocks of this many steps
 
 
 @dataclass(frozen=True)
@@ -47,6 +65,7 @@ class Trajectory:
     damping_power: np.ndarray
     V_values: np.ndarray = None
     t_star: float = None
+    stats: dict = None                       # integrator record, see integrate
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -73,93 +92,340 @@ def smooth_initial_state(system, z0, eps=1e-3):
 
 
 def integrate(system, damping, z0, config, cert=None):
-    """Run the closed loop from z0, recording norms, damping power and V.
+    """Run the closed loop from the state z0, recording norms, damping power and V.
 
     Step-halving error control compares one dt step against two dt/2 steps
     (Richardson, second order) and accepts the finer result; dt never grows
-    past the configured value and the step count of halvings is capped.
+    past the configured value and the halvings per step are capped.
+    `Trajectory.stats` records the accepted steps, the rejected trial steps,
+    the most halvings within one step, the distinct step sizes (one
+    factorization each), the rows integrated together and the largest
+    per-step growth of the energy norm against GROWTH_TOL.
     """
+    z0 = np.asarray(z0, dtype=float)
+    if z0.ndim != 1:
+        raise ValueError("z0 must be one state vector; integrate_batch takes a block")
+    return _integrate(system, damping, z0[None], config, cert)[0]
+
+
+def integrate_batch(system, damping, Z0, config, cert=None):
+    """`integrate` for every row of the (rows, n) block Z0: one Trajectory per row.
+
+    At a fixed step the rows advance together, one stacked product per step;
+    with step halving they run one at a time, since each would need its own dt.
+    """
+    Z0 = np.asarray(Z0, dtype=float)
+    if Z0.ndim != 2:
+        raise ValueError("Z0 must be a (rows, n) block of initial states")
+    return _integrate(system, damping, Z0, config, cert)
+
+
+def _integrate(system, damping, Z0, config, cert):
     from .lyapunov import eval_V
 
-    z = np.asarray(z0, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if Z0.shape[1] != system.n or len(Z0) == 0:
+        raise ValueError(f"initial states must be rows of length {system.n}")
+    if not np.all(np.isfinite(Z0)):
         raise ValueError("initial state must be finite")
-    n, A, w = system.n, system.A, system.U_weights
-    to_control = np.sqrt(system.k) * system.Bstar       # z -> s = sqrt(k) B* z
-    from_control = np.sqrt(system.k) * system.B
-    propagators = {}                                    # dt -> (R, input map)
+    steps = _Steps(system, damping)
+    if config.error_control == "none":
+        times, rec, stats = _fixed_step(steps, Z0, config)
+        runs = [(times, rec[i], dict(stats)) for i in range(len(Z0))]
+    else:
+        runs = [_step_halving(steps, z, config) for z in Z0]
 
-    def step(z, sig, dt):
-        if dt not in propagators:
-            lu = sla.lu_factor(np.eye(n) - 0.5 * dt * A)
-            propagators[dt] = (sla.lu_solve(lu, np.eye(n) + 0.5 * dt * A),
-                               sla.lu_solve(lu, -dt * from_control))
-        R, inputs = propagators[dt]
-        z_half = z + 0.5 * dt * (A @ z - from_control @ sig)
-        return R @ z + inputs @ damping.apply(to_control @ z_half, w)
+    to_control, w = steps.to_control, system.U_weights
 
-    # one row per recorded step: t, ||z||_H, damping power <sigma(s), s>_U, z;
+    def power(Z):
+        S = Z @ to_control.T
+        return np.sum(w * damping.apply(S, w) * S, axis=1)
+
+    trajs = []
+    for times, rec, stats in runs:
+        # rec columns: energy norm, damping power, state
+        states = rec[:, 2:]
+        rec[:, 1] = _by_chunks(power, states)
+        norm = rec[:, 0]
+        prev = norm[:-1]
+        growth = norm[1:][prev > 0] / prev[prev > 0]
+        stats.update(rows=len(Z0), distinct_dt=len(steps.cache),
+                     max_growth=float(growth.max(initial=0.0)), growth_tol=GROWTH_TOL)
+        traj = Trajectory(times=times, states=states, norm_H=norm,
+                          norm_DA=_by_chunks(system.norm_DA, states),
+                          damping_power=rec[:, 1],
+                          V_values=None if cert is None else
+                          _by_chunks(lambda Z: eval_V(cert, Z), states),
+                          stats=stats)
+        traj.t_star = detect_unit_ball_entry(traj)
+        trajs.append(traj)
+    return trajs
+
+
+class _Steps:
+    """The maps one step needs, per distinct dt: the Cayley half-step C, its
+    square and the damping impulse.  Rows are states, so maps act from the
+    right: z -> z @ C.T."""
+
+    def __init__(self, system, damping):
+        self.A = system.A
+        self.to_control = np.sqrt(system.k) * system.Bstar       # T: z -> s = T z
+        self.from_control = (np.sqrt(system.k) * system.B).T     # impulse -> z
+        self.chol = system.H_ip.factor                           # ||z||_H = |z @ L|
+        self.subflow = _subflow(system, damping)
+        self.cache = {}                                          # dt -> (C, C^2, impulse)
+
+    def __call__(self, dt):
+        if dt not in self.cache:
+            eye = np.eye(len(self.A))
+            lu = sla.lu_factor(eye - 0.25 * dt * self.A)
+            C = sla.lu_solve(lu, eye + 0.25 * dt * self.A)
+            self.cache[dt] = (C, C @ C, self.subflow(dt))
+        return self.cache[dt]
+
+    def step(self, Z, dt):
+        """One unfused Strang step of the rows Z."""
+        C, _, impulse = self(dt)
+        a = Z @ C.T
+        return (a - impulse(a @ self.to_control.T) @ self.from_control) @ C.T
+
+    def two_steps(self, Z, dt):
+        """Two Strang steps of length dt/2, the inner half-steps merged into C^2."""
+        C, C2, impulse = self(0.5 * dt)
+        T, P = self.to_control.T, self.from_control
+        a = Z @ C.T
+        a = (a - impulse(a @ T) @ P) @ C2.T
+        return (a - impulse(a @ T) @ P) @ C.T
+
+    def norms(self, Z):
+        Y = Z @ self.chol
+        return np.sqrt(np.einsum("ij,ij->i", Y, Y))
+
+
+def _fixed_step(steps, Z0, config):
+    """All rows at the configured dt; the last step is shortened to end at t_end."""
+    dt, t_end = config.dt, config.t_end
+    count = max(1, int(np.ceil(t_end / dt * (1.0 - 1e-12))))
+    last = t_end - (count - 1) * dt
+    fused = count if abs(last - dt) <= 1e-12 * t_end else count - 1
+    times = np.arange(count + 1) * dt
+    times[-1] = t_end
+
+    b, n = Z0.shape
+    m = len(steps.to_control)
+    T, P, L = steps.to_control.T, steps.from_control, steps.chol
+    rec = np.empty((b, count + 1, n + 2))
+    rec[:, 0, 2:] = Z0
+    rec[:, 0, 0] = steps.norms(Z0)
+    floor = 1e-14 * rec[:, 0, :1]
+    k = checked = 0
+    for h, run in ((dt, fused), (last, count - fused)):
+        if run == 0:
+            continue
+        C, C2, impulse = steps(h)
+        # z_next = b C^T, a_next = b (C^2)^T, s_next = a_next T, and z_next L
+        stacked = np.hstack([C.T, C2.T, C2.T @ T, C.T @ L])
+        a = rec[:, k, 2:] @ C.T
+        s = a @ T
+        for k in range(k + 1, k + run + 1):
+            out = (a - impulse(s) @ P) @ stacked
+            rec[:, k, 2:] = out[:, :n]
+            a, s, Y = out[:, n:2 * n], out[:, 2 * n:2 * n + m], out[:, 2 * n + m:]
+            np.einsum("ij,ij->i", Y, Y, out=rec[:, k, 0])        # squared, for now
+            if k - checked == CHECK_EVERY or k == count:
+                _check_growth(rec[:, checked:k + 1, 0], times[checked:k + 1], floor)
+                checked = k
+    stats = {"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0}
+    return times, rec, stats
+
+
+def _check_growth(norms, times, floor):
+    """Take the square roots of the squared norms recorded after the first
+    column of the (rows, steps) block, in place, and check every step's
+    growth over its predecessor.  NaN fails too; the floor (1e-14 of each
+    row's initial norm) lets rounding noise pass near zero."""
+    np.sqrt(norms[:, 1:], out=norms[:, 1:])
+    prev, new = norms[:, :-1], norms[:, 1:]
+    bad = ~(new <= prev * (1.0 + GROWTH_TOL) + floor)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ContractionViolation(
+            f"norm grew from {float(prev[i, j])!r} to {float(new[i, j])!r} "
+            f"at t={float(times[j + 1])!r}")
+
+
+def _step_halving(steps, z0, config):
+    """One row under Richardson step-halving error control."""
+    n = len(z0)
+    z = z0[None]
+    # one row per recorded step: t, ||z||_H, damping power (filled later), z;
     # sized for the fixed-step count (capped) and doubled when full
-    rows = np.empty((int(min(np.ceil(config.t_end / config.dt), 1 << 16)) + 2, n + 3))
-    k = 0
-    t = 0.0
-    norm = norm0 = system.norm_H(z)
+    buf = np.empty((int(min(np.ceil(config.t_end / config.dt), 1 << 16)) + 2, n + 3))
+    buf[0, 0], buf[0, 3:] = 0.0, z0
+    buf[0, 1] = norm = norm0 = steps.norms(z)[0]
+    k, t = 1, 0.0
     dt = min(config.dt, config.t_end)
-    adaptive = config.error_control == "step-halving"
-    while True:
-        s = to_control @ z
-        sig = damping.apply(s, w)          # used by the power and the next step
-        if k == len(rows):
-            grown = np.empty((2 * k, n + 3))
-            grown[:k] = rows
-            rows = grown
-        rows[k, :3] = t, norm, np.sum(w * sig * s)
-        rows[k, 3:] = z
-        k += 1
-        if t >= config.t_end - 1e-12 * config.t_end:
-            break
-
+    rejected = most_halvings = 0
+    while t < config.t_end - 1e-12 * config.t_end:
         dt = min(dt, config.t_end - t)
-        if adaptive:
-            halvings = 0
-            while True:
-                z_big = step(z, sig, dt)
-                z_mid = step(z, sig, 0.5 * dt)
-                z_fine = step(z_mid, damping.apply(to_control @ z_mid, w), 0.5 * dt)
-                err = system.norm_H(z_big - z_fine) / 3.0
-                tol = config.local_error_target * max(norm, 1e-9 * norm0)
-                if err <= tol:
-                    z_new = z_fine
-                    break
-                dt *= 0.5
-                halvings += 1
-                if halvings > MAX_HALVINGS:
-                    raise StepRejectionLimit(
-                        f"local error {err:.3e} above target after {halvings} halvings")
-            grow = err <= 0.125 * tol
-        else:
-            z_new = step(z, sig, dt)
-            grow = False
+        halvings = 0
+        while True:
+            z_fine = steps.two_steps(z, dt)
+            err = steps.norms(steps.step(z, dt) - z_fine)[0] / 3.0
+            tol = config.local_error_target * max(norm, 1e-9 * norm0)
+            if err <= tol:
+                break
+            dt *= 0.5
+            halvings += 1
+            if halvings > MAX_HALVINGS:
+                raise StepRejectionLimit(
+                    f"local error {err:.3e} above target after {halvings} halvings")
+        rejected += halvings
+        most_halvings = max(most_halvings, halvings)
 
-        n_new = system.norm_H(z_new)
+        n_new = steps.norms(z_fine)[0]
         if n_new > norm * (1.0 + GROWTH_TOL) + 1e-14 * norm0:
             raise ContractionViolation(
                 f"norm grew from {norm!r} to {n_new!r} at t={t + dt!r}")
-
         t += dt
-        z, norm = z_new, n_new
-        if grow:
+        z, norm = z_fine, n_new
+        if k == len(buf):
+            buf = np.concatenate([buf, np.empty_like(buf)])
+        buf[k, :2], buf[k, 3:] = (t, norm), z[0]
+        k += 1
+        if err <= 0.125 * tol:
             dt = min(2.0 * dt, config.dt)
+    stats = {"accepted_steps": k - 1, "rejected_trials": rejected,
+             "max_halvings": most_halvings}
+    return buf[:k, 0], buf[:k, 1:], stats
 
-    rows = rows[:k]
-    states = rows[:, 3:]
-    traj = Trajectory(times=rows[:, 0], states=states, norm_H=rows[:, 1],
-                      norm_DA=_by_chunks(system.norm_DA, states),
-                      damping_power=rows[:, 2],
-                      V_values=None if cert is None else
-                      _by_chunks(lambda Z: eval_V(cert, Z), states))
-    traj.t_star = detect_unit_ball_entry(traj)
-    return traj
+
+# --- the damping subflow ------------------------------------------------------
+
+def _subflow(system, damping):
+    """dt -> the impulse map of the damping subflow over one step of length dt.
+
+    In s = sqrt(k) B* z the subflow reads ds/dt = -G sigma(s), G = k B*B, and
+    z moves by -sqrt(k) B J, where J = int_0^dt sigma(s(t)) dt is the impulse,
+    one row per row of s.  Where G = diag(g) the rows decouple and
+    J = (s - s(dt)) / g from the exact flow, with the zero columns of B
+    masked.  Otherwise J = dt sigma(x) at the implicit midpoint
+    x = s - dt/2 G sigma(x).
+    """
+    G = system.k * (system.Bstar @ system.B)
+    g = np.diag(G).copy()
+    ginv = np.divide(1.0, g, out=np.zeros_like(g), where=g > 0)
+    active = g[g > 0]
+    w = system.U_weights
+    rule = damping.scalar_rule or damping.kind
+    s0, q, c = damping.s0, damping.q, damping.c
+    if active.size == 0 or (rule == "weak_damping" and c == 0.0):
+        return lambda dt: np.zeros_like                 # sigma never moves z
+    if not np.any(G - np.diag(g)):
+        if rule in ("linear", "clamp"):
+            def componentwise(dt):
+                gain = -np.expm1(-g * dt) * ginv
+
+                def impulse(S):
+                    a = np.abs(S)
+                    if a.max() <= s0:                       # the linear flow
+                        return S * gain
+                    return np.copysign(_clamp_impulse(a, g, ginv, s0, dt), S)
+                return (lambda S: S * gain) if rule == "linear" else impulse
+            return componentwise
+        drops = {
+            "tanh": lambda a, dt: s0 * _tanh_drop(a / s0, g * dt),
+            "weak_damping": lambda a, dt: a - np.maximum(
+                a ** (1.0 - q) - (1.0 - q) * c * g * dt, 0.0) ** (1.0 / (1.0 - q)),
+        }
+        if rule in drops:
+            drop = drops[rule]
+            return lambda dt: lambda S: np.copysign(drop(np.abs(S), dt) * ginv, S)
+        if rule == "norm_saturation" and np.all(active == active[0]):
+            # the rows of s keep their direction and |s|_U follows the scalar
+            # clamp flow; the components with g = 0 vanish identically
+            gamma = active[0]
+
+            def on_norm(dt):
+                gain = -np.expm1(-gamma * dt) / gamma
+
+                def impulse(S):
+                    r = np.sqrt((S * S) @ w)[:, None]
+                    if r.max() <= s0:                       # the linear flow
+                        return S * gain
+                    J = _clamp_impulse(r, gamma, 1.0 / gamma, s0, dt)
+                    return S * (J / np.maximum(r, np.finfo(float).tiny))
+                return impulse
+            return on_norm
+    return lambda dt: lambda S: _implicit_midpoint(rule, damping, G, w, S, dt)
+
+
+def _clamp_impulse(a, g, ginv, s0, dt):
+    """int_0^dt min(|s(t)|, s0) dt under d|s|/dt = -g min(|s|, s0) from |s| = a:
+    saturated until |s| falls to s0, exponential decay after; 0 where g = 0."""
+    rest = np.minimum(np.maximum(dt - (a - s0) * (ginv / s0), 0.0), dt)   # time below s0
+    return s0 * (dt - rest) - np.minimum(a, s0) * np.expm1(-g * rest) * ginv
+
+
+def _tanh_drop(u, decay):
+    """Decrease of u = |s|/s0 under du/dt = -g tanh(u), where sinh(u) falls as
+    e^{-g t}; decay = g dt.  Past u = 20, log sinh(u) = u - log 2 to double
+    precision and asinh(e^l) is evaluated without overflow."""
+    low = np.arcsinh(np.sinh(np.minimum(u, 20.0)) * np.exp(-decay))
+    ell = np.maximum(u, 20.0) - np.log(2.0) - decay     # log sinh(u(dt)) for u > 20
+    e = np.exp(-np.abs(ell))
+    high = np.where(ell > 0, ell + np.log1p(np.sqrt(1.0 + e * e)), np.arcsinh(e))
+    return u - np.where(u > 20.0, high, low)
+
+
+def _implicit_midpoint(rule, damping, G, w, S, dt):
+    """dt sigma(x) at the implicit midpoint x = s - dt/2 G sigma(x), per row of
+    S, by Newton.  Weak damping is not Lipschitz at 0, so there the unknown is
+    u = sigma(x), whose inverse is C^1.  Raises SubflowNotConverged rather than
+    return an iterate."""
+    h = 0.5 * dt
+    weak = rule == "weak_damping"
+    decoupled = not np.any(G - np.diag(np.diag(G)))
+    eye = np.eye(len(G))
+    U = damping.apply(S, w) if weak else S.copy()
+    for _ in range(NEWTON_MAXITER):
+        if weak:                        # F(u) = sigma^{-1}(u) - s + h G u
+            c, p = damping.c, 1.0 / damping.q
+            F = np.sign(U) * (np.abs(U) / c) ** p - S + h * U @ G.T
+            jac = eye * ((p / c) * (np.abs(U) / c) ** (p - 1.0))[..., None, :] + h * G
+        else:                           # F(x) = x - s + h G sigma(x)
+            F = U - S + h * damping.apply(U, w) @ G.T
+            D = _sigma_derivative(rule, damping.s0, w, U)
+            if D.ndim > U.ndim:
+                jac = eye + h * G @ D
+            elif decoupled:
+                jac = 1.0 + h * np.diag(G) * D          # one scalar equation each
+            else:
+                jac = eye + h * G * D[..., None, :]
+        update = (F / jac if jac.ndim == U.ndim
+                  else np.linalg.solve(jac, F[..., None])[..., 0])
+        U = U - update
+        scale = np.max(np.abs(U), axis=-1, keepdims=True)
+        if np.all(np.abs(update) <= NEWTON_RTOL * scale):
+            return dt * (U if weak else damping.apply(U, w))
+    raise SubflowNotConverged(
+        f"implicit-midpoint damping step did not converge in {NEWTON_MAXITER} "
+        f"Newton iterations (dt={dt!r}, last update {np.max(np.abs(update)):.3e})")
+
+
+def _sigma_derivative(rule, s0, w, U):
+    """d sigma / ds at each row of U: the diagonal for the componentwise
+    rules, the full Jacobian matrix for norm saturation."""
+    if rule == "norm_saturation":
+        r = np.sqrt(np.sum(w * U * U, axis=-1))[..., None, None]
+        outer = U[..., :, None] * (w * U)[..., None, :] / np.maximum(r, s0) ** 2
+        return (s0 / np.maximum(r, s0)) * (np.eye(U.shape[-1]) - np.where(r > s0, outer, 0.0))
+    if rule == "clamp":
+        return (np.abs(U) < s0).astype(float)
+    if rule == "tanh":
+        return 1.0 - np.tanh(U / s0) ** 2
+    if rule == "arctan":
+        return 1.0 / (1.0 + (0.5 * np.pi * U / s0) ** 2)
+    return np.ones_like(U)
 
 
 def _by_chunks(f, states, rows=1024):

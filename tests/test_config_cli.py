@@ -284,6 +284,28 @@ error_control = off
         assert rc != 0
         assert out[-1].startswith("ERROR ValueError:") and "A.mat" in out[-1]
 
+    def test_certificate_records_config_hash(self, tmp_path):
+        assert run(tmp_path, "certify", SCALAR_SAT) == 0
+        lines = (tmp_path / "certificate.txt").read_text().splitlines()
+        hashes = [ln for ln in lines if ln.startswith("config_hash = sha256:")]
+        assert len(hashes) == 1 and len(hashes[0]) == len("config_hash = sha256:") + 64
+        # a comment or a blank line does not change the config
+        assert run(tmp_path, "certify", "# note\n" + SCALAR_SAT + "\n",
+                   name="commented.cfg") == 0
+        assert hashes[0] in (tmp_path / "certificate.txt").read_text().splitlines()
+
+    def test_verify_refuses_certificate_of_other_config(self, tmp_path, capsys):
+        assert run(tmp_path, "certify", SCALAR_SAT) == 0
+        other = SCALAR_SAT.replace("s0 = 1.0", "s0 = 2.0")
+        assert other != SCALAR_SAT
+        assert run(tmp_path, "simulate", other, name="other.cfg") == 0
+        capsys.readouterr()
+        rc = run(tmp_path, "verify", other, name="other.cfg")
+        assert rc != 0
+        line = last_line(capsys)
+        assert line.startswith("ERROR StaleCertificate:") and "certificate.txt" in line
+        assert not (tmp_path / "verification.csv").exists()
+
     def test_certificate_without_C_reported(self, tmp_path, capsys):
         assert run(tmp_path, "simulate", SCALAR_SAT) == 0
         assert run(tmp_path, "certify", SCALAR_SAT) == 0
@@ -366,12 +388,20 @@ class TestMalformedInputs:
         ("damping", "verify_dim", "2.5"), ("damping", "verify_trials", "x"),
         ("analysis", "r", "nan"), ("analysis", "gamma", "nan"), ("analysis", "c_S", "nan"),
         ("analysis", "C_theta", "inf"), ("sim", "z0", "eigvec 0 nan"),
-        ("system", "A", "0, 1; -1, nan")])
+        ("system", "A", "0, 1; -1, nan"), ("sim", "local_error_target", "x"),
+        ("sim", "local_error_target", "nan"), ("sim", "local_error_target", "0"),
+        ("analysis", "window_lo", "x"), ("analysis", "window_hi", "inf")])
     def test_non_finite_or_non_numeric_value(self, files, capsys, section, key, value):
         text = FILES_CFG + f"\n[{section}]\n{key} = {value}\n"
         assert run(files, "simulate", text) == 3
         line = last_line(capsys)
         assert line.startswith("ERROR ValidationError:") and f"[{section}] {key}:" in line
+
+    def test_empty_fit_window(self, files, capsys):
+        text = FILES_CFG + "\n[analysis]\nwindow_lo = 2.0\nwindow_hi = 1.0\n"
+        assert run(files, "fit-decay", text) == 3
+        line = last_line(capsys)
+        assert line.startswith("ERROR ValidationError:") and "[analysis] window_hi:" in line
 
     @pytest.mark.parametrize("profile", ["constant x", "constant nan",
                                          "indicator 0.2 x 1", "indicator 0.2 0.8 inf"])

@@ -192,7 +192,8 @@ NUMERIC_INPUTS = st.sampled_from(
      for sect, key in (("damping", "C1"), ("damping", "C2"), ("damping", "c"),
                        ("damping", "verify_dim"), ("damping", "verify_trials"),
                        ("analysis", "r"), ("analysis", "gamma"), ("analysis", "c_S"),
-                       ("analysis", "C_theta"))]
+                       ("analysis", "C_theta"), ("sim", "local_error_target"),
+                       ("analysis", "window_lo"), ("analysis", "window_hi"))]
     + [("sim", "z0", "eigvec 0 {}", "[sim] z0:"),
        ("system", "A", "0, 1; -1, {}", "[system] A:"),
        ("system", "a_profile", "constant {}", "[system] a_profile:"),

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import lyapcert.sim as sim_mod
 from lyapcert import damping, lyapunov, models, sim
-from lyapcert.errors import ContractionViolation, StepRejectionLimit
+from lyapcert.errors import (ContractionViolation, StepRejectionLimit,
+                             SubflowNotConverged)
 from lyapcert.linalg import InnerProduct
 from lyapcert.models import SemiDiscreteSystem
 
@@ -119,7 +122,8 @@ class TestIntegrate:
 
     def test_contraction_violation_aborts(self):
         growing = undriven(np.array([[0.1]]))       # deliberately non-dissipative
-        with pytest.raises(ContractionViolation):
+        # fixed-step norms are checked in blocks; the first growing step is named
+        with pytest.raises(ContractionViolation, match=r"at t=0\.01$"):
             sim.integrate(growing, damping.linear(), np.array([1.0]),
                           sim.IntegratorConfig(dt=1e-2, t_end=5.0,
                                                error_control="none"))
@@ -134,66 +138,127 @@ class TestIntegrate:
         assert abs(traj.V_values[0] - lyapunov.eval_V(cert, traj.states[0])) < 1e-12
 
 
-def reference_integrate(system, spec, z0, config, cert=None):
-    """Independent oracle for `sim.integrate`: the IMEX step as one LU solve
-    of (I - dt/2 A) z_new = z + dt/2 A z + dt g(z_half) per step, with every
-    diagnostic evaluated per step from the weight matrix.  Returns
-    (times, norm_H, norm_DA, damping_power, V)."""
-    A, W, w = system.A, system.H_ip.weight, system.U_weights
+def reference_imex(system, spec, z0, config):
+    """The previous scheme, kept as an order check of the new one: implicit
+    trapezoidal on A and explicit midpoint on the damping, one LU solve of
+    (I - dt/2 A) z_new = z + dt/2 A z + dt g(z_half) per step.  Returns
+    (times, norm_H)."""
+    A, w = system.A, system.U_weights
     sqrtk = np.sqrt(system.k)
     eye = np.eye(system.n)
 
-    def control(z):
-        return sqrtk * (system.Bstar @ z)
-
     def nonlinear(z):
-        return -sqrtk * (system.B @ spec.apply(control(z), w))
+        return -sqrtk * (system.B @ spec.apply(sqrtk * (system.Bstar @ z), w))
 
-    def step(z, dt):
+    z = np.asarray(z0, dtype=float)
+    times, norms = [0.0], [system.norm_H(z)]
+    for t, dt in reference_fixed_grid(config):
         z_half = z + 0.5 * dt * (A @ z + nonlinear(z))
         rhs = z + 0.5 * dt * (A @ z) + dt * nonlinear(z_half)
-        return sla.lu_solve(sla.lu_factor(eye - 0.5 * dt * A), rhs)
+        z = sla.lu_solve(sla.lu_factor(eye - 0.5 * dt * A), rhs)
+        times.append(t)
+        norms.append(system.norm_H(z))
+    return np.array(times), np.array(norms)
+
+
+def reference_fixed_grid(config):
+    """(t_next, step length) of the fixed-step grid t_k = k dt, ended at t_end."""
+    k, t_end = 0, config.t_end
+    while k * config.dt < t_end * (1.0 - 1e-12):
+        t_next = (k + 1) * config.dt
+        if t_next >= t_end * (1.0 - 1e-12):
+            yield t_end, t_end - k * config.dt
+            return
+        yield t_next, config.dt
+        k += 1
+
+
+def reference_subflow(system, spec, z, dt):
+    """Exact damping subflow for clamp and norm saturation, one scalar at a
+    time.  B*B is diagonal here, so s_j = sqrt(k) (B* z)_j obeys
+    ds_j/dt = -g_j sigma(s_j) with g_j = k (B*B)_jj, and z moves by
+    sqrt(k) B (s_new - s)/g."""
+    sqrtk = math.sqrt(system.k)
+    BsB = system.Bstar @ system.B
+    assert np.count_nonzero(BsB - np.diag(np.diag(BsB))) == 0
+    g = system.k * np.diag(BsB)
+    s = sqrtk * (system.Bstar @ z)
+    s0 = spec.s0
+
+    def clamp_flow(x, gj):
+        """|s(dt)| from |s(0)| = x under d|s|/dt = -gj min(|s|, s0)."""
+        if x > s0:
+            t_hit = (x - s0) / (gj * s0)
+            if t_hit >= dt:
+                return x - gj * s0 * dt
+            return s0 * math.exp(-gj * (dt - t_hit))
+        return x * math.exp(-gj * dt)
+
+    if spec.kind == "norm_saturation":
+        assert len(set(g.tolist())) == 1
+        r = math.sqrt(float(np.sum(system.U_weights * s * s)))
+        s_new = s * (clamp_flow(r, g[0]) / r) if r > 0 else s
+    else:
+        assert spec.scalar_rule == "clamp"
+        s_new = np.array([math.copysign(clamp_flow(abs(x), gj), x) if gj > 0 else x
+                          for x, gj in zip(s, g)])
+    delta = np.array([(a - b) / gj if gj > 0 else 0.0 for a, b, gj in zip(s_new, s, g)])
+    return z + sqrtk * (system.B @ delta)
+
+
+def reference_integrate(system, spec, z0, config, cert=None):
+    """Independent oracle for `sim.integrate`: the Strang step as two dense
+    solves of (I - dt/4 A) y = (I + dt/4 A) x around the scalar subflow, with
+    every diagnostic evaluated per step from the weight matrix.  Returns
+    (times, norm_H, norm_DA, damping_power, V)."""
+    A, W, w = system.A, system.H_ip.weight, system.U_weights
+    eye = np.eye(system.n)
+
+    def step(z, dt):
+        z = np.linalg.solve(eye - 0.25 * dt * A, (eye + 0.25 * dt * A) @ z)
+        z = reference_subflow(system, spec, z, dt)
+        return np.linalg.solve(eye - 0.25 * dt * A, (eye + 0.25 * dt * A) @ z)
 
     def w_norm(z):
         return float(np.sqrt(z @ W @ z))
 
     def record(t, z):
-        s = control(z)
+        s = np.sqrt(system.k) * (system.Bstar @ z)
         out.append((t, w_norm(z), w_norm(z) + w_norm(A @ z),
                     float(np.sum(w * spec.apply(s, w) * s)),
                     np.nan if cert is None else lyapunov.eval_V(cert, z)))
 
     out = []
     z = np.asarray(z0, dtype=float)
+    record(0.0, z)
+    if config.error_control == "none":
+        for t, dt in reference_fixed_grid(config):
+            z = step(z, dt)
+            record(t, z)
+        return tuple(np.array(col) for col in zip(*out))
     norm0 = system.norm_H(z)
     t, dt = 0.0, min(config.dt, config.t_end)
-    record(t, z)
     while t < config.t_end - 1e-12 * config.t_end:
         dt = min(dt, config.t_end - t)
-        grow = False
-        if config.error_control == "step-halving":
-            while True:
-                z_fine = step(step(z, 0.5 * dt), 0.5 * dt)
-                err = system.norm_H(step(z, dt) - z_fine) / 3.0
-                tol = config.local_error_target * max(system.norm_H(z), 1e-9 * norm0)
-                if err <= tol:
-                    break
-                dt *= 0.5
-            z_new, grow = z_fine, err <= 0.125 * tol
-        else:
-            z_new = step(z, dt)
+        while True:
+            z_fine = step(step(z, 0.5 * dt), 0.5 * dt)
+            err = system.norm_H(step(z, dt) - z_fine) / 3.0
+            tol = config.local_error_target * max(system.norm_H(z), 1e-9 * norm0)
+            if err <= tol:
+                break
+            dt *= 0.5
         t += dt
-        z = z_new
+        z = z_fine
         record(t, z)
-        if grow:
+        if err <= 0.125 * tol:
             dt = min(2.0 * dt, config.dt)
     return tuple(np.array(col) for col in zip(*out))
 
 
 class TestAgainstReference:
-    """`sim.integrate` (per-dt propagator, diagnostics after the loop) against
-    the per-step LU-solve reference, to 1e-10 relative.  The damping power is
-    compared relative to its largest value along the run: where the control
+    """`sim.integrate` (fused Strang step, diagnostics after the loop) against
+    the per-step dense-solve reference, to 1e-10 relative.  The damping power
+    is compared relative to its largest value along the run: where the control
     signal crosses zero its pointwise relative error is set by the rounding
     of the state, not by the scheme."""
 
@@ -226,6 +291,233 @@ class TestAgainstReference:
         ref = reference_integrate(oscillator, sat, z0, config, cert)
         assert len(np.unique(np.round(np.diff(ref[0]), 12))) > 2    # dt did change
         self.assert_matches(traj, ref, with_V=True)
+
+    @pytest.mark.parametrize("case", ["kdv_clamp", "oscillator_norm_saturation"])
+    def test_previous_scheme_gap_is_second_order(self, case, kdv64, oscillator):
+        """The explicit-midpoint IMEX scheme and the Strang scheme are both
+        second order, so their gap falls about 4x when dt is halved."""
+        if case == "kdv_clamp":
+            zhat = models.leading_eigvec(kdv64.closed_loop())
+            system, spec = kdv64, damping.clamp(1.0)
+            z0, dts, t_end = 5.0 * zhat / kdv64.norm_DA(zhat), (2e-3, 1e-3), 1.0
+        else:
+            system, spec = oscillator, damping.norm_saturation(1.0)
+            z0, dts, t_end = np.array([20.0, 0.0]), (2e-2, 1e-2), 10.0
+        gaps = []
+        for dt in dts:
+            config = sim.IntegratorConfig(dt=dt, t_end=t_end, error_control="none")
+            times, norms = reference_imex(system, spec, z0, config)
+            traj = sim.integrate(system, spec, z0, config)
+            assert np.array_equal(traj.times, times)
+            gaps.append(np.max(np.abs(traj.norm_H - norms)))
+        assert gaps[0] / gaps[1] >= 3.5
+
+
+def pure_damping(gains, weights=None):
+    """A = 0, B = diag(gains): every step is the damping subflow alone, so the
+    recorded states sample its exact flow z' = -B sigma(B* z)."""
+    m = len(gains)
+    W = np.eye(m) if weights is None else np.diag(weights)
+    return SemiDiscreteSystem(A=np.zeros((m, m)), B=np.diag(gains), k=1.0,
+                              H_ip=InnerProduct(W), U_weights=np.diag(W).copy())
+
+
+class TestSubflows:
+    """Each closed-form subflow against `solve_ivp` at rtol 1e-12."""
+
+    @staticmethod
+    def flow(system, spec, z0, times):
+        from scipy.integrate import solve_ivp
+
+        def rhs(_, z):
+            s = system.Bstar @ z
+            return -(system.B @ spec.apply(s, system.U_weights))
+        sol = solve_ivp(rhs, (0.0, times[-1]), z0, method="DOP853", t_eval=times,
+                        rtol=1e-13, atol=1e-16 * np.max(np.abs(z0)))
+        assert sol.success
+        return sol.y.T
+
+    @pytest.mark.parametrize("spec, gains, z0, dt, t_end", [
+        (damping.linear(), [1.0, 0.7], [3.0, -2.0], 0.25, 2.0),
+        # the first component crosses s0 = 1 at t = 4, inside the step [3.9, 4.2]
+        (damping.clamp(1.0), [1.0, 0.7], [5.0, -0.5], 0.3, 6.0),
+        (damping.tanh_saturation(1.0), [1.0, 0.7], [3.0, -1.0], 0.25, 3.0),
+        (damping.tanh_saturation(0.5), [1.0, 0.7], [450.0, -0.2], 0.5, 2.0),   # |s|/s0 = 900
+        # norm saturation with equal gains: a clamp on |s|, which reaches s0 at t = 4
+        (damping.norm_saturation(1.0), [1.0, 1.0], [4.0, -3.0], 0.3, 6.0),
+    ])
+    def test_closed_form_matches_solve_ivp(self, spec, gains, z0, dt, t_end):
+        system = pure_damping(gains)
+        z0 = np.array(z0)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            traj = sim.integrate(system, spec, z0,
+                                 sim.IntegratorConfig(dt=dt, t_end=t_end,
+                                                      error_control="none"))
+        ref = self.flow(system, spec, z0, traj.times)
+        np.testing.assert_allclose(traj.states, ref, rtol=1e-12, atol=0)
+
+    def test_weak_damping_extinction(self):
+        # |s_j|^(1/2) falls linearly at rate g_j c / 2: extinction at
+        # t = 2 |s_j(0)|^(1/2) / g_j, here 2.0 and about 1.87
+        spec = damping.weak_damping(1.0, 0.5)
+        gains = np.array([1.0, 0.7])
+        system = pure_damping(gains)
+        z0 = np.array([1.0, -0.3])
+        traj = sim.integrate(system, spec, z0,
+                             sim.IntegratorConfig(dt=0.125, t_end=3.0,
+                                                  error_control="none"))
+        s0 = np.abs(gains * z0)
+        t_ext = 2.0 * np.sqrt(s0) / gains**2
+        early = traj.times < 0.9 * t_ext.min()
+        ref = self.flow(system, spec, z0, traj.times[early])
+        np.testing.assert_allclose(traj.states[early], ref, rtol=1e-12, atol=0)
+        for j in range(2):
+            # extinct up to the rounding of z - B (s - s_new) / g
+            after = traj.times >= t_ext[j]
+            assert np.all(np.abs(traj.states[after, j]) <= 1e-15 * abs(z0[j]))
+            assert np.all(np.abs(traj.states[~after, j]) > 1e-3 * abs(z0[j]))
+
+
+class TestNewtonSubflow:
+    """Arctan and a non-diagonal B*B take the implicit-midpoint substep."""
+
+    @pytest.fixture(scope="class")
+    def coupled(self):
+        # B has non-orthogonal columns, so B*B = [[1, .5], [.5, 1.25]]
+        A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, -0.1]])
+        return models.make_finite_dim(A, np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]]))
+
+    def test_linear_coupled_is_second_order(self, coupled):
+        z0 = np.array([2.0, -1.0, 0.5])
+        exact = sla.expm(2.0 * coupled.closed_loop()) @ z0
+        errs = []
+        for dt in (2e-2, 1e-2):
+            traj = sim.integrate(coupled, damping.linear(), z0,
+                                 sim.IntegratorConfig(dt=dt, t_end=2.0,
+                                                      error_control="none"))
+            errs.append(np.linalg.norm(traj.states[-1] - exact))
+        assert errs[1] < 1e-4 * np.linalg.norm(z0)
+        assert errs[0] / errs[1] >= 3.5
+
+    @pytest.mark.parametrize("spec", [damping.clamp(1.0), damping.tanh_saturation(1.0),
+                                      damping.arctan_saturation(1.0),
+                                      damping.norm_saturation(1.0),
+                                      damping.weak_damping(1.0, 0.5)])
+    def test_coupled_runs_contract(self, coupled, spec):
+        traj = sim.integrate(coupled, spec, np.array([4.0, -3.0, 2.0]),
+                             sim.IntegratorConfig(dt=1e-2, t_end=5.0,
+                                                  error_control="none"))
+        assert np.all(traj.norm_H[1:] <= traj.norm_H[:-1])
+        assert traj.norm_H[-1] < traj.norm_H[0]
+
+    def test_arctan_is_second_order(self, oscillator):
+        spec = damping.arctan_saturation(1.0)
+        z0 = np.array([3.0, 1.0])
+        finals = {}
+        for dt in (4e-2, 2e-2, 1e-2):
+            traj = sim.integrate(oscillator, spec, z0,
+                                 sim.IntegratorConfig(dt=dt, t_end=2.0,
+                                                      error_control="none"))
+            finals[dt] = traj.states[-1]
+        ratio = (np.linalg.norm(finals[4e-2] - finals[2e-2])
+                 / np.linalg.norm(finals[2e-2] - finals[1e-2]))
+        assert ratio >= 3.5
+
+    def test_unconverged_newton_raises(self, kdv64, monkeypatch):
+        monkeypatch.setattr(sim_mod, "NEWTON_MAXITER", 1)
+        zhat = models.leading_eigvec(kdv64.closed_loop())
+        with pytest.raises(SubflowNotConverged):
+            sim.integrate(kdv64, damping.arctan_saturation(1.0), 5.0 * zhat,
+                          sim.IntegratorConfig(dt=1e-2, t_end=1.0,
+                                               error_control="none"))
+
+
+class TestWeakDampingContracts:
+    """Weak damping is not Lipschitz at 0; the previous explicit-midpoint
+    damping term overshot there and aborted with ContractionViolation."""
+
+    @pytest.mark.parametrize("case", ["kdv64", "wave32"])
+    def test_runs_to_t_end_with_norm_nonincreasing(self, case, kdv64, wave32):
+        # kdv64 from 5 zhat aborted at t = 2.61, wave32 from 0.01 zhat at
+        # t = 0.12; kdv64 is damped everywhere and goes extinct
+        system, scale, dt, t_end, drop = {"kdv64": (kdv64, 5.0, 2e-3, 16.0, 0.0),
+                                          "wave32": (wave32, 0.01, 1e-2, 10.0, 0.1)}[case]
+        zhat = models.leading_eigvec(system.closed_loop())
+        zhat /= system.norm_DA(zhat)
+        traj = sim.integrate(system, damping.weak_damping(1.0, 0.5), scale * zhat,
+                             sim.IntegratorConfig(dt=dt, t_end=t_end,
+                                                  error_control="none"))
+        assert traj.times[-1] == t_end
+        assert np.all(traj.norm_H[1:] <= traj.norm_H[:-1])
+        assert traj.norm_H[-1] <= drop * traj.norm_H[0]
+
+
+class TestBatch:
+    def test_block_equals_single_runs(self, kdv64, clamp1):
+        zhat = models.leading_eigvec(kdv64.closed_loop())
+        zhat /= kdv64.norm_DA(zhat)
+        Z0 = np.outer([1.0, 5.0, 25.0], zhat)
+        config = sim.IntegratorConfig(dt=2e-3, t_end=2.0, error_control="none")
+        block = sim.integrate_batch(kdv64, clamp1, Z0, config)
+        assert len(block) == 3
+        for z0, traj in zip(Z0, block):
+            single = sim.integrate(kdv64, clamp1, z0, config)
+            assert np.array_equal(traj.times, single.times)
+            np.testing.assert_allclose(traj.norm_H, single.norm_H, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(traj.damping_power, single.damping_power,
+                                       rtol=1e-12, atol=1e-12 * single.damping_power.max())
+            assert traj.stats == {**single.stats, "rows": 3,
+                                  "max_growth": traj.stats["max_growth"]}
+
+    def test_step_halving_block_runs_rows_alone(self, oscillator):
+        sat = damping.norm_saturation(1.0)
+        Z0 = np.array([[20.0, 0.0], [2.0, 1.0]])
+        config = sim.IntegratorConfig(dt=1e-2, t_end=5.0)
+        block = sim.integrate_batch(oscillator, sat, Z0, config)
+        for z0, traj in zip(Z0, block):
+            single = sim.integrate(oscillator, sat, z0, config)
+            assert np.array_equal(traj.times, single.times)
+            np.testing.assert_allclose(traj.norm_H, single.norm_H, rtol=1e-12, atol=0)
+
+    def test_block_shape_checked(self, oscillator, clamp1):
+        config = sim.IntegratorConfig(dt=1e-2, t_end=1.0, error_control="none")
+        with pytest.raises(ValueError):
+            sim.integrate_batch(oscillator, clamp1, np.array([1.0, 0.0]), config)
+        with pytest.raises(ValueError):
+            sim.integrate(oscillator, clamp1, np.ones((2, 2)), config)
+        with pytest.raises(ValueError):
+            sim.integrate_batch(oscillator, clamp1, np.ones((2, 3)), config)
+
+
+class TestStats:
+    def test_fixed_step_block_factors_once(self, kdv64, clamp1):
+        zhat = models.leading_eigvec(kdv64.closed_loop())
+        block = sim.integrate_batch(kdv64, clamp1, np.outer([1.0, 5.0, 25.0], zhat),
+                                    sim.IntegratorConfig(dt=2e-3, t_end=2.0,
+                                                         error_control="none"))
+        for traj in block:
+            assert traj.stats["distinct_dt"] == 1
+            assert traj.stats["rows"] == 3
+            assert traj.stats["accepted_steps"] == 1000 == len(traj.times) - 1
+            assert traj.stats["rejected_trials"] == traj.stats["max_halvings"] == 0
+            assert traj.stats["max_growth"] <= 1.0 + traj.stats["growth_tol"]
+
+    def test_shortened_last_step_factors_twice(self, oscillator, clamp1):
+        traj = sim.integrate(oscillator, clamp1, np.array([2.0, 0.0]),
+                             sim.IntegratorConfig(dt=0.3, t_end=1.0,
+                                                  error_control="none"))
+        assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0, atol=1e-15)
+        assert traj.stats["distinct_dt"] == 2
+
+    def test_step_halving_reports_halvings(self, oscillator):
+        traj = sim.integrate(oscillator, damping.norm_saturation(1.0),
+                             np.array([20.0, 0.0]),
+                             sim.IntegratorConfig(dt=1e-2, t_end=10.0))
+        st = traj.stats
+        assert st["rejected_trials"] > 0 and 1 <= st["max_halvings"] <= sim_mod.MAX_HALVINGS
+        assert st["accepted_steps"] == len(traj.times) - 1
+        assert st["distinct_dt"] > 1 and st["rows"] == 1
+        assert st["max_growth"] <= 1.0
 
 
 class TestUnitBallEntry:
