@@ -26,6 +26,20 @@ every step (at a fixed step on the recorded norms, CHECK_EVERY steps at a
 time): growth beyond a tight tolerance signals an implementation or model
 inconsistency and aborts.  The graph norm, the damping power and the
 certificate functional are evaluated on the recorded states after the loop.
+
+Since every stage is nonexpansive, ||z||_H never grows along a run, and the
+subflow input a = C z has ||a||_H <= ||z||_H.  The damping acts linearly on
+s = sqrt(k) B* a while kappa ||a||_H <= s0, with kappa = max_j ||sqrt(k) B*_j||
+over the rows of B* as functionals on H for clamp damping, the norm of
+sqrt(k) B* from H to U for norm saturation with equal gains, and s0 = inf
+for linear damping.  So once the invariant kappa ||z_k||_H <= s0 holds for
+every row at a check, every later step is the one linear map
+M = C (I - k B diag(gain) B*) C.  The remaining steps at the configured dt
+then go CHECK_EVERY at a time by products with the powers M, M^2, M^4, ...,
+M^CHECK_EVERY (7 products for 64 steps), and the growth of every step is
+still checked.  Tanh, arctan and weak damping, a non-diagonal G, norm
+saturation with unequal gains and step halving have no such regime and take
+the step above throughout.
 """
 
 from dataclasses import dataclass
@@ -171,7 +185,7 @@ class _Steps:
         self.to_control = np.sqrt(system.k) * system.Bstar       # T: z -> s = T z
         self.from_control = (np.sqrt(system.k) * system.B).T     # impulse -> z
         self.chol = system.H_ip.factor                           # ||z||_H = |z @ L|
-        self.subflow = _subflow(system, damping)
+        self.subflow, self.linear = _subflow(system, damping)
         self.cache = {}                                          # dt -> (C, C^2, impulse)
 
     def __call__(self, dt):
@@ -200,9 +214,22 @@ class _Steps:
         Y = Z @ self.chol
         return np.sqrt(np.einsum("ij,ij->i", Y, Y))
 
+    def linear_powers(self, dt):
+        """M, M^2, M^4, ..., M^CHECK_EVERY for the step z -> z @ M of length dt
+        in the linear regime, M = C^T (I - T diag(gain) P) C^T."""
+        C = self(dt)[0]
+        T, P = self.to_control.T, self.from_control
+        M = C.T @ (np.eye(len(C)) - (T * self.linear[1](dt)) @ P) @ C.T
+        powers = [M]
+        while 2 ** len(powers) <= CHECK_EVERY:
+            powers.append(powers[-1] @ powers[-1])
+        return powers
+
 
 def _fixed_step(steps, Z0, config):
-    """All rows at the configured dt; the last step is shortened to end at t_end."""
+    """All rows at the configured dt; the last step is shortened to end at t_end.
+    From the first check at which every row is in the linear regime the
+    remaining steps at dt go by `_linear_steps`."""
     dt, t_end = config.dt, config.t_end
     count = max(1, int(np.ceil(t_end / dt * (1.0 - 1e-12))))
     last = t_end - (count - 1) * dt
@@ -213,20 +240,23 @@ def _fixed_step(steps, Z0, config):
     b, n = Z0.shape
     m = len(steps.to_control)
     T, P, L = steps.to_control.T, steps.from_control, steps.chol
+    radius = steps.linear[0] if steps.linear else -np.inf
     rec = np.empty((b, count + 1, n + 2))
     rec[:, 0, 2:] = Z0
     rec[:, 0, 0] = steps.norms(Z0)
     floor = 1e-14 * rec[:, 0, :1]
-    k = checked = 0
+    k = checked = linear = 0
     for h, run in ((dt, fused), (last, count - fused)):
         if run == 0:
             continue
+        stop = k + run
         C, C2, impulse = steps(h)
         # z_next = b C^T, a_next = b (C^2)^T, s_next = a_next T, and z_next L
         stacked = np.hstack([C.T, C2.T, C2.T @ T, C.T @ L])
         a = rec[:, k, 2:] @ C.T
         s = a @ T
-        for k in range(k + 1, k + run + 1):
+        while k < stop:
+            k += 1
             out = (a - impulse(s) @ P) @ stacked
             rec[:, k, 2:] = out[:, :n]
             a, s, Y = out[:, n:2 * n], out[:, 2 * n:2 * n + m], out[:, 2 * n + m:]
@@ -234,8 +264,39 @@ def _fixed_step(steps, Z0, config):
             if k - checked == CHECK_EVERY or k == count:
                 _check_growth(rec[:, checked:k + 1, 0], times[checked:k + 1], floor)
                 checked = k
-    stats = {"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0}
+                if h == dt and k < stop and rec[:, k, 0].max() <= radius:
+                    linear = stop - k
+                    _linear_steps(steps.linear_powers(h), L, rec[:, k:stop + 1],
+                                  times[k:stop + 1], floor)
+                    k = checked = stop
+    stats = {"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0,
+             "linear_steps": linear}
     return times, rec, stats
+
+
+def _linear_steps(powers, L, rec, times, floor):
+    """Fill the (rows, 1 + steps, n + 2) record from its first column by the
+    linear step M, CHECK_EVERY steps per pass: with Z[j] = z M^j, the states
+    Z[s:2s] are Z[:s] @ M^s for s = 1, 2, 4, ..., each pass checked for growth."""
+    b, n = rec.shape[0], rec.shape[2] - 2
+    Z = np.empty(((CHECK_EVERY + 1) * b, n))         # row j b + i: z_i M^j
+    k, stop = 0, rec.shape[1] - 1
+    while k < stop:
+        j = min(CHECK_EVERY, stop - k)
+        Z[:b] = rec[:, k, 2:]
+        s = 1
+        for Ms in powers:
+            if s > j:
+                break
+            hi = min(2 * s, j + 1)
+            Z[s * b:hi * b] = Z[:(hi - s) * b] @ Ms
+            s *= 2
+        new = Z[b:(j + 1) * b]
+        Y = new @ L
+        rec[:, k + 1:k + j + 1, 0] = np.einsum("ij,ij->i", Y, Y).reshape(j, b).T
+        rec[:, k + 1:k + j + 1, 2:] = new.reshape(j, b, n).transpose(1, 0, 2)
+        _check_growth(rec[:, k:k + j + 1, 0], times[k:k + j + 1], floor)
+        k += j
 
 
 def _check_growth(norms, times, floor):
@@ -295,21 +356,25 @@ def _step_halving(steps, z0, config):
         if err <= 0.125 * tol:
             dt = min(2.0 * dt, config.dt)
     stats = {"accepted_steps": k - 1, "rejected_trials": rejected,
-             "max_halvings": most_halvings}
+             "max_halvings": most_halvings, "linear_steps": 0}
     return buf[:k, 0], buf[:k, 1:], stats
 
 
 # --- the damping subflow ------------------------------------------------------
 
 def _subflow(system, damping):
-    """dt -> the impulse map of the damping subflow over one step of length dt.
+    """dt -> the impulse map of the damping subflow over one step of length dt,
+    and the linear regime: (radius, dt -> gain), or None where there is none.
 
     In s = sqrt(k) B* z the subflow reads ds/dt = -G sigma(s), G = k B*B, and
     z moves by -sqrt(k) B J, where J = int_0^dt sigma(s(t)) dt is the impulse,
     one row per row of s.  Where G = diag(g) the rows decouple and
     J = (s - s(dt)) / g from the exact flow, with the zero columns of B
     masked.  Otherwise J = dt sigma(x) at the implicit midpoint
-    x = s - dt/2 G sigma(x).
+    x = s - dt/2 G sigma(x).  For linear and clamp damping, and for norm
+    saturation with equal gains, J = s * gain(dt) for every row of s = T a
+    with ||a||_H <= radius = s0 / kappa, where kappa is the largest ratio of
+    max_j |s_j| (|s|_U for norm saturation) to ||a||_H.
     """
     G = system.k * (system.Bstar @ system.B)
     g = np.diag(G).copy()
@@ -319,19 +384,24 @@ def _subflow(system, damping):
     rule = damping.scalar_rule or damping.kind
     s0, q, c = damping.s0, damping.q, damping.c
     if active.size == 0 or (rule == "weak_damping" and c == 0.0):
-        return lambda dt: np.zeros_like                 # sigma never moves z
+        return (lambda dt: np.zeros_like), None         # sigma never moves z
     if not np.any(G - np.diag(g)):
         if rule in ("linear", "clamp"):
+            def gain(dt):
+                return -np.expm1(-g * dt) * ginv
+
             def componentwise(dt):
-                gain = -np.expm1(-g * dt) * ginv
+                linear = gain(dt)
 
                 def impulse(S):
                     a = np.abs(S)
                     if a.max() <= s0:                       # the linear flow
-                        return S * gain
+                        return S * linear
                     return np.copysign(_clamp_impulse(a, g, ginv, s0, dt), S)
-                return (lambda S: S * gain) if rule == "linear" else impulse
-            return componentwise
+                return (lambda S: S * linear) if rule == "linear" else impulse
+            # s_j = T_j z with T = sqrt(k) B*, and ||T_j||_{H*}^2 = (T W^-1 T^T)_jj = g_j / w_j
+            radius = np.inf if rule == "linear" else s0 / np.sqrt(np.max(g / w))
+            return componentwise, (radius, gain)
         drops = {
             "tanh": lambda a, dt: s0 * _tanh_drop(a / s0, g * dt),
             "weak_damping": lambda a, dt: a - np.maximum(
@@ -339,24 +409,28 @@ def _subflow(system, damping):
         }
         if rule in drops:
             drop = drops[rule]
-            return lambda dt: lambda S: np.copysign(drop(np.abs(S), dt) * ginv, S)
+            return (lambda dt: lambda S: np.copysign(drop(np.abs(S), dt) * ginv, S)), None
         if rule == "norm_saturation" and np.all(active == active[0]):
             # the rows of s keep their direction and |s|_U follows the scalar
             # clamp flow; the components with g = 0 vanish identically
             gamma = active[0]
 
+            def gain(dt):
+                return -np.expm1(-gamma * dt) / gamma
+
             def on_norm(dt):
-                gain = -np.expm1(-gamma * dt) / gamma
+                linear = gain(dt)
 
                 def impulse(S):
                     r = np.sqrt((S * S) @ w)[:, None]
                     if r.max() <= s0:                       # the linear flow
-                        return S * gain
+                        return S * linear
                     J = _clamp_impulse(r, gamma, 1.0 / gamma, s0, dt)
                     return S * (J / np.maximum(r, np.finfo(float).tiny))
                 return impulse
-            return on_norm
-    return lambda dt: lambda S: _implicit_midpoint(rule, damping, G, w, S, dt)
+            # ||T||_{H->U}^2 = ||T T*||_U = ||G||_U = gamma
+            return on_norm, (s0 / np.sqrt(gamma), gain)
+    return (lambda dt: lambda S: _implicit_midpoint(rule, damping, G, w, S, dt)), None
 
 
 def _clamp_impulse(a, g, ginv, s0, dt):

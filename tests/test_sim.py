@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,8 +175,8 @@ def reference_fixed_grid(config):
 
 
 def reference_subflow(system, spec, z, dt):
-    """Exact damping subflow for clamp and norm saturation, one scalar at a
-    time.  B*B is diagonal here, so s_j = sqrt(k) (B* z)_j obeys
+    """Exact damping subflow for linear, clamp and norm saturation damping,
+    one scalar at a time.  B*B is diagonal here, so s_j = sqrt(k) (B* z)_j obeys
     ds_j/dt = -g_j sigma(s_j) with g_j = k (B*B)_jj, and z moves by
     sqrt(k) B (s_new - s)/g."""
     sqrtk = math.sqrt(system.k)
@@ -194,7 +195,9 @@ def reference_subflow(system, spec, z, dt):
             return s0 * math.exp(-gj * (dt - t_hit))
         return x * math.exp(-gj * dt)
 
-    if spec.kind == "norm_saturation":
+    if spec.kind == "linear":
+        s_new = np.array([x * math.exp(-gj * dt) for x, gj in zip(s, g)])
+    elif spec.kind == "norm_saturation":
         assert len(set(g.tolist())) == 1
         r = math.sqrt(float(np.sum(system.U_weights * s * s)))
         s_new = s * (clamp_flow(r, g[0]) / r) if r > 0 else s
@@ -460,14 +463,18 @@ class TestBatch:
         config = sim.IntegratorConfig(dt=2e-3, t_end=2.0, error_control="none")
         block = sim.integrate_batch(kdv64, clamp1, Z0, config)
         assert len(block) == 3
-        for z0, traj in zip(Z0, block):
-            single = sim.integrate(kdv64, clamp1, z0, config)
+        singles = [sim.integrate(kdv64, clamp1, z0, config) for z0 in Z0]
+        for traj, single in zip(block, singles):
             assert np.array_equal(traj.times, single.times)
             np.testing.assert_allclose(traj.norm_H, single.norm_H, rtol=1e-12, atol=0)
             np.testing.assert_allclose(traj.damping_power, single.damping_power,
                                        rtol=1e-12, atol=1e-12 * single.damping_power.max())
+            # the block enters the linear regime with its largest row
             assert traj.stats == {**single.stats, "rows": 3,
-                                  "max_growth": traj.stats["max_growth"]}
+                                  "max_growth": traj.stats["max_growth"],
+                                  "linear_steps": min(t.stats["linear_steps"]
+                                                      for t in singles)}
+        assert singles[0].stats["linear_steps"] > 0
 
     def test_step_halving_block_runs_rows_alone(self, oscillator):
         sat = damping.norm_saturation(1.0)
@@ -487,6 +494,102 @@ class TestBatch:
             sim.integrate(oscillator, clamp1, np.ones((2, 2)), config)
         with pytest.raises(ValueError):
             sim.integrate_batch(oscillator, clamp1, np.ones((2, 3)), config)
+
+
+class TestLinearRegime:
+    """Once kappa ||z||_H <= s0 the fixed-step loop advances by powers of the
+    linear step; the states, the growth check and the grid stay those of the
+    per-step loop."""
+
+    @pytest.mark.parametrize("case", ["kdv_linear", "kdv_clamp_r25",
+                                      "oscillator_norm_saturation"])
+    def test_matches_reference(self, case, kdv64, oscillator):
+        system, spec, scale, dt, t_end = {
+            "kdv_linear": (kdv64, damping.linear(), 5.0, 2e-3, 1.0),
+            "kdv_clamp_r25": (kdv64, damping.clamp(1.0), 25.0, 2e-3, 6.0),
+            "oscillator_norm_saturation": (oscillator, damping.norm_saturation(1.0),
+                                           20.0, 1e-2, 20.0),
+        }[case]
+        zhat = models.leading_eigvec(system.closed_loop())
+        z0 = scale * zhat / system.norm_DA(zhat)
+        cert = lyapunov.build_exp_certificate(system, spec) if system is oscillator else None
+        config = sim.IntegratorConfig(dt=dt, t_end=t_end, error_control="none")
+        traj = sim.integrate(system, spec, z0, config, cert=cert)
+        assert traj.stats["linear_steps"] > 0
+        TestAgainstReference.assert_matches(
+            traj, reference_integrate(system, spec, z0, config, cert), with_V=cert is not None)
+
+    @pytest.mark.parametrize("spec", [damping.clamp(0.5), damping.norm_saturation(0.5)])
+    def test_radius_is_the_exact_bound(self, wave32, spec):
+        # the wave's energy weight is not diagonal; kappa from dense W^-1 and eigh
+        T = np.sqrt(wave32.k) * wave32.Bstar
+        W = wave32.H_ip.weight
+        if spec.kind == "norm_saturation":
+            kappa2 = sla.eigh(T.T @ np.diag(wave32.U_weights) @ T, W, eigvals_only=True)[-1]
+        else:
+            kappa2 = np.max(np.diag(T @ np.linalg.solve(W, T.T)))
+        radius, _ = sim_mod._subflow(wave32, spec)[1]
+        assert radius == pytest.approx(0.5 / np.sqrt(kappa2), rel=1e-12)
+
+    def test_growth_inside_linear_block_raises(self):
+        # B = e1 with linear damping: z1 decays, the undamped z2 grows slowly,
+        # so the norm falls and then grows, after the switch at step 64
+        dt = 1e-2
+        system = SemiDiscreteSystem(A=np.diag([-5.0, 0.01]), B=np.array([[1.0], [0.0]]),
+                                    k=1.0, H_ip=InnerProduct.euclidean(2),
+                                    U_weights=np.ones(1))
+        z0 = np.array([1.0, 1e-3])
+        # one step multiplies z1 by the two Cayley half-steps and exp(-dt), z2
+        # by its two half-steps; the first step beyond GROWTH_TOL is named
+        cayley = [(1.0 + 0.25 * dt * a) / (1.0 - 0.25 * dt * a) for a in (-5.0, 0.01)]
+        rates = (cayley[0] ** 2 * math.exp(-dt), cayley[1] ** 2)
+        z, prev, k = list(z0), math.hypot(*z0), 0
+        while True:
+            k += 1
+            z = [zi * ri for zi, ri in zip(z, rates)]
+            new = math.hypot(*z)
+            if new > prev * (1.0 + sim_mod.GROWTH_TOL) + 1e-14 * math.hypot(*z0):
+                break
+            prev = new
+        assert k > sim_mod.CHECK_EVERY
+        with pytest.raises(ContractionViolation, match=rf"at t={re.escape(repr(k * dt))}$"):
+            sim.integrate(system, damping.linear(), z0,
+                          sim.IntegratorConfig(dt=dt, t_end=3.0, error_control="none"))
+
+    @pytest.mark.parametrize("spec", [damping.tanh_saturation(1.0),
+                                      damping.arctan_saturation(1.0),
+                                      damping.weak_damping(1.0, 0.5)])
+    def test_nonlinear_rules_bypass(self, oscillator, spec):
+        traj = sim.integrate(oscillator, spec, np.array([0.1, 0.0]),
+                             sim.IntegratorConfig(dt=1e-2, t_end=2.0,
+                                                  error_control="none"))
+        assert traj.stats["linear_steps"] == 0
+
+    def test_coupled_linear_bypasses(self):
+        # B*B = [[1, .5], [.5, 1.25]] is not diagonal: the implicit-midpoint step
+        coupled = models.make_finite_dim(
+            np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, -0.1]]),
+            np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]]))
+        traj = sim.integrate(coupled, damping.linear(), np.array([0.1, 0.0, 0.0]),
+                             sim.IntegratorConfig(dt=1e-2, t_end=2.0,
+                                                  error_control="none"))
+        assert traj.stats["linear_steps"] == 0
+
+    def test_step_halving_bypasses(self, oscillator):
+        traj = sim.integrate(oscillator, damping.linear(), np.array([0.1, 0.0]),
+                             sim.IntegratorConfig(dt=1e-2, t_end=2.0))
+        assert traj.stats["linear_steps"] == 0
+
+    def test_shortened_last_step_after_linear_path(self, oscillator):
+        spec = damping.norm_saturation(1.0)
+        z0 = np.array([0.5, 0.0])
+        config = sim.IntegratorConfig(dt=1e-2, t_end=1.505, error_control="none")
+        traj = sim.integrate(oscillator, spec, z0, config)
+        assert traj.times[-1] == 1.505 and len(traj.times) == 152
+        assert traj.stats["distinct_dt"] == 2
+        assert traj.stats["linear_steps"] == 150 - sim_mod.CHECK_EVERY
+        TestAgainstReference.assert_matches(
+            traj, reference_integrate(oscillator, spec, z0, config), with_V=False)
 
 
 class TestStats:
