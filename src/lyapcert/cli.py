@@ -18,9 +18,10 @@ import numpy as np
 
 from . import __version__, analysis, damping as dmp, lyapunov, models, sim
 from .config import parse_config, serialize
-from .errors import (LyapcertError, MissingInput, ParseError, StaleCertificate,
-                     ValidationError)
+from .errors import (LyapcertError, MissingInput, NotDissipative, ParseError,
+                     StaleCertificate, ValidationError)
 from .io import load_matrix, read_csv, save_matrix, write_csv
+from .linalg import InnerProduct
 
 TRAJECTORY_COLUMNS = ["t", "norm_H", "norm_DA", "V", "damping_power"]
 
@@ -84,10 +85,10 @@ def build_system(cfg):
             raise ValidationError([f"[system] {b_key}: B must have {A.shape[0]} rows "
                                    f"like A, got shape {B.shape}"])
         if not np.any(B):
-            # uncontrolled decay runs (B = 0) skip the controllability gate
-            from .linalg import InnerProduct
-            return models.SemiDiscreteSystem(A=A, B=B, k=k,
-                                             H_ip=InnerProduct.euclidean(A.shape[0]),
+            # uncontrolled decay runs (B = 0) skip the controllability gate only
+            ip = InnerProduct.euclidean(A.shape[0])
+            models.require_dissipative(A, ip, NotDissipative)
+            return models.SemiDiscreteSystem(A=A, B=B, k=k, H_ip=ip,
                                              U_weights=np.ones(B.shape[1]))
         return models.make_finite_dim(A, B, k)
     if name == "kdv":

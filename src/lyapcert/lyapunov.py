@@ -23,6 +23,9 @@ from .linalg import (InnerProduct, matrix_exponential, operator_norm,
                      operator_norm_nonsym, require_hurwitz, solve_lyapunov)
 
 KINDS = ("global_exp_SU", "semiglobal_exp_SneqU", "semiglobal_poly", "finite_dim")
+GRAMIAN_SHIFT = 0.1                               # coercivity shift of the poly form
+CALIBRATION_T_GRID = np.linspace(0.0, 100.0, 41)  # times at which C_theta is calibrated
+CALIBRATION_PROBES = 32                           # random probe states
 
 
 @dataclass(frozen=True)
@@ -131,15 +134,14 @@ def build_semiglobal_certificate(system, damping, r, c_S=None):
                                P_norm_DA=P_norm_DA, mu=mu, r=r, c_S=c_S)
 
 
-def calibrate_C_theta(system, gain, G1, gamma, t_grid=None, n_probes=32, seed=0):
+def calibrate_C_theta(system, gain, G1, gamma, seed=0):
     """Smallest constant making the weighted-decay bound hold on probes and at t = 0.
 
     Probes are D(A)-normalized random states evolved through the linear closed
-    loop; the t = 0 requirement over all states reduces to a generalized
-    eigenvalue against the quadratic graph weight.
+    loop to the times of CALIBRATION_T_GRID; the t = 0 requirement over all
+    states reduces to a generalized eigenvalue against the quadratic graph
+    weight.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 100.0, 41)
     W = system.H_ip.weight
     A = system.A
     WG = W + A.T @ W @ A
@@ -147,24 +149,21 @@ def calibrate_C_theta(system, gain, G1, gamma, t_grid=None, n_probes=32, seed=0)
 
     Atilde = system.closed_loop(gain)
     rng = np.random.default_rng(seed)
-    probes = rng.standard_normal((n_probes, system.n))
-    probes = np.array([z / system.norm_DA(z) for z in probes])
-    for t in t_grid:
-        E = matrix_exponential(Atilde, float(t))
+    probes = rng.standard_normal((CALIBRATION_PROBES, system.n))
+    probes /= system.norm_DA(probes)[:, None]
+    for t in CALIBRATION_T_GRID:
+        Zt = probes @ matrix_exponential(Atilde, float(t)).T
         w = (1.0 + t) ** (2.0 * gamma - 1.0)
-        for z in probes:
-            zt = E @ z
-            needed = max(needed, w * float(zt @ G1 @ zt))
+        needed = max(needed, w * float(np.einsum("ij,ij->i", Zt @ G1, Zt).max()))
     return needed
 
 
-def build_poly_certificate(system, damping, r, gamma, C_theta=None, shift=0.1,
-                           t_grid=None, n_probes=32, seed=0):
+def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
     """Quadratic certificate from the Gramian construction (control-norm damping).
 
     The quadratic part is the closed loop's observability-type Gramian
     int_0^inf e^{s Atilde^T} W e^{s Atilde} ds, taken exactly as the solution
-    of Atilde^T G + G Atilde = -W, plus the coercivity shift * W.  C_theta
+    of Atilde^T G + G Atilde = -W, plus GRAMIAN_SHIFT * W.  C_theta
     must dominate the weighted decay of the quadratic part along probe
     trajectories (CalibrationFailed otherwise); C_theta=None calibrates it
     with 5% headroom.  r, gamma and C_theta must be positive and finite;
@@ -181,11 +180,10 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, shift=0.1,
     Atilde = system.closed_loop(damping.C1)
     require_hurwitz(Atilde, "closed-loop matrix")
     W = system.H_ip.weight
-    G1 = solve_lyapunov(Atilde, W) + shift * W
+    G1 = solve_lyapunov(Atilde, W) + GRAMIAN_SHIFT * W
     P1 = np.linalg.solve(W, G1)
 
-    needed = calibrate_C_theta(system, damping.C1, G1, gamma,
-                               t_grid=t_grid, n_probes=n_probes, seed=seed)
+    needed = calibrate_C_theta(system, damping.C1, G1, gamma, seed=seed)
     if C_theta is None:
         C_theta = 1.05 * needed
     elif C_theta < needed * (1.0 - 1e-12):

@@ -66,6 +66,13 @@ def kalman_rank(A, B):
     return int(np.linalg.matrix_rank(np.hstack(blocks)))
 
 
+def require_dissipative(A, ip, error):
+    """Raise `error` unless A is dissipative for the inner product ip."""
+    margin = dissipativity_margin(A, ip)
+    if margin > DISSIPATIVITY_TOL:
+        raise error(f"A has dissipativity margin {margin:.3e} > {DISSIPATIVITY_TOL}")
+
+
 def make_finite_dim(A, B, k=1.0):
     """Validated finite-dimensional system with the Euclidean inner product.
 
@@ -78,9 +85,7 @@ def make_finite_dim(A, B, k=1.0):
         B = B.reshape(-1, 1)
     n = A.shape[0]
     ip = InnerProduct.euclidean(n)
-    margin = dissipativity_margin(A, ip)
-    if margin > DISSIPATIVITY_TOL:
-        raise NotDissipative(f"A has dissipativity margin {margin:.3e} > {DISSIPATIVITY_TOL}")
+    require_dissipative(A, ip, NotDissipative)
     if kalman_rank(A, B) < n:
         raise NotControllable(f"Kalman rank {kalman_rank(A, B)} < {n}")
     if not 0 < k < np.inf:
@@ -126,10 +131,7 @@ def discretize_kdv(L, N, a_profile, k=1.0):
     A = -Dm - Dp @ Dp @ Dm
 
     ip = InnerProduct(h * np.eye(N))
-    margin = dissipativity_margin(A, ip)
-    if margin > DISSIPATIVITY_TOL:
-        raise NotDissipativeDiscretization(
-            f"assembled operator has margin {margin:.3e} > {DISSIPATIVITY_TOL}")
+    require_dissipative(A, ip, NotDissipativeDiscretization)
 
     B = np.diag(np.sqrt(a))
     return SemiDiscreteSystem(A=A, B=B, k=float(k), H_ip=ip,
@@ -159,10 +161,7 @@ def discretize_wave(N, a_profile, k=1.0):
     stiffness = -h * lap                                  # discrete H^1_0 weight
     W = np.block([[stiffness, Z], [Z, h * np.eye(N)]])
     ip = InnerProduct(W)
-    margin = dissipativity_margin(A, ip)
-    if margin > DISSIPATIVITY_TOL:
-        raise NotDissipativeDiscretization(
-            f"assembled operator has margin {margin:.3e} > {DISSIPATIVITY_TOL}")
+    require_dissipative(A, ip, NotDissipativeDiscretization)
 
     B = np.vstack([Z, np.diag(np.sqrt(a))])
     return SemiDiscreteSystem(A=A, B=B, k=float(k), H_ip=ip,

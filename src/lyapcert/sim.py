@@ -20,12 +20,13 @@ vectorized Newton; a solve that does not converge raises.
 At a fixed step the loop carries a = C z and s = sqrt(k) B* a for a block of
 initial states, and one stacked product per step gives the next state, the
 next a, the next s and the Cholesky image of the next state for the energy
-norm.  Step halving (Richardson error control) runs one state at a time with
-the three stages unfused.  The growth of the energy norm is checked for
-every step (at a fixed step on the recorded norms, CHECK_EVERY steps at a
-time): growth beyond a tight tolerance signals an implementation or model
-inconsistency and aborts.  The graph norm, the damping power and the
-certificate functional are evaluated on the recorded states after the loop.
+norm; a shortened last step is one unfused step.  Step halving (Richardson
+error control) runs one state at a time with the three stages unfused.
+After the loop one pass over the recorded norms checks every step's growth:
+growth beyond a tight tolerance signals an implementation or model
+inconsistency and aborts, naming the earliest growing step.  The graph norm,
+the damping power and the certificate functional are evaluated on the
+recorded states after the loop too.
 
 Since every stage is nonexpansive, ||z||_H never grows along a run, and the
 subflow input a = C z has ||a||_H <= ||z||_H.  The damping acts linearly on
@@ -33,13 +34,12 @@ s = sqrt(k) B* a while kappa ||a||_H <= s0, with kappa = max_j ||sqrt(k) B*_j||
 over the rows of B* as functionals on H for clamp damping, the norm of
 sqrt(k) B* from H to U for norm saturation with equal gains, and s0 = inf
 for linear damping.  So once the invariant kappa ||z_k||_H <= s0 holds for
-every row at a check, every later step is the one linear map
-M = C (I - k B diag(gain) B*) C.  The remaining steps at the configured dt
-then go CHECK_EVERY at a time by products with the powers M, M^2, M^4, ...,
-M^CHECK_EVERY (7 products for 64 steps), and the growth of every step is
-still checked.  Tanh, arctan and weak damping, a non-diagonal G, norm
-saturation with unequal gains and step halving have no such regime and take
-the step above throughout.
+every row, tested every CHECK_EVERY steps, every later step is the one linear
+map M = C (I - k B diag(gain) B*) C.  The remaining steps at the configured
+dt then go CHECK_EVERY at a time by products with the powers M, M^2, M^4,
+..., M^CHECK_EVERY (7 products for 64 steps).  Tanh, arctan and weak
+damping, a non-diagonal G, norm saturation with unequal gains and step
+halving have no such regime and take the step above throughout.
 """
 
 from dataclasses import dataclass
@@ -53,7 +53,7 @@ GROWTH_TOL = 1e-10      # per-step admissible relative growth of the state norm
 MAX_HALVINGS = 45
 NEWTON_MAXITER = 50
 NEWTON_RTOL = 1e-13     # Newton stops when every update is this small relative to its row
-CHECK_EVERY = 64        # fixed-step norms are checked in blocks of this many steps
+CHECK_EVERY = 64        # linear-regime entry is tested every this many fixed steps
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,9 @@ def _integrate(system, damping, Z0, config, cert):
         raise ValueError("initial state must be finite")
     steps = _Steps(system, damping)
     if config.error_control == "none":
-        times, rec, stats = _fixed_step(steps, Z0, config)
-        runs = [(times, rec[i], dict(stats)) for i in range(len(Z0))]
+        blocks = [_fixed_step(steps, Z0, config)]
     else:
-        runs = [_step_halving(steps, z, config) for z in Z0]
+        blocks = [_step_halving(steps, z, config) for z in Z0]
 
     to_control, w = steps.to_control, system.U_weights
 
@@ -155,23 +154,21 @@ def _integrate(system, damping, Z0, config, cert):
         return np.sum(w * damping.apply(S, w) * S, axis=1)
 
     trajs = []
-    for times, rec, stats in runs:
-        # rec columns: energy norm, damping power, state
-        states = rec[:, 2:]
-        rec[:, 1] = _by_chunks(power, states)
-        norm = rec[:, 0]
-        prev = norm[:-1]
-        growth = norm[1:][prev > 0] / prev[prev > 0]
-        stats.update(rows=len(Z0), distinct_dt=len(steps.cache),
-                     max_growth=float(growth.max(initial=0.0)), growth_tol=GROWTH_TOL)
-        traj = Trajectory(times=times, states=states, norm_H=norm,
-                          norm_DA=_by_chunks(system.norm_DA, states),
-                          damping_power=rec[:, 1],
-                          V_values=None if cert is None else
-                          _by_chunks(lambda Z: eval_V(cert, Z), states),
-                          stats=stats)
-        traj.t_star = detect_unit_ball_entry(traj)
-        trajs.append(traj)
+    for times, block, stats in blocks:
+        # block: (rows, steps + 1, n + 2), columns energy norm, damping power, state
+        growth = _check_growth(block[:, :, 0], times)
+        for rec, max_growth in zip(block, growth):
+            states = rec[:, 2:]
+            rec[:, 1] = _by_chunks(power, states)
+            traj = Trajectory(times=times, states=states, norm_H=rec[:, 0],
+                              norm_DA=_by_chunks(system.norm_DA, states),
+                              damping_power=rec[:, 1],
+                              V_values=None if cert is None else
+                              _by_chunks(lambda Z: eval_V(cert, Z), states),
+                              stats={**stats, "rows": len(Z0), "distinct_dt": len(steps.cache),
+                                     "max_growth": float(max_growth), "growth_tol": GROWTH_TOL})
+            traj.t_star = detect_unit_ball_entry(traj)
+            trajs.append(traj)
     return trajs
 
 
@@ -210,9 +207,12 @@ class _Steps:
         a = (a - impulse(a @ T) @ P) @ C2.T
         return (a - impulse(a @ T) @ P) @ C.T
 
-    def norms(self, Z):
+    def squared_norms(self, Z):
         Y = Z @ self.chol
-        return np.sqrt(np.einsum("ij,ij->i", Y, Y))
+        return np.einsum("ij,ij->i", Y, Y)
+
+    def norms(self, Z):
+        return np.sqrt(self.squared_norms(Z))
 
     def linear_powers(self, dt):
         """M, M^2, M^4, ..., M^CHECK_EVERY for the step z -> z @ M of length dt
@@ -228,8 +228,8 @@ class _Steps:
 
 def _fixed_step(steps, Z0, config):
     """All rows at the configured dt; the last step is shortened to end at t_end.
-    From the first check at which every row is in the linear regime the
-    remaining steps at dt go by `_linear_steps`."""
+    From the first multiple of CHECK_EVERY steps at which every row is in the
+    linear regime the remaining steps at dt go by `_linear_steps`."""
     dt, t_end = config.dt, config.t_end
     count = max(1, int(np.ceil(t_end / dt * (1.0 - 1e-12))))
     last = t_end - (count - 1) * dt
@@ -242,42 +242,37 @@ def _fixed_step(steps, Z0, config):
     T, P, L = steps.to_control.T, steps.from_control, steps.chol
     radius = steps.linear[0] if steps.linear else -np.inf
     rec = np.empty((b, count + 1, n + 2))
-    rec[:, 0, 2:] = Z0
-    rec[:, 0, 0] = steps.norms(Z0)
-    floor = 1e-14 * rec[:, 0, :1]
-    k = checked = linear = 0
-    for h, run in ((dt, fused), (last, count - fused)):
-        if run == 0:
-            continue
-        stop = k + run
-        C, C2, impulse = steps(h)
+    rec[:, 0, 0], rec[:, 0, 2:] = steps.squared_norms(Z0), Z0   # norms squared until the end
+    k = linear = 0
+    if fused:
+        C, C2, impulse = steps(dt)
         # z_next = b C^T, a_next = b (C^2)^T, s_next = a_next T, and z_next L
         stacked = np.hstack([C.T, C2.T, C2.T @ T, C.T @ L])
-        a = rec[:, k, 2:] @ C.T
+        a = Z0 @ C.T
         s = a @ T
-        while k < stop:
+        while k < fused:
             k += 1
             out = (a - impulse(s) @ P) @ stacked
             rec[:, k, 2:] = out[:, :n]
             a, s, Y = out[:, n:2 * n], out[:, 2 * n:2 * n + m], out[:, 2 * n + m:]
-            np.einsum("ij,ij->i", Y, Y, out=rec[:, k, 0])        # squared, for now
-            if k - checked == CHECK_EVERY or k == count:
-                _check_growth(rec[:, checked:k + 1, 0], times[checked:k + 1], floor)
-                checked = k
-                if h == dt and k < stop and rec[:, k, 0].max() <= radius:
-                    linear = stop - k
-                    _linear_steps(steps.linear_powers(h), L, rec[:, k:stop + 1],
-                                  times[k:stop + 1], floor)
-                    k = checked = stop
+            np.einsum("ij,ij->i", Y, Y, out=rec[:, k, 0])
+            if k % CHECK_EVERY == 0 and k < fused and np.sqrt(rec[:, k, 0].max()) <= radius:
+                linear = fused - k
+                _linear_steps(steps.linear_powers(dt), L, rec[:, k:fused + 1])
+                break
+    if fused < count:
+        rec[:, count, 2:] = Z = steps.step(rec[:, fused, 2:], last)
+        rec[:, count, 0] = steps.squared_norms(Z)
+    np.sqrt(rec[:, :, 0], out=rec[:, :, 0])
     stats = {"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0,
              "linear_steps": linear}
     return times, rec, stats
 
 
-def _linear_steps(powers, L, rec, times, floor):
+def _linear_steps(powers, L, rec):
     """Fill the (rows, 1 + steps, n + 2) record from its first column by the
     linear step M, CHECK_EVERY steps per pass: with Z[j] = z M^j, the states
-    Z[s:2s] are Z[:s] @ M^s for s = 1, 2, 4, ..., each pass checked for growth."""
+    Z[s:2s] are Z[:s] @ M^s for s = 1, 2, 4, ....  Norms are stored squared."""
     b, n = rec.shape[0], rec.shape[2] - 2
     Z = np.empty(((CHECK_EVERY + 1) * b, n))         # row j b + i: z_i M^j
     k, stop = 0, rec.shape[1] - 1
@@ -295,35 +290,31 @@ def _linear_steps(powers, L, rec, times, floor):
         Y = new @ L
         rec[:, k + 1:k + j + 1, 0] = np.einsum("ij,ij->i", Y, Y).reshape(j, b).T
         rec[:, k + 1:k + j + 1, 2:] = new.reshape(j, b, n).transpose(1, 0, 2)
-        _check_growth(rec[:, k:k + j + 1, 0], times[k:k + j + 1], floor)
         k += j
 
 
-def _check_growth(norms, times, floor):
-    """Take the square roots of the squared norms recorded after the first
-    column of the (rows, steps) block, in place, and check every step's
-    growth over its predecessor.  NaN fails too; the floor (1e-14 of each
+def _check_growth(norms, times):
+    """Each row's largest growth ratio between consecutive recorded norms of
+    the (rows, 1 + steps) block.  Raises at the earliest step, across rows,
+    that grows beyond GROWTH_TOL; NaN fails too, and the floor (1e-14 of each
     row's initial norm) lets rounding noise pass near zero."""
-    np.sqrt(norms[:, 1:], out=norms[:, 1:])
     prev, new = norms[:, :-1], norms[:, 1:]
-    bad = ~(new <= prev * (1.0 + GROWTH_TOL) + floor)
+    bad = ~(new <= prev * (1.0 + GROWTH_TOL) + 1e-14 * norms[:, :1])
     if bad.any():
-        i, j = np.argwhere(bad)[0]
+        j = int(np.argmax(bad.any(axis=0)))
+        i = int(np.argmax(bad[:, j]))
         raise ContractionViolation(
             f"norm grew from {float(prev[i, j])!r} to {float(new[i, j])!r} "
             f"at t={float(times[j + 1])!r}")
+    growth = np.divide(new, prev, out=np.zeros_like(new), where=prev > 0)
+    return growth.max(axis=1, initial=0.0)
 
 
 def _step_halving(steps, z0, config):
-    """One row under Richardson step-halving error control."""
-    n = len(z0)
-    z = z0[None]
-    # one row per recorded step: t, ||z||_H, damping power (filled later), z;
-    # sized for the fixed-step count (capped) and doubled when full
-    buf = np.empty((int(min(np.ceil(config.t_end / config.dt), 1 << 16)) + 2, n + 3))
-    buf[0, 0], buf[0, 3:] = 0.0, z0
-    buf[0, 1] = norm = norm0 = steps.norms(z)[0]
-    k, t = 1, 0.0
+    """One row under Richardson step-halving error control, as a block of one."""
+    z, t = z0[None], 0.0
+    norm = norm0 = steps.norms(z)[0]
+    rows = [(t, norm, z0)]
     dt = min(config.dt, config.t_end)
     rejected = most_halvings = 0
     while t < config.t_end - 1e-12 * config.t_end:
@@ -342,22 +333,16 @@ def _step_halving(steps, z0, config):
                     f"local error {err:.3e} above target after {halvings} halvings")
         rejected += halvings
         most_halvings = max(most_halvings, halvings)
-
-        n_new = steps.norms(z_fine)[0]
-        if n_new > norm * (1.0 + GROWTH_TOL) + 1e-14 * norm0:
-            raise ContractionViolation(
-                f"norm grew from {norm!r} to {n_new!r} at t={t + dt!r}")
-        t += dt
-        z, norm = z_fine, n_new
-        if k == len(buf):
-            buf = np.concatenate([buf, np.empty_like(buf)])
-        buf[k, :2], buf[k, 3:] = (t, norm), z[0]
-        k += 1
+        t, z, norm = t + dt, z_fine, steps.norms(z_fine)[0]
+        rows.append((t, norm, z[0]))
         if err <= 0.125 * tol:
             dt = min(2.0 * dt, config.dt)
-    stats = {"accepted_steps": k - 1, "rejected_trials": rejected,
+    times, norms, states = zip(*rows)
+    rec = np.empty((1, len(rows), len(z0) + 2))     # ||z||_H, damping power (later), z
+    rec[0, :, 0], rec[0, :, 2:] = norms, states
+    stats = {"accepted_steps": len(rows) - 1, "rejected_trials": rejected,
              "max_halvings": most_halvings, "linear_steps": 0}
-    return buf[:k, 0], buf[:k, 1:], stats
+    return np.array(times), rec, stats
 
 
 # --- the damping subflow ------------------------------------------------------
@@ -386,22 +371,34 @@ def _subflow(system, damping):
     if active.size == 0 or (rule == "weak_damping" and c == 0.0):
         return (lambda dt: np.zeros_like), None         # sigma never moves z
     if not np.any(G - np.diag(g)):
-        if rule in ("linear", "clamp"):
+        on_norm = rule == "norm_saturation" and np.all(active == active[0])
+        if rule in ("linear", "clamp") or on_norm:
+            if on_norm:
+                # the rows of s keep their direction and |s|_U follows the
+                # scalar clamp flow; the components with g = 0 vanish identically
+                g = active[0]
+                ginv = 1.0 / g
+
             def gain(dt):
                 return -np.expm1(-g * dt) * ginv
 
-            def componentwise(dt):
+            def saturating(dt):
                 linear = gain(dt)
 
                 def impulse(S):
-                    a = np.abs(S)
+                    a = np.sqrt((S * S) @ w)[:, None] if on_norm else np.abs(S)
                     if a.max() <= s0:                       # the linear flow
                         return S * linear
-                    return np.copysign(_clamp_impulse(a, g, ginv, s0, dt), S)
+                    J = _clamp_impulse(a, g, ginv, s0, dt)
+                    if on_norm:
+                        return S * (J / np.maximum(a, np.finfo(float).tiny))
+                    return np.copysign(J, S)
                 return (lambda S: S * linear) if rule == "linear" else impulse
-            # s_j = T_j z with T = sqrt(k) B*, and ||T_j||_{H*}^2 = (T W^-1 T^T)_jj = g_j / w_j
-            radius = np.inf if rule == "linear" else s0 / np.sqrt(np.max(g / w))
-            return componentwise, (radius, gain)
+            # s_j = T_j z with T = sqrt(k) B*: ||T_j||_{H*}^2 = (T W^-1 T^T)_jj = g_j / w_j,
+            # and for norm saturation ||T||_{H->U}^2 = ||T T*||_U = ||G||_U = g
+            kappa = np.sqrt(g if on_norm else np.max(g / w))
+            radius = np.inf if rule == "linear" else s0 / kappa
+            return saturating, (radius, gain)
         drops = {
             "tanh": lambda a, dt: s0 * _tanh_drop(a / s0, g * dt),
             "weak_damping": lambda a, dt: a - np.maximum(
@@ -410,26 +407,6 @@ def _subflow(system, damping):
         if rule in drops:
             drop = drops[rule]
             return (lambda dt: lambda S: np.copysign(drop(np.abs(S), dt) * ginv, S)), None
-        if rule == "norm_saturation" and np.all(active == active[0]):
-            # the rows of s keep their direction and |s|_U follows the scalar
-            # clamp flow; the components with g = 0 vanish identically
-            gamma = active[0]
-
-            def gain(dt):
-                return -np.expm1(-gamma * dt) / gamma
-
-            def on_norm(dt):
-                linear = gain(dt)
-
-                def impulse(S):
-                    r = np.sqrt((S * S) @ w)[:, None]
-                    if r.max() <= s0:                       # the linear flow
-                        return S * linear
-                    J = _clamp_impulse(r, gamma, 1.0 / gamma, s0, dt)
-                    return S * (J / np.maximum(r, np.finfo(float).tiny))
-                return impulse
-            # ||T||_{H->U}^2 = ||T T*||_U = ||G||_U = gamma
-            return on_norm, (s0 / np.sqrt(gamma), gain)
     return (lambda dt: lambda S: _implicit_midpoint(rule, damping, G, w, S, dt)), None
 
 

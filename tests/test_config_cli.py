@@ -383,6 +383,13 @@ class TestMalformedInputs:
         assert run(files, "simulate", FILES_CFG.replace("A_file = A.mat", "A_file = .")) != 0
         assert last_line(capsys).startswith("ERROR IsADirectoryError:")
 
+    def test_non_dissipative_A_without_input(self, files, capsys):
+        # B = 0 skips the controllability gate, not the dissipativity gate
+        (files / "A.mat").write_text("2 2\n0.5 1\n-1 0\n")
+        (files / "B.mat").write_text("2 1\n0\n0\n")
+        assert run(files, "simulate", FILES_CFG) == 5
+        assert last_line(capsys).startswith("ERROR NotDissipative:")
+
     @pytest.mark.parametrize("section, key, value", [
         ("damping", "C1", "nan"), ("damping", "C2", "inf"), ("damping", "c", "nan"),
         ("damping", "verify_dim", "2.5"), ("damping", "verify_trials", "x"),

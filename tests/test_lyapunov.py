@@ -120,8 +120,7 @@ class TestPolyCertificate:
     def test_gramian_matches_kron_oracle(self):
         system = models.discretize_wave(16, lambda x: 1.0, k=1.0)
         th = damping.tanh_saturation(1.0)
-        cert = lyapunov.build_poly_certificate(system, th, r=2.0, gamma=1.0,
-                                               shift=0.1, seed=0)
+        cert = lyapunov.build_poly_certificate(system, th, r=2.0, gamma=1.0, seed=0)
         W = system.H_ip.weight
         oracle = kron_lyapunov_oracle(system.closed_loop(th.C1), W)
         assert np.allclose(cert.G - 0.1 * W, oracle,

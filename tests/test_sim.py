@@ -129,6 +129,24 @@ class TestIntegrate:
                           sim.IntegratorConfig(dt=1e-2, t_end=5.0,
                                                error_control="none"))
 
+    def test_contraction_violation_under_step_halving(self):
+        growing = undriven(np.array([[0.5]]))
+        # the message prints plain float reprs
+        with pytest.raises(ContractionViolation,
+                           match=r"^norm grew from 1\.0 to .* at t=0\.01$"):
+            sim.integrate(growing, damping.linear(), np.array([1.0]),
+                          sim.IntegratorConfig(dt=1e-2, t_end=1.0))
+
+    def test_contraction_violation_names_earliest_step_across_rows(self):
+        # B = e1, linear damping: the second row (0, 1) grows from the first
+        # step, the first row (1, 1e-3) only once z1 has decayed, past step 64
+        system = SemiDiscreteSystem(A=np.diag([-5.0, 0.01]), B=np.array([[1.0], [0.0]]),
+                                    k=1.0, H_ip=InnerProduct.euclidean(2),
+                                    U_weights=np.ones(1))
+        with pytest.raises(ContractionViolation, match=r"^norm grew from 1\.0 to .* at t=0\.01$"):
+            sim.integrate_batch(system, damping.linear(), np.array([[1.0, 1e-3], [0.0, 1.0]]),
+                                sim.IntegratorConfig(dt=1e-2, t_end=3.0, error_control="none"))
+
     def test_records_V_with_certificate(self, oscillator, clamp1):
         cert = lyapunov.build_exp_certificate(oscillator, clamp1)
         traj = sim.integrate(oscillator, clamp1, np.array([2.0, 0.0]),
