@@ -20,7 +20,8 @@ from . import __version__, analysis, damping as dmp, lyapunov, models, sim
 from .config import parse_config, serialize
 from .errors import (LyapcertError, MissingInput, NotDissipative, ParseError,
                      StaleCertificate, ValidationError)
-from .io import load_matrix, read_csv, save_matrix, write_csv
+from .io import (CSV_CHUNK_ROWS, load_matrix, read_csv, read_csv_floats, save_matrix,
+                 write_csv)
 from .linalg import InnerProduct
 
 TRAJECTORY_COLUMNS = ["t", "norm_H", "norm_DA", "V", "damping_power"]
@@ -150,10 +151,12 @@ def build_certificate(cfg, system, damping, seed=0):
 # --- subcommands ---
 
 def _trajectory_rows(traj):
+    """The TRAJECTORY_COLUMNS rows as lists of Python floats, converted one
+    chunk of rows at a time."""
     V = traj.V_values if traj.V_values is not None else np.full(len(traj.times), np.nan)
-    for i in range(len(traj.times)):
-        yield (traj.times[i], traj.norm_H[i], traj.norm_DA[i], V[i],
-               traj.damping_power[i])
+    cols = (traj.times, traj.norm_H, traj.norm_DA, V, traj.damping_power)
+    for lo in range(0, len(traj.times), CSV_CHUNK_ROWS):
+        yield from np.column_stack([c[lo:lo + CSV_CHUNK_ROWS] for c in cols]).tolist()
 
 
 def cmd_simulate(cfg, out_dir, seed):
@@ -207,15 +210,7 @@ def _load_trajectory(out_dir):
     path = os.path.join(out_dir, "trajectory.csv")
     if not os.path.exists(path):
         raise MissingInput(f"{path} not found; run simulate first")
-    header, rows = read_csv(path)
-    if header != TRAJECTORY_COLUMNS:
-        raise MissingInput(f"{path} has unexpected columns {header}")
-    if not rows:
-        raise MissingInput(f"{path} has a header but no samples")
-    try:
-        data = np.array([[float(x) for x in row] for row in rows]).reshape(len(rows), 5)
-    except ValueError:
-        raise MissingInput(f"{path} has rows that are not 5 numbers") from None
+    data = read_csv_floats(path, TRAJECTORY_COLUMNS)
     V = data[:, 3]
     return sim.Trajectory.from_norms(data[:, 0], data[:, 1],
                                      V_values=None if np.all(np.isnan(V)) else V)

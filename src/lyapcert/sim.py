@@ -54,6 +54,7 @@ MAX_HALVINGS = 45
 NEWTON_MAXITER = 50
 NEWTON_RTOL = 1e-13     # Newton stops when every update is this small relative to its row
 CHECK_EVERY = 64        # linear-regime entry is tested every this many fixed steps
+TINY = np.finfo(float).tiny  # floor of the norm the saturation impulse divides by
 
 
 @dataclass(frozen=True)
@@ -391,7 +392,7 @@ def _subflow(system, damping):
                         return S * linear
                     J = _clamp_impulse(a, g, ginv, s0, dt)
                     if on_norm:
-                        return S * (J / np.maximum(a, np.finfo(float).tiny))
+                        return S * (J / np.maximum(a, TINY))
                     return np.copysign(J, S)
                 return (lambda S: S * linear) if rule == "linear" else impulse
             # s_j = T_j z with T = sqrt(k) B*: ||T_j||_{H*}^2 = (T W^-1 T^T)_jj = g_j / w_j,

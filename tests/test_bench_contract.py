@@ -1,10 +1,13 @@
 """The benchmark under bench/ times the library from outside.  Its tracer
 wraps `DampingSpec.apply/h_eval/k_integral` and `InnerProduct.norm/inner` by
 name, and its workloads call `estimate_cS` and `build_poly_certificate` with
-`seed=`.  This test keeps those names and keywords working, so that a change
-which breaks a traced benchmark run fails here first."""
+`seed=`.  It takes the path of every CSV written from `io.write_csv`'s first
+positional argument, and the osc_pipeline round reads trajectory.csv through
+`io.read_csv`.  This test keeps those names, keywords and signatures working,
+so that a change which breaks a traced benchmark run fails here first."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -66,3 +69,45 @@ def test_tracer_reads_the_integrator_results():
     assert metrics["sim.integrate.calls"] == (1, "count")
     assert metrics["sim.steps"] == (rec["steps"], "count")
     assert metrics["sim.recorded_mb"][0] > 0
+
+
+OSC_CFG = """
+[system]
+name = finite_dim
+A = 0, 1; -1, 0
+B = 1; 0
+
+[damping]
+kind = norm_saturation
+s0 = 1.0
+
+[sim]
+dt = 1e-2
+t_end = 2.0
+error_control = off
+z0 = eigvec 0 5.0
+"""
+
+
+def test_tracer_records_the_written_csv_and_read_csv_returns_strings(tmp_path):
+    tracing = load_tracer()
+    tracer = tracing.Tracer(lyapcert)
+    cfgpath = tmp_path / "osc.cfg"
+    cfgpath.write_text(OSC_CFG)
+    trajectory = os.path.join(str(tmp_path), "trajectory.csv")
+    tracer.begin()
+    try:
+        rc = cli.main(["simulate", "--config", str(cfgpath), "--out", str(tmp_path)])
+        header, rows = io.read_csv(trajectory)
+    finally:
+        rec = tracer.end(1.0)
+    assert rc == 0
+    assert rec["csv_paths"] == [trajectory]
+    assert rec["stats"]["io.write_csv"][0] == rec["stats"]["io.read_csv"][0] == 1
+    assert header == cli.TRAJECTORY_COLUMNS
+    assert type(rows) is list and len(rows) == 201
+    assert all(type(row) is list and len(row) == 5 and all(type(c) is str for c in row)
+               for row in rows)
+    metrics = tracing.layer_metrics(
+        {**rec, "csv_bytes": sum(os.path.getsize(p) for p in rec["csv_paths"])})
+    assert metrics["io.write_csv.mb"][0] > 0

@@ -341,6 +341,30 @@ def last_line(capsys):
     return capsys.readouterr().out.strip().splitlines()[-1]
 
 
+TRAJECTORY_HEADER = "t,norm_H,norm_DA,V,damping_power"
+TRAJECTORY_BODY = [f"{0.5 * i!r},{0.9 ** i!r},{0.9 ** i!r},{0.81 ** i!r},0.0" for i in range(40)]
+
+
+def trajectory_text(body, end="\n", final=True):
+    return end.join([TRAJECTORY_HEADER] + body) + (end if final else "")
+
+
+# trajectory.csv files that verify and fit-decay refuse with MissingInput
+MALFORMED_TRAJECTORIES = {
+    "four_cells": TRAJECTORY_BODY[:5] + ["2.5,0.5,0.5,0.25"] + TRAJECTORY_BODY[6:],
+    "six_cells": TRAJECTORY_BODY[:5] + [TRAJECTORY_BODY[5] + ",0.0"] + TRAJECTORY_BODY[6:],
+    "non_numeric_cell": TRAJECTORY_BODY[:5] + ["2.5,x,0.5,0.25,0.0"] + TRAJECTORY_BODY[6:],
+    "hash_cell": TRAJECTORY_BODY[:5] + ["2.5,#,0.5,0.25,0.0"] + TRAJECTORY_BODY[6:],
+}
+# line layouts that read as the same samples as trajectory_text(TRAJECTORY_BODY)
+TOLERATED_TRAJECTORIES = {
+    "blank_line": trajectory_text(TRAJECTORY_BODY[:5] + [""] + TRAJECTORY_BODY[5:]),
+    "whitespace_line": trajectory_text(TRAJECTORY_BODY[:5] + [" \t "] + TRAJECTORY_BODY[5:]),
+    "crlf_line_ends": trajectory_text(TRAJECTORY_BODY, end="\r\n"),
+    "no_final_newline": trajectory_text(TRAJECTORY_BODY, final=False),
+}
+
+
 class TestMalformedInputs:
     """Each malformed input ends in a nonzero exit with the ERROR line last,
     naming the file or the config key at fault."""
@@ -438,6 +462,30 @@ class TestMalformedInputs:
         assert run(tmp_path, "fit-decay", SCALAR_SAT) == 4
         line = last_line(capsys)
         assert line.startswith("ERROR MissingInput:") and "trajectory.csv" in line
+
+    @pytest.mark.parametrize("sub", ["verify", "fit-decay"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRAJECTORIES))
+    def test_trajectory_rows_not_5_numbers(self, tmp_path, capsys, sub, case):
+        (tmp_path / "trajectory.csv").write_bytes(
+            trajectory_text(MALFORMED_TRAJECTORIES[case]).encode())
+        assert run(tmp_path, sub, SCALAR_SAT) == 4
+        assert last_line(capsys) == (f"ERROR MissingInput: {tmp_path / 'trajectory.csv'} "
+                                     "has rows that are not 5 numbers")
+
+    @pytest.mark.parametrize("sub, produced", [("verify", "verification.csv"),
+                                               ("fit-decay", "decay_fit.csv")])
+    @pytest.mark.parametrize("case", sorted(TOLERATED_TRAJECTORIES))
+    def test_trajectory_line_layout_read_as_clean_file(self, tmp_path, capsys, sub,
+                                                       produced, case):
+        results = []
+        for name, text in (("clean", trajectory_text(TRAJECTORY_BODY)),
+                           (case, TOLERATED_TRAJECTORIES[case])):
+            out = tmp_path / name
+            out.mkdir()
+            (out / "trajectory.csv").write_bytes(text.encode())
+            assert run(tmp_path, sub, SCALAR_SAT, out=out) == 0
+            results.append((last_line(capsys), (out / produced).read_bytes()))
+        assert results[0] == results[1]
 
 
 class TestDeterminism:

@@ -1,7 +1,7 @@
 """Property-based tests of the input layer: config grammar, matrix files, CSV
-reading and the CLI failure contract (exit 0, or exit nonzero with one
-`ERROR <Name>: ...` line last).  Derandomized with bounded example counts so
-the suite stays deterministic and fast.
+reading and writing, and the CLI failure contract (exit 0, or exit nonzero
+with one `ERROR <Name>: ...` line last).  Derandomized with bounded example
+counts so the suite stays deterministic and fast.
 """
 
 import contextlib
@@ -14,10 +14,11 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lyapcert.cli import main
+from lyapcert.cli import TRAJECTORY_COLUMNS, _load_trajectory, _trajectory_rows, main
 from lyapcert.config import ExperimentConfig, parse_config
 from lyapcert.errors import MissingInput, ParseError, ValidationError
-from lyapcert.io import load_matrix, read_csv
+from lyapcert.io import CSV_CHUNK_ROWS, load_matrix, read_csv, write_csv
+from lyapcert.sim import Trajectory
 
 def fuzz(max_examples):
     return settings(derandomize=True, max_examples=max_examples, deadline=None,
@@ -111,6 +112,56 @@ def test_read_csv_returns_rows_or_reports_empty_file(lines):
         kept = [ln for ln in lines if ln.strip()]
         assert header == kept[0].split(",")
         assert rows == [ln.split(",") for ln in kept[1:]]
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def trajectory_columns(draw):
+    """times (strictly increasing), norm_H, norm_DA, V and damping_power; some
+    runs cross the writer's chunk boundary, and V may be all nan (no
+    certificate)."""
+    length = draw(st.sampled_from([None] * 9 + [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                               2 * CSV_CHUNK_ROWS + 3]))
+    if length is None:
+        times = np.unique(draw(st.lists(FINITE, min_size=1, max_size=20)))
+        length = len(times)
+    else:
+        times = np.arange(length) * draw(st.sampled_from([5e-324, 1e-300, 2e-3, 1e300]))
+    cols = [times] + [np.resize(np.array(draw(st.lists(FINITE, min_size=1, max_size=20))),
+                                length) for _ in range(4)]
+    if draw(st.booleans()):
+        cols[3] = np.full(length, np.nan)
+    return cols
+
+
+@fuzz(60)
+@given(trajectory_columns())
+def test_trajectory_csv_bytes_and_round_trip(cols):
+    times, norm_H, norm_DA, V, power = cols
+    no_V = bool(np.all(np.isnan(V)))
+    traj = Trajectory(times=times, states=np.zeros((len(times), 1)), norm_H=norm_H,
+                      norm_DA=norm_DA, damping_power=power, V_values=None if no_V else V)
+    oracle = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*cols))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trajectory.csv")
+        write_csv(path, TRAJECTORY_COLUMNS, _trajectory_rows(traj))
+        with open(path, "rb") as fh:
+            written = fh.read().decode()
+        # the unit-ball entry time that loading computes may overflow on
+        # extreme times; only the columns are compared here
+        with np.errstate(all="ignore"):
+            loaded = _load_trajectory(tmp)
+    assert written == ",".join(TRAJECTORY_COLUMNS) + "\n" + oracle
+    assert (loaded.V_values is None) == no_V
+    for got, want in [(loaded.times, times), (loaded.norm_H, norm_H)] + (
+            [] if no_V else [(loaded.V_values, V)]):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))      # -0.0 kept
 
 
 BASE_CONFIG = {
