@@ -20,7 +20,7 @@ from . import __version__, analysis, damping as dmp, lyapunov, models, sim
 from .config import parse_config, serialize
 from .errors import (LyapcertError, MissingInput, NotDissipative, ParseError,
                      StaleCertificate, ValidationError)
-from .io import (CSV_CHUNK_ROWS, load_matrix, read_csv, read_csv_floats, save_matrix,
+from .io import (CSV_CHUNK_ROWS, load_matrix, read_csv_floats, read_csv_lines, save_matrix,
                  write_csv)
 from .linalg import InnerProduct
 
@@ -211,9 +211,15 @@ def _load_trajectory(out_dir):
     if not os.path.exists(path):
         raise MissingInput(f"{path} not found; run simulate first")
     data = read_csv_floats(path, TRAJECTORY_COLUMNS)
-    V = data[:, 3]
-    return sim.Trajectory.from_norms(data[:, 0], data[:, 1],
-                                     V_values=None if np.all(np.isnan(V)) else V)
+    t, norm_H, V = data[:, 0], data[:, 1], data[:, 3]
+    if np.all(np.isnan(V)):
+        V = None                            # written without a certificate
+    for name, col in (("t", t), ("norm_H", norm_H), ("V", V)):
+        if col is not None and not np.all(np.isfinite(col)):
+            raise MissingInput(f"{path} has non-finite {name} values")
+    if np.any(np.diff(t) <= 0):
+        raise MissingInput(f"{path} has times that are not strictly increasing")
+    return sim.Trajectory.from_norms(t, norm_H, V_values=V)
 
 
 def cmd_fit_decay(cfg, out_dir, seed):
@@ -309,12 +315,12 @@ def cmd_report(cfg, out_dir, seed):
         path = os.path.join(out_dir, name)
         lines.append(f"== {name}")
         if name.endswith(".csv"):
-            header, rows = read_csv(path)
-            lines.append("columns: " + ",".join(header))
+            header, *rows = read_csv_lines(path)
+            lines.append("columns: " + header)
             lines.append(f"rows: {len(rows)}")
             if rows:
-                lines.append("first: " + ",".join(rows[0]))
-                lines.append("last: " + ",".join(rows[-1]))
+                lines.append("first: " + rows[0])
+                lines.append("last: " + rows[-1])
         else:
             with open(path) as fh:
                 lines.extend(ln.rstrip("\n") for ln in fh)

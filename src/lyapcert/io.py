@@ -9,8 +9,9 @@ their shortest round-tripping `repr` ("nan" for a missing value, "-0.0",
 "5e-324"), so identical runs produce identical bytes and reading a cell back
 with `float` gives the same float.  Rows are formatted and written a chunk of
 CSV_CHUNK_ROWS at a time; the caller may hand them over as a generator.
-Reading skips blank and whitespace-only lines; `read_csv` returns every
-cell as a string, `read_csv_floats` a float array checked against the header.
+Reading skips blank and whitespace-only lines; `read_csv_lines` returns the
+remaining lines unsplit, `read_csv` every cell as a string, `read_csv_floats`
+a float array checked against the header.
 """
 
 from itertools import islice
@@ -73,7 +74,8 @@ def write_csv(path, header, rows):
             fh.write("".join([",".join(map(format_value, row)) + "\n" for row in chunk]))
 
 
-def _csv_lines(path):
+def read_csv_lines(path):
+    """The header line and the row lines of a CSV, blank lines skipped."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().split("\n") if ln.strip()]
     if not lines:
@@ -82,14 +84,14 @@ def _csv_lines(path):
 
 
 def read_csv(path):
-    lines = _csv_lines(path)
+    lines = read_csv_lines(path)
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
 def read_csv_floats(path, columns):
     """The rows of a CSV whose header is exactly `columns`, as a float array
     of shape (rows, len(columns)); every cell is parsed as `float` parses it."""
-    lines = _csv_lines(path)
+    lines = read_csv_lines(path)
     header = lines[0].split(",")
     if header != columns:
         raise MissingInput(f"{path} has unexpected columns {header}")

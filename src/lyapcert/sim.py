@@ -21,7 +21,8 @@ At a fixed step the loop carries a = C z and s = sqrt(k) B* a for a block of
 initial states, and one stacked product per step gives the next state, the
 next a, the next s and the Cholesky image of the next state for the energy
 norm; a shortened last step is one unfused step.  Step halving (Richardson
-error control) runs one state at a time with the three stages unfused.
+error control) runs one state at a time with the three stages unfused
+outside the linear regime below.
 After the loop one pass over the recorded norms checks every step's growth:
 growth beyond a tight tolerance signals an implementation or model
 inconsistency and aborts, naming the earliest growing step.  The graph norm,
@@ -37,9 +38,23 @@ for linear damping.  So once the invariant kappa ||z_k||_H <= s0 holds for
 every row, tested every CHECK_EVERY steps, every later step is the one linear
 map M = C (I - k B diag(gain) B*) C.  The remaining steps at the configured
 dt then go CHECK_EVERY at a time by products with the powers M, M^2, M^4,
-..., M^CHECK_EVERY (7 products for 64 steps).  Tanh, arctan and weak
-damping, a non-diagonal G, norm saturation with unequal gains and step
-halving have no such regime and take the step above throughout.
+..., M^CHECK_EVERY (7 products for 64 steps).
+
+Step halving tests the invariant on every accepted state.  From then on
+every trial is linear too, the coarse step and both half-steps: the fine
+step is F = M_{dt/2}^2 and a trial's Richardson error is ||z E||_H / 3 with
+E = M_dt - F.  One pass at the current dt forms the candidate states z F^j,
+j <= CHECK_EVERY, by the same doubling products, limited to the full steps
+before t_end, takes all their norms and errors with one product each, and
+accepts the prefix the per-step rule would accept before it changes dt:
+up to the first rejected trial, or up to and including the first trial with
+error <= tol/8 while dt is below the configured dt, after which dt doubles.
+A pass that accepts nothing hands over to the per-step trial, which halves
+dt and takes a shortened last step.  The times stay the running sums
+t + dt, so the grid, the accepted and rejected counts and the halvings are
+those of the per-step rule.  Tanh, arctan and weak damping, a non-diagonal
+G and norm saturation with unequal gains have no such regime and take the
+step above throughout.
 """
 
 from dataclasses import dataclass
@@ -84,7 +99,7 @@ class Trajectory:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):         # NaN fails too
             raise ValueError("times must be strictly increasing")
 
     @classmethod
@@ -111,7 +126,10 @@ def integrate(system, damping, z0, config, cert=None):
 
     Step-halving error control compares one dt step against two dt/2 steps
     (Richardson, second order) and accepts the finer result; dt never grows
-    past the configured value and the halvings per step are capped.
+    past the configured value and the halvings per step are capped.  In the
+    linear regime (module docstring) it accepts up to CHECK_EVERY steps per
+    pass from powers of the linear fine step, with the same rule and the
+    same decisions.
     `Trajectory.stats` records the accepted steps, the rejected trial steps,
     the most halvings within one step, the distinct step sizes (one
     factorization each), the rows integrated together and the largest
@@ -185,6 +203,7 @@ class _Steps:
         self.chol = system.H_ip.factor                           # ||z||_H = |z @ L|
         self.subflow, self.linear = _subflow(system, damping)
         self.cache = {}                                          # dt -> (C, C^2, impulse)
+        self.trial_maps = {}                                     # dt -> linear_trial_maps(dt)
 
     def __call__(self, dt):
         if dt not in self.cache:
@@ -215,16 +234,31 @@ class _Steps:
     def norms(self, Z):
         return np.sqrt(self.squared_norms(Z))
 
-    def linear_powers(self, dt):
-        """M, M^2, M^4, ..., M^CHECK_EVERY for the step z -> z @ M of length dt
-        in the linear regime, M = C^T (I - T diag(gain) P) C^T."""
+    def linear_step(self, dt):
+        """The step z -> z @ M of length dt in the linear regime,
+        M = C^T (I - T diag(gain) P) C^T."""
         C = self(dt)[0]
         T, P = self.to_control.T, self.from_control
-        M = C.T @ (np.eye(len(C)) - (T * self.linear[1](dt)) @ P) @ C.T
-        powers = [M]
-        while 2 ** len(powers) <= CHECK_EVERY:
-            powers.append(powers[-1] @ powers[-1])
-        return powers
+        return C.T @ (np.eye(len(C)) - (T * self.linear[1](dt)) @ P) @ C.T
+
+    def linear_trial_maps(self, dt):
+        """The maps of a Richardson trial at dt in the linear regime, cached
+        per dt: the squarings of the fine step F = M_{dt/2}^2 and [L | E L],
+        where E = M_dt - F is the coarse step's departure from the fine one."""
+        if dt not in self.trial_maps:
+            half = self.linear_step(0.5 * dt)
+            F = half @ half
+            self.trial_maps[dt] = (_squarings(F), np.hstack(
+                [self.chol, (self.linear_step(dt) - F) @ self.chol]))
+        return self.trial_maps[dt]
+
+
+def _squarings(M):
+    """M, M^2, M^4, ..., M^CHECK_EVERY."""
+    powers = [M]
+    while 2 ** len(powers) <= CHECK_EVERY:
+        powers.append(powers[-1] @ powers[-1])
+    return powers
 
 
 def _fixed_step(steps, Z0, config):
@@ -259,7 +293,7 @@ def _fixed_step(steps, Z0, config):
             np.einsum("ij,ij->i", Y, Y, out=rec[:, k, 0])
             if k % CHECK_EVERY == 0 and k < fused and np.sqrt(rec[:, k, 0].max()) <= radius:
                 linear = fused - k
-                _linear_steps(steps.linear_powers(dt), L, rec[:, k:fused + 1])
+                _linear_steps(_squarings(steps.linear_step(dt)), L, rec[:, k:fused + 1])
                 break
     if fused < count:
         rec[:, count, 2:] = Z = steps.step(rec[:, fused, 2:], last)
@@ -272,26 +306,32 @@ def _fixed_step(steps, Z0, config):
 
 def _linear_steps(powers, L, rec):
     """Fill the (rows, 1 + steps, n + 2) record from its first column by the
-    linear step M, CHECK_EVERY steps per pass: with Z[j] = z M^j, the states
-    Z[s:2s] are Z[:s] @ M^s for s = 1, 2, 4, ....  Norms are stored squared."""
+    linear step M, CHECK_EVERY steps per pass.  Norms are stored squared."""
     b, n = rec.shape[0], rec.shape[2] - 2
     Z = np.empty(((CHECK_EVERY + 1) * b, n))         # row j b + i: z_i M^j
     k, stop = 0, rec.shape[1] - 1
     while k < stop:
         j = min(CHECK_EVERY, stop - k)
         Z[:b] = rec[:, k, 2:]
-        s = 1
-        for Ms in powers:
-            if s > j:
-                break
-            hi = min(2 * s, j + 1)
-            Z[s * b:hi * b] = Z[:(hi - s) * b] @ Ms
-            s *= 2
+        _powers_of(Z, b, powers, j)
         new = Z[b:(j + 1) * b]
         Y = new @ L
         rec[:, k + 1:k + j + 1, 0] = np.einsum("ij,ij->i", Y, Y).reshape(j, b).T
         rec[:, k + 1:k + j + 1, 2:] = new.reshape(j, b, n).transpose(1, 0, 2)
         k += j
+
+
+def _powers_of(Z, b, powers, j):
+    """Fill the row blocks Z[i b:(i + 1) b] = Z[:b] M^i, i = 1..j, from the
+    squarings powers = [M, M^2, M^4, ...]: Z[s:2s] = Z[:s] @ M^s for
+    s = 1, 2, 4, ... (log2 j + 1 products)."""
+    s = 1
+    for Ms in powers:
+        if s > j:
+            break
+        hi = min(2 * s, j + 1)
+        Z[s * b:hi * b] = Z[:(hi - s) * b] @ Ms
+        s *= 2
 
 
 def _check_growth(norms, times):
@@ -312,14 +352,29 @@ def _check_growth(norms, times):
 
 
 def _step_halving(steps, z0, config):
-    """One row under Richardson step-halving error control, as a block of one."""
+    """One row under Richardson step-halving error control, as a block of one.
+    While the accepted state is in the linear regime, `_linear_trials` takes
+    the accepted steps at the current dt in runs of up to CHECK_EVERY."""
+    t_end = config.t_end
     z, t = z0[None], 0.0
     norm = norm0 = steps.norms(z)[0]
-    rows = [(t, norm, z0)]
-    dt = min(config.dt, config.t_end)
-    rejected = most_halvings = 0
-    while t < config.t_end - 1e-12 * config.t_end:
-        dt = min(dt, config.t_end - t)
+    times, norms, states = [t], [norm], [z0]
+    radius = steps.linear[0] if steps.linear else -np.inf
+    dt = min(config.dt, t_end)
+    rejected = most_halvings = linear = 0
+    while t < t_end - 1e-12 * t_end:
+        dt = min(dt, t_end - t)
+        if norm <= radius:
+            ts, ns, Z, grow = _linear_trials(steps, z, t, dt, norm, norm0, config)
+            if len(ts):
+                times.extend(ts)
+                norms.extend(ns)
+                states.extend(Z)
+                t, z, norm = float(ts[-1]), Z[-1:], float(ns[-1])
+                linear += len(ts)
+                if grow:
+                    dt = min(2.0 * dt, config.dt)
+                continue
         halvings = 0
         while True:
             z_fine = steps.two_steps(z, dt)
@@ -335,15 +390,56 @@ def _step_halving(steps, z0, config):
         rejected += halvings
         most_halvings = max(most_halvings, halvings)
         t, z, norm = t + dt, z_fine, steps.norms(z_fine)[0]
-        rows.append((t, norm, z[0]))
+        times.append(t)
+        norms.append(norm)
+        states.append(z[0])
         if err <= 0.125 * tol:
             dt = min(2.0 * dt, config.dt)
-    times, norms, states = zip(*rows)
-    rec = np.empty((1, len(rows), len(z0) + 2))     # ||z||_H, damping power (later), z
+    rec = np.empty((1, len(times), len(z0) + 2))    # ||z||_H, damping power (later), z
     rec[0, :, 0], rec[0, :, 2:] = norms, states
-    stats = {"accepted_steps": len(rows) - 1, "rejected_trials": rejected,
-             "max_halvings": most_halvings, "linear_steps": 0}
+    stats = {"accepted_steps": len(times) - 1, "rejected_trials": rejected,
+             "max_halvings": most_halvings, "linear_steps": linear}
     return np.array(times), rec, stats
+
+
+def _linear_trials(steps, z, t, dt, norm, norm0, config):
+    """The steps at dt from the state z (norm ||z||_H <= radius, time t) that
+    the per-step Richardson rule accepts before it would change dt or shorten
+    a step, up to CHECK_EVERY of them: (times, norms, states, grow).
+
+    Every stage is nonexpansive, so every later trial is linear too: the
+    accepted state is z F^j with F = M_{dt/2}^2, and its trial's error is
+    ||z F^j E||_H / 3.  The run stops before the first rejected trial and
+    after the first accepted one with error <= tol/8 while dt < config.dt,
+    when grow is True and dt doubles.  The times are the running sums
+    t + dt + dt + ..., as in the per-step loop."""
+    t_end = config.t_end
+    ts = np.cumsum(np.concatenate([[t], np.full(CHECK_EVERY, dt)]))
+    full = (ts < t_end - 1e-12 * t_end) & ~(t_end - ts < dt)
+    j = _leading(full[:CHECK_EVERY])                # full steps from z
+    if j == 0:
+        return (), (), (), False
+    powers, norm_err = steps.linear_trial_maps(dt)
+    Z = np.empty((j + 1, z.shape[1]))
+    Z[0] = z[0]
+    _powers_of(Z, 1, powers, j)
+    Y = Z @ norm_err
+    n = Z.shape[1]
+    ns = np.sqrt(np.einsum("ij,ij->i", Y[:, :n], Y[:, :n]))
+    ns[0] = norm                                    # z's recorded norm sets its tolerance
+    err = np.sqrt(np.einsum("ij,ij->i", Y[:j, n:], Y[:j, n:])) / 3.0
+    tol = config.local_error_target * np.maximum(ns[:j], 1e-9 * norm0)
+    k = _leading(err <= tol)                        # up to the first rejection
+    small = err[:k] <= 0.125 * tol[:k]
+    grow = dt < config.dt and bool(small.any())
+    if grow:
+        k = int(np.argmax(small)) + 1
+    return ts[1:k + 1], ns[1:k + 1], Z[1:k + 1], grow
+
+
+def _leading(mask):
+    """The length of the leading run of True in the 1-d mask."""
+    return int(np.argmin(np.append(mask, False)))
 
 
 # --- the damping subflow ------------------------------------------------------

@@ -214,6 +214,31 @@ certificate = exp
         assert (tmp_path / "plots.gp").read_bytes() == plots1
         assert b"trajectory.csv" in plots1
 
+    def test_report_skips_blank_lines_as_read_csv_does(self, tmp_path):
+        (tmp_path / "trajectory.csv").write_text(
+            "t,norm_H,norm_DA,V,damping_power\n\n0.0,2.0,3.0,nan,0.0\n \t \n"
+            "0.5,1.0,1.5,nan,0.0\n\n1.0,0.5,0.75,nan,0.0\n   \n")
+        (tmp_path / "sweep.csv").write_text("r,mu\n \n\n")
+        assert run(tmp_path, "report", SCALAR_SAT) == 0
+        assert (tmp_path / "report.txt").read_text() == (
+            "run report (2 artifacts)\n\n"
+            "== sweep.csv\ncolumns: r,mu\nrows: 0\n\n"
+            "== trajectory.csv\ncolumns: t,norm_H,norm_DA,V,damping_power\nrows: 3\n"
+            "first: 0.0,2.0,3.0,nan,0.0\nlast: 1.0,0.5,0.75,nan,0.0\n\n")
+        assert (tmp_path / "plots.gp").read_text() == (
+            "# line plots of the run CSVs; render with: gnuplot plots.gp\n"
+            "set datafile separator ','\n"
+            "set key autotitle columnhead\n"
+            "set term pngcairo size 900,600\n"
+            "set output 'sweep.png'\n"
+            "unset logscale\n"
+            "plot 'sweep.csv' using 1:2 with lines title 'mu'\n"
+            "set output 'trajectory.png'\n"
+            "set logscale y\n"
+            "plot 'trajectory.csv' using 1:2 with lines title 'norm_H', "
+            "'trajectory.csv' using 1:3 with lines title 'norm_DA', "
+            "'trajectory.csv' using 1:4 with lines title 'V'\n")
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         envdir = tmp_path / "envout"
         monkeypatch.setenv("LYAPCERT_OUT_DIR", str(envdir))
@@ -356,6 +381,17 @@ MALFORMED_TRAJECTORIES = {
     "non_numeric_cell": TRAJECTORY_BODY[:5] + ["2.5,x,0.5,0.25,0.0"] + TRAJECTORY_BODY[6:],
     "hash_cell": TRAJECTORY_BODY[:5] + ["2.5,#,0.5,0.25,0.0"] + TRAJECTORY_BODY[6:],
 }
+# well-formed rows whose values verify and fit-decay refuse with MissingInput
+INVALID_TRAJECTORIES = {
+    "nan_time": (TRAJECTORY_BODY[:5] + ["nan,0.5,0.5,0.25,0.0"] + TRAJECTORY_BODY[6:],
+                 "has non-finite t values"),
+    "inf_norm_H": (TRAJECTORY_BODY[:5] + ["2.5,inf,0.5,0.25,0.0"] + TRAJECTORY_BODY[6:],
+                   "has non-finite norm_H values"),
+    "inf_V": (TRAJECTORY_BODY[:5] + ["2.5,0.5,0.5,-inf,0.0"] + TRAJECTORY_BODY[6:],
+              "has non-finite V values"),
+    "equal_times": (TRAJECTORY_BODY[:1] + TRAJECTORY_BODY,
+                    "has times that are not strictly increasing"),
+}
 # line layouts that read as the same samples as trajectory_text(TRAJECTORY_BODY)
 TOLERATED_TRAJECTORIES = {
     "blank_line": trajectory_text(TRAJECTORY_BODY[:5] + [""] + TRAJECTORY_BODY[5:]),
@@ -471,6 +507,15 @@ class TestMalformedInputs:
         assert run(tmp_path, sub, SCALAR_SAT) == 4
         assert last_line(capsys) == (f"ERROR MissingInput: {tmp_path / 'trajectory.csv'} "
                                      "has rows that are not 5 numbers")
+
+    @pytest.mark.parametrize("sub", ["verify", "fit-decay"])
+    @pytest.mark.parametrize("case", sorted(INVALID_TRAJECTORIES))
+    def test_trajectory_values_invalid(self, tmp_path, capsys, sub, case):
+        body, message = INVALID_TRAJECTORIES[case]
+        (tmp_path / "trajectory.csv").write_text(trajectory_text(body))
+        assert run(tmp_path, sub, SCALAR_SAT) == 4
+        assert last_line(capsys) == (f"ERROR MissingInput: {tmp_path / 'trajectory.csv'} "
+                                     + message)
 
     @pytest.mark.parametrize("sub, produced", [("verify", "verification.csv"),
                                                ("fit-decay", "decay_fit.csv")])

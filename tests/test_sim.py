@@ -516,8 +516,9 @@ class TestBatch:
 
 class TestLinearRegime:
     """Once kappa ||z||_H <= s0 the fixed-step loop advances by powers of the
-    linear step; the states, the growth check and the grid stay those of the
-    per-step loop."""
+    linear step, and step halving accepts its Richardson-checked steps by
+    powers of the linear fine step; the states, the growth check, the grid
+    and the step-size decisions stay those of the per-step loop."""
 
     @pytest.mark.parametrize("case", ["kdv_linear", "kdv_clamp_r25",
                                       "oscillator_norm_saturation"])
@@ -593,10 +594,61 @@ class TestLinearRegime:
                                                   error_control="none"))
         assert traj.stats["linear_steps"] == 0
 
-    def test_step_halving_bypasses(self, oscillator):
-        traj = sim.integrate(oscillator, damping.linear(), np.array([0.1, 0.0]),
-                             sim.IntegratorConfig(dt=1e-2, t_end=2.0))
-        assert traj.stats["linear_steps"] == 0
+    @pytest.mark.parametrize("case", ["norm_saturation", "clamp", "linear"])
+    def test_step_halving_matches_reference(self, case, oscillator):
+        spec, z0, dt, t_end, target = {
+            "norm_saturation": (damping.norm_saturation(1.0), [20.0, 0.0], 1e-2, 32.0, 1e-8),
+            "clamp": (damping.clamp(1.0), [2.0, 0.0], 1e-2, 6.0, 1e-8),
+            # dt settles at 0.2 until ||z||_H falls below the tolerance floor
+            # 1e-9 ||z0||_H (t = 42.2); then it doubles to 0.4
+            "linear": (damping.linear(), [1.0, 0.0], 0.4, 46.1, 3e-4),
+        }[case]
+        z0 = np.array(z0)
+        cert = (lyapunov.build_exp_certificate(oscillator, spec)
+                if case == "norm_saturation" else None)
+        config = sim.IntegratorConfig(dt=dt, t_end=t_end, local_error_target=target)
+        traj = sim.integrate(oscillator, spec, z0, config, cert=cert)
+        assert traj.stats["linear_steps"] > 0
+        ref = reference_integrate(oscillator, spec, z0, config, cert)
+        TestAgainstReference.assert_matches(traj, ref, with_V=cert is not None)
+        if case == "linear":
+            steps = np.diff(traj.times)
+            floor = int(np.argmax(traj.norm_H < 1e-9 * traj.norm_H[0]))
+            assert 0 < floor and np.max(steps[:floor]) < 0.75 * dt < np.max(steps[floor:-1])
+            ratio = dt / steps[-1]              # not a power of 2: the last step is shortened
+            assert abs(ratio - 2.0 ** np.round(np.log2(ratio))) > 0.1
+
+    def test_step_halving_growth_raises(self):
+        # B = e1 with linear damping, whose radius is infinite: every accepted
+        # step is a linear-regime step, and the first growing one is named
+        system = SemiDiscreteSystem(A=np.diag([-5.0, 0.01]), B=np.array([[1.0], [0.0]]),
+                                    k=1.0, H_ip=InnerProduct.euclidean(2),
+                                    U_weights=np.ones(1))
+        z0 = np.array([1.0, 1e-3])
+        config = sim.IntegratorConfig(dt=1e-2, t_end=2.0)
+        times, norms = reference_integrate(system, damping.linear(), z0, config)[:2]
+        grows = norms[1:] > norms[:-1] * (1.0 + sim_mod.GROWTH_TOL) + 1e-14 * norms[0]
+        k = int(np.argmax(grows)) + 1
+        assert grows.any() and k > sim_mod.CHECK_EVERY
+        named = re.escape(repr(float(times[k])))
+        with pytest.raises(ContractionViolation, match=rf"at t={named}$"):
+            sim.integrate(system, damping.linear(), z0, config)
+
+    def test_step_halving_decisions_unchanged(self, oscillator, monkeypatch):
+        # the benchmark's adaptive run: norm saturation from 20 zhat / ||zhat||_DA
+        zhat = models.leading_eigvec(oscillator.closed_loop())
+        z0 = 20.0 * zhat / oscillator.norm_DA(zhat)
+        spec = damping.norm_saturation(1.0)
+        config = sim.IntegratorConfig(dt=1e-2, t_end=40.0)
+        traj = sim.integrate(oscillator, spec, z0, config)
+        monkeypatch.setattr(sim_mod, "_linear_trials", lambda *args: ((), (), (), False))
+        per_step = sim.integrate(oscillator, spec, z0, config)
+        assert traj.stats["linear_steps"] > 0 == per_step.stats["linear_steps"]
+        for st in (traj.stats, per_step.stats):
+            counts = st["accepted_steps"], st["rejected_trials"], st["max_halvings"]
+            assert counts == (6300, 24, 2)
+        assert np.array_equal(traj.times, per_step.times)
+        np.testing.assert_allclose(traj.norm_H, per_step.norm_H, rtol=1e-12, atol=0)
 
     def test_shortened_last_step_after_linear_path(self, oscillator):
         spec = damping.norm_saturation(1.0)
@@ -684,3 +736,5 @@ class TestConfigValidation:
     def test_times_strictly_increasing(self):
         with pytest.raises(ValueError):
             sim.Trajectory.from_norms([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sim.Trajectory.from_norms([0.0, np.nan, 1.0], [1.0, 1.0, 1.0])
