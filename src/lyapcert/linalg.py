@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import quad_vec
 
 from .errors import NotHurwitz, Overflow, SingularSystem, TailNotConvergent
 
@@ -134,6 +133,8 @@ def gramian_quadrature(A, alpha=0.0, tol=1e-8, t_max=1e6):
     is met.  For Hurwitz A the result agrees with solve_lyapunov(A, I) + alpha*I
     up to the quadrature tolerance.
     """
+    from scipy.integrate import quad_vec     # deferred: slow to import, used only here
+
     A = np.asarray(A, dtype=float)
     abscissa = require_hurwitz(A, "Gramian matrix")
     decay = abs(abscissa)

@@ -9,52 +9,34 @@ Liggett, Amer. J. Math. 93, 1971), so every step contracts, Lipschitz sigma or
 not; the scheme is second order.
 
 In the control coordinates s = sqrt(k) B* z the subflow reads
-ds/dt = -G sigma(s) with G = k B*B, and z moves only within range(B).  Where G
-is diagonal (kdv, wave and every single-input system) the components
-decouple and the subflow is exact: closed forms for linear, clamp, tanh and
-weak damping, and for norm saturation with equal gains, a clamp on the norm.
-The other cases (arctan, a non-diagonal G, norm saturation with unequal
-gains) take one implicit-midpoint step, nonexpansive too, solved by
-vectorized Newton; a solve that does not converge raises.
+ds/dt = -G sigma(s) with G = k B*B.  Where G is diagonal it is exact (closed
+forms for linear, clamp, tanh, weak damping and norm saturation with equal
+gains); otherwise it is one implicit-midpoint step, nonexpansive too, by
+vectorized Newton, which raises if it does not converge.
 
-At a fixed step the loop carries a = C z and s = sqrt(k) B* a for a block of
-initial states, and one stacked product per step gives the next state, the
-next a, the next s and the Cholesky image of the next state for the energy
-norm; a shortened last step is one unfused step.  Step halving (Richardson
-error control) runs one state at a time with the three stages unfused
-outside the linear regime below.
-After the loop one pass over the recorded norms checks every step's growth:
-growth beyond a tight tolerance signals an implementation or model
-inconsistency and aborts, naming the earliest growing step.  The graph norm,
-the damping power and the certificate functional are evaluated on the
-recorded states after the loop too.
+At a fixed step one stacked product per step takes a block of states from
+b = a - J P (a = C z, J the impulse, P = sqrt(k) B^T) to the next states, a
+and s; step halving runs one state at a time with unfused stages.  After the
+loop one pass over the recorded norms aborts at the earliest step that grows
+beyond a tight tolerance.
 
-Since every stage is nonexpansive, ||z||_H never grows along a run, and the
-subflow input a = C z has ||a||_H <= ||z||_H.  The damping acts linearly on
-s = sqrt(k) B* a while kappa ||a||_H <= s0, with kappa = max_j ||sqrt(k) B*_j||
-over the rows of B* as functionals on H for clamp damping, the norm of
-sqrt(k) B* from H to U for norm saturation with equal gains, and s0 = inf
-for linear damping.  So once the invariant kappa ||z_k||_H <= s0 holds for
-every row, tested every CHECK_EVERY steps, every later step is the one linear
-map M = C (I - k B diag(gain) B*) C.  The remaining steps at the configured
-dt then go CHECK_EVERY at a time by products with the powers M, M^2, M^4,
-..., M^CHECK_EVERY (7 products for 64 steps).
-
-Step halving tests the invariant on every accepted state.  From then on
-every trial is linear too, the coarse step and both half-steps: the fine
-step is F = M_{dt/2}^2 and a trial's Richardson error is ||z E||_H / 3 with
-E = M_dt - F.  One pass at the current dt forms the candidate states z F^j,
-j <= CHECK_EVERY, by the same doubling products, limited to the full steps
-before t_end, takes all their norms and errors with one product each, and
-accepts the prefix the per-step rule would accept before it changes dt:
-up to the first rejected trial, or up to and including the first trial with
-error <= tol/8 while dt is below the configured dt, after which dt doubles.
-A pass that accepts nothing hands over to the per-step trial, which halves
-dt and takes a shortened last step.  The times stay the running sums
-t + dt, so the grid, the accepted and rejected counts and the halvings are
-those of the per-step rule.  Tanh, arctan and weak damping, a non-diagonal
-G and norm saturation with unequal gains have no such regime and take the
-step above throughout.
+For linear and clamp damping, and norm saturation with equal gains (a clamp at
+s0 / sqrt(w) with one input; with more, only |s_j| <= s0 / sqrt(m w_j) counts
+as linear), the subflow is affine over a step in which each input component
+stays in one zone: linear, |s_j| <= s0, with J_j = gain_j s_j, or saturated,
+|s_j| >= s0 (1 + g_j dt), with J_j = s0 dt sign(s_j).  For a zone pattern p in
+{-1, 0, +1}^m the step is linear in (z, 1) (Van Loan, IEEE TAC 23, 1978), and
+an affine pass forms up to CHECK_EVERY steps by products with the squarings K,
+K^2, K^4, ... of the augmented step (6 products for 64), tests every step's
+input with one product and accepts the prefix that keeps p; under a saturating
+rule each row of a block runs alone.  A step that crosses a zone is a per-step
+step, and so is every step up to the next multiple of CHECK_EVERY after a pass
+that stops within CHECK_EVERY // 8.  Under step halving a trial is affine when
+its coarse step and both half-steps keep p: the fine step is F = M_p(dt/2)^2
+and the error ||(z, 1) E||_H / 3, E = M_p(dt) - F.  A pass accepts the prefix
+the per-step rule accepts before it changes dt: up to the first trial that
+leaves p or is rejected, or up to and including the first with error <= tol/8
+while dt is below the configured dt; the times stay the running sums t + dt.
 """
 
 from dataclasses import dataclass
@@ -68,7 +50,7 @@ GROWTH_TOL = 1e-10      # per-step admissible relative growth of the state norm
 MAX_HALVINGS = 45
 NEWTON_MAXITER = 50
 NEWTON_RTOL = 1e-13     # Newton stops when every update is this small relative to its row
-CHECK_EVERY = 64        # linear-regime entry is tested every this many fixed steps
+CHECK_EVERY = 64        # the most steps one affine pass takes
 TINY = np.finfo(float).tiny  # floor of the norm the saturation impulse divides by
 
 
@@ -126,14 +108,12 @@ def integrate(system, damping, z0, config, cert=None):
 
     Step-halving error control compares one dt step against two dt/2 steps
     (Richardson, second order) and accepts the finer result; dt never grows
-    past the configured value and the halvings per step are capped.  In the
-    linear regime (module docstring) it accepts up to CHECK_EVERY steps per
-    pass from powers of the linear fine step, with the same rule and the
-    same decisions.
+    past the configured value and the halvings per step are capped.
     `Trajectory.stats` records the accepted steps, the rejected trial steps,
-    the most halvings within one step, the distinct step sizes (one
-    factorization each), the rows integrated together and the largest
-    per-step growth of the energy norm against GROWTH_TOL.
+    the most halvings within one step, the steps taken by affine passes
+    (module docstring) and by the per-step loop, the distinct step sizes,
+    the rows integrated together and the largest per-step growth of the
+    energy norm against GROWTH_TOL.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim != 1:
@@ -144,8 +124,8 @@ def integrate(system, damping, z0, config, cert=None):
 def integrate_batch(system, damping, Z0, config, cert=None):
     """`integrate` for every row of the (rows, n) block Z0: one Trajectory per row.
 
-    At a fixed step the rows advance together, one stacked product per step;
-    with step halving they run one at a time, since each would need its own dt.
+    At a fixed step the rows advance together unless a saturating rule gives
+    each its own affine passes; with step halving each needs its own dt.
     """
     Z0 = np.asarray(Z0, dtype=float)
     if Z0.ndim != 2:
@@ -173,10 +153,10 @@ def _integrate(system, damping, Z0, config, cert):
         return np.sum(w * damping.apply(S, w) * S, axis=1)
 
     trajs = []
-    for times, block, stats in blocks:
+    for times, block, row_stats in blocks:
         # block: (rows, steps + 1, n + 2), columns energy norm, damping power, state
         growth = _check_growth(block[:, :, 0], times)
-        for rec, max_growth in zip(block, growth):
+        for rec, stats, max_growth in zip(block, row_stats, growth):
             states = rec[:, 2:]
             rec[:, 1] = _by_chunks(power, states)
             traj = Trajectory(times=times, states=states, norm_H=rec[:, 0],
@@ -199,11 +179,11 @@ class _Steps:
     def __init__(self, system, damping):
         self.A = system.A
         self.to_control = np.sqrt(system.k) * system.Bstar       # T: z -> s = T z
-        self.from_control = (np.sqrt(system.k) * system.B).T     # impulse -> z
+        self.from_control = (np.sqrt(system.k) * system.B).T     # P: impulse -> z
         self.chol = system.H_ip.factor                           # ||z||_H = |z @ L|
-        self.subflow, self.linear = _subflow(system, damping)
+        self.subflow, self.zoned = _subflow(system, damping)
         self.cache = {}                                          # dt -> (C, C^2, impulse)
-        self.trial_maps = {}                                     # dt -> linear_trial_maps(dt)
+        self.last_pass = (None, None)                            # (key, pass_maps(*key))
 
     def __call__(self, dt):
         if dt not in self.cache:
@@ -227,44 +207,93 @@ class _Steps:
         a = (a - impulse(a @ T) @ P) @ C2.T
         return (a - impulse(a @ T) @ P) @ C.T
 
-    def squared_norms(self, Z):
-        Y = Z @ self.chol
-        return np.einsum("ij,ij->i", Y, Y)
-
     def norms(self, Z):
-        return np.sqrt(self.squared_norms(Z))
+        Y = Z @ self.chol
+        return np.sqrt(np.einsum("ij,ij->i", Y, Y))
 
-    def linear_step(self, dt):
-        """The step z -> z @ M of length dt in the linear regime,
-        M = C^T (I - T diag(gain) P) C^T."""
-        C = self(dt)[0]
-        T, P = self.to_control.T, self.from_control
-        return C.T @ (np.eye(len(C)) - (T * self.linear[1](dt)) @ P) @ C.T
+    def stacked(self, dt):
+        """[C^T | (C^2)^T T | (C^2)^T]: b -> the next state, its s and its a."""
+        C, C2, _ = self(dt)
+        return np.hstack([C.T, C2.T @ self.to_control.T, C2.T])
 
-    def linear_trial_maps(self, dt):
-        """The maps of a Richardson trial at dt in the linear regime, cached
-        per dt: the squarings of the fine step F = M_{dt/2}^2 and [L | E L],
-        where E = M_dt - F is the coarse step's departure from the fine one."""
-        if dt not in self.trial_maps:
-            half = self.linear_step(0.5 * dt)
-            F = half @ half
-            self.trial_maps[dt] = (_squarings(F), np.hstack(
-                [self.chol, (self.linear_step(dt) - F) @ self.chol]))
-        return self.trial_maps[dt]
+    def zones(self, s, dt):
+        """The zone of each input component over a step of length dt: 0
+        linear, +-1 saturated (the sign of s_j), 2 crossing."""
+        level, g, _ = self.zoned
+        u = np.abs(s)
+        return np.where(u <= level, 0, np.where(u >= level * (1.0 + g * dt), np.sign(s), 2))
+
+    def box(self, dt, p):
+        """The inputs lo <= s <= hi that keep the zones p over a step of
+        length dt; None for every input (linear damping)."""
+        level, g, _ = self.zoned
+        if np.all(np.isinf(level)):
+            return None
+        sat = level * (1.0 + g * dt)
+        return (np.where(p == 0, -level, np.where(p > 0, sat, -np.inf)),
+                np.where(p == 0, level, np.where(p < 0, -sat, np.inf)))
+
+    def affine(self, dt, p, M, MT, after=None):
+        """(b, 1) -> ((b M - J P) after, 1) with J = (b MT) lin + push, the
+        impulse in the zones p, as an augmented map acting from the right."""
+        level, _, gain = self.zoned
+        K = np.eye(len(M) + 1)
+        K[:-1, :-1] = M - (MT * np.where(p == 0, gain(dt), 0.0)) @ self.from_control
+        K[-1, :-1] = -(np.where(p == 0, 0.0, level) * (p * dt)) @ self.from_control
+        if after is not None:
+            K[:, :-1] = K[:, :-1] @ after
+        return K
+
+    def pass_maps(self, dt, p, trial):
+        """The squarings of K so far, the probe and the box of an affine pass,
+        kept for the last (dt, p, trial).  At a fixed step K advances b and the
+        probe gives the next state and s; under step halving K = F advances z
+        and the probe gives z L, the three inputs of a trial and E L."""
+        if self.last_pass[0] != (dt, p.tobytes(), trial):
+            n, m, T, L = len(self.A), len(p), self.to_control.T, self.chol
+            box = self.box(dt, p)
+            if trial:
+                CT, HT = self(dt)[0].T, self(0.5 * dt)[0].T
+                half = self.affine(0.5 * dt, p, HT, HT @ T, HT)
+                K = half @ half
+                probe = np.vstack([np.hstack([L, CT @ T, HT @ T]), np.zeros(n + 2 * m)])
+                probe = np.hstack([probe, half[:, :n] @ HT @ T,
+                                   (self.affine(dt, p, CT, CT @ T, CT) - K)[:, :n] @ L])
+                if box is not None:                 # the coarse step and both half-steps
+                    box = tuple(np.r_[c, h, h] for c, h in zip(box, self.box(0.5 * dt, p)))
+            else:
+                stacked = self.stacked(dt)
+                K = self.affine(dt, p, stacked[:, -n:], stacked[:, n:n + m])
+                probe = np.ascontiguousarray(stacked[:, :n if box is None else n + m])
+            self.last_pass = (dt, p.tobytes(), trial), ([K], probe, box)
+        return self.last_pass[1]
 
 
-def _squarings(M):
-    """M, M^2, M^4, ..., M^CHECK_EVERY."""
-    powers = [M]
-    while 2 ** len(powers) <= CHECK_EVERY:
-        powers.append(powers[-1] @ powers[-1])
-    return powers
+def _affine_pass(steps, X, dt, p, count, trial=False):
+    """The candidates Z[i b + r] = (X[r], 1) K^i, i < count, of an affine pass
+    from the b rows X, by Z[s b:2 s b] = Z[:s b] @ K^s for s = 1, 2, 4, ...
+    (`_Steps.pass_maps`), with Z @ probe and the box."""
+    powers, probe, box = steps.pass_maps(dt, p, trial)
+    b, n = X.shape
+    Z = np.empty((count * b, n + 1))
+    Z[:b, :n], Z[:b, n] = X, 1.0
+    for i in range((count - 1).bit_length()):
+        if i == len(powers):
+            powers.append(powers[-1] @ powers[-1])
+        s, hi = 2 ** i, min(2 ** (i + 1), count)
+        Z[s * b:hi * b] = Z[:(hi - s) * b] @ powers[i]
+    return Z, Z[:, :len(probe)] @ probe, box
+
+
+def _inside(S, box):
+    """Whether each row of the inputs S lies in the box (lo, hi)."""
+    if box is None:
+        return np.ones(len(S), dtype=bool)
+    return np.all((S >= box[0]) & (S <= box[1]), axis=1)
 
 
 def _fixed_step(steps, Z0, config):
-    """All rows at the configured dt; the last step is shortened to end at t_end.
-    From the first multiple of CHECK_EVERY steps at which every row is in the
-    linear regime the remaining steps at dt go by `_linear_steps`."""
+    """All rows at the configured dt; the last step is shortened to end at t_end."""
     dt, t_end = config.dt, config.t_end
     count = max(1, int(np.ceil(t_end / dt * (1.0 - 1e-12))))
     last = t_end - (count - 1) * dt
@@ -273,65 +302,49 @@ def _fixed_step(steps, Z0, config):
     times[-1] = t_end
 
     b, n = Z0.shape
-    m = len(steps.to_control)
-    T, P, L = steps.to_control.T, steps.from_control, steps.chol
-    radius = steps.linear[0] if steps.linear else -np.inf
     rec = np.empty((b, count + 1, n + 2))
-    rec[:, 0, 0], rec[:, 0, 2:] = steps.squared_norms(Z0), Z0   # norms squared until the end
-    k = linear = 0
-    if fused:
-        C, C2, impulse = steps(dt)
-        # z_next = b C^T, a_next = b (C^2)^T, s_next = a_next T, and z_next L
-        stacked = np.hstack([C.T, C2.T, C2.T @ T, C.T @ L])
-        a = Z0 @ C.T
-        s = a @ T
-        while k < fused:
-            k += 1
-            out = (a - impulse(s) @ P) @ stacked
-            rec[:, k, 2:] = out[:, :n]
-            a, s, Y = out[:, n:2 * n], out[:, 2 * n:2 * n + m], out[:, 2 * n + m:]
-            np.einsum("ij,ij->i", Y, Y, out=rec[:, k, 0])
-            if k % CHECK_EVERY == 0 and k < fused and np.sqrt(rec[:, k, 0].max()) <= radius:
-                linear = fused - k
-                _linear_steps(_squarings(steps.linear_step(dt)), L, rec[:, k:fused + 1])
-                break
+    rec[:, 0, 2:] = Z0
+    # the rows of a block share each pass, so under a saturating rule each runs alone
+    alone = steps.zoned is not None and np.isfinite(steps.zoned[0]).any()
+    affine = np.zeros(b, dtype=int)
+    for r in [slice(i, i + 1) for i in range(b)] if alone else [slice(None)]:
+        affine[r] = _advance(steps, rec[r, :fused + 1], dt) if fused else 0
     if fused < count:
-        rec[:, count, 2:] = Z = steps.step(rec[:, fused, 2:], last)
-        rec[:, count, 0] = steps.squared_norms(Z)
-    np.sqrt(rec[:, :, 0], out=rec[:, :, 0])
-    stats = {"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0,
-             "linear_steps": linear}
-    return times, rec, stats
+        rec[:, count, 2:] = steps.step(rec[:, fused, 2:], last)
+    for row in rec:
+        row[:, 0] = _by_chunks(steps.norms, row[:, 2:])
+    return times, rec, [{"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0,
+                         "affine_steps": int(a), "per_step_steps": count - int(a)}
+                        for a in affine]
 
 
-def _linear_steps(powers, L, rec):
-    """Fill the (rows, 1 + steps, n + 2) record from its first column by the
-    linear step M, CHECK_EVERY steps per pass.  Norms are stored squared."""
-    b, n = rec.shape[0], rec.shape[2] - 2
-    Z = np.empty(((CHECK_EVERY + 1) * b, n))         # row j b + i: z_i M^j
-    k, stop = 0, rec.shape[1] - 1
-    while k < stop:
-        j = min(CHECK_EVERY, stop - k)
-        Z[:b] = rec[:, k, 2:]
-        _powers_of(Z, b, powers, j)
-        new = Z[b:(j + 1) * b]
-        Y = new @ L
-        rec[:, k + 1:k + j + 1, 0] = np.einsum("ij,ij->i", Y, Y).reshape(j, b).T
-        rec[:, k + 1:k + j + 1, 2:] = new.reshape(j, b, n).transpose(1, 0, 2)
-        k += j
-
-
-def _powers_of(Z, b, powers, j):
-    """Fill the row blocks Z[i b:(i + 1) b] = Z[:b] M^i, i = 1..j, from the
-    squarings powers = [M, M^2, M^4, ...]: Z[s:2s] = Z[:s] @ M^s for
-    s = 1, 2, 4, ... (log2 j + 1 products)."""
-    s = 1
-    for Ms in powers:
-        if s > j:
-            break
-        hi = min(2 * s, j + 1)
-        Z[s * b:hi * b] = Z[:(hi - s) * b] @ Ms
-        s *= 2
+def _advance(steps, rec, dt):
+    """Fill the states of the (rows, 1 + steps, n + 2) record from its first
+    column by steps of dt from b = a - J P, the exact impulse J; a pass goes
+    on by powers of K.  Returns the steps that affine passes took."""
+    impulse, stacked = steps(dt)[2], steps.stacked(dt)
+    rows, n, m = len(rec), rec.shape[2] - 2, len(steps.to_control)
+    k = affine = 0
+    resume = 0 if steps.zoned is not None else rec.shape[1]
+    a = rec[:, 0, 2:] @ stacked[:, :n]
+    sa = np.hstack([a @ steps.to_control.T, a])
+    while k < rec.shape[1] - 1:
+        b = sa[:, m:] - impulse(sa[:, :m]) @ steps.from_control
+        p = steps.zones(sa[:, :m], dt) if k >= resume else None
+        if p is not None and p.max() < 2 and np.all(p == p[0]):
+            j = min(CHECK_EVERY, rec.shape[1] - 1 - k)
+            Z, out, box = _affine_pass(steps, b, dt, p[0], j)
+            i = 1 + _leading(_inside(out[:-rows, n:], box).reshape(j - 1, rows).all(axis=1))
+            out, sa = out[:i * rows], Z[(i - 1) * rows:i * rows, :n] @ stacked[:, n:]
+            affine += i
+            if i < min(j, CHECK_EVERY // 8):        # little before the zones changed
+                resume = ((k + i) // CHECK_EVERY + 1) * CHECK_EVERY
+        else:
+            out, i = b @ stacked, 1
+            sa = out[:, n:]
+        rec[:, k + 1:k + i + 1, 2:] = out[:, :n].reshape(i, rows, n).transpose(1, 0, 2)
+        k += i
+    return affine
 
 
 def _check_growth(norms, times):
@@ -353,88 +366,76 @@ def _check_growth(norms, times):
 
 def _step_halving(steps, z0, config):
     """One row under Richardson step-halving error control, as a block of one.
-    While the accepted state is in the linear regime, `_linear_trials` takes
-    the accepted steps at the current dt in runs of up to CHECK_EVERY."""
+    Where the damping has zones, `_affine_trials` takes the accepted steps at
+    the current dt in runs of up to CHECK_EVERY."""
     t_end = config.t_end
     z, t = z0[None], 0.0
     norm = norm0 = steps.norms(z)[0]
     times, norms, states = [t], [norm], [z0]
-    radius = steps.linear[0] if steps.linear else -np.inf
     dt = min(config.dt, t_end)
-    rejected = most_halvings = linear = 0
+    rejected = most_halvings = affine = 0
     while t < t_end - 1e-12 * t_end:
         dt = min(dt, t_end - t)
-        if norm <= radius:
-            ts, ns, Z, grow = _linear_trials(steps, z, t, dt, norm, norm0, config)
-            if len(ts):
-                times.extend(ts)
-                norms.extend(ns)
-                states.extend(Z)
-                t, z, norm = float(ts[-1]), Z[-1:], float(ns[-1])
-                linear += len(ts)
-                if grow:
-                    dt = min(2.0 * dt, config.dt)
-                continue
-        halvings = 0
-        while True:
-            z_fine = steps.two_steps(z, dt)
-            err = steps.norms(steps.step(z, dt) - z_fine)[0] / 3.0
-            tol = config.local_error_target * max(norm, 1e-9 * norm0)
-            if err <= tol:
-                break
-            dt *= 0.5
-            halvings += 1
-            if halvings > MAX_HALVINGS:
-                raise StepRejectionLimit(
-                    f"local error {err:.3e} above target after {halvings} halvings")
-        rejected += halvings
-        most_halvings = max(most_halvings, halvings)
-        t, z, norm = t + dt, z_fine, steps.norms(z_fine)[0]
-        times.append(t)
-        norms.append(norm)
-        states.append(z[0])
-        if err <= 0.125 * tol:
+        ts, ns, Z, grow = _affine_trials(steps, z, t, dt, norm, norm0, config)
+        affine += len(ts)
+        if not len(ts):                             # one step by the per-step trial
+            halvings = 0
+            while True:
+                Z = steps.two_steps(z, dt)
+                err = steps.norms(steps.step(z, dt) - Z)[0] / 3.0
+                tol = config.local_error_target * max(norm, 1e-9 * norm0)
+                if err <= tol:
+                    break
+                dt *= 0.5
+                halvings += 1
+                if halvings > MAX_HALVINGS:
+                    raise StepRejectionLimit(
+                        f"local error {err:.3e} above target after {halvings} halvings")
+            rejected += halvings
+            most_halvings = max(most_halvings, halvings)
+            ts, ns, grow = [t + dt], steps.norms(Z), err <= 0.125 * tol
+        times.extend(ts)
+        norms.extend(ns)
+        states.extend(Z)
+        t, z, norm = float(ts[-1]), Z[-1:], float(ns[-1])
+        if grow:
             dt = min(2.0 * dt, config.dt)
     rec = np.empty((1, len(times), len(z0) + 2))    # ||z||_H, damping power (later), z
     rec[0, :, 0], rec[0, :, 2:] = norms, states
     stats = {"accepted_steps": len(times) - 1, "rejected_trials": rejected,
-             "max_halvings": most_halvings, "linear_steps": linear}
-    return np.array(times), rec, stats
+             "max_halvings": most_halvings, "affine_steps": affine,
+             "per_step_steps": len(times) - 1 - affine}
+    return np.array(times), rec, [stats]
 
 
-def _linear_trials(steps, z, t, dt, norm, norm0, config):
-    """The steps at dt from the state z (norm ||z||_H <= radius, time t) that
-    the per-step Richardson rule accepts before it would change dt or shorten
-    a step, up to CHECK_EVERY of them: (times, norms, states, grow).
-
-    Every stage is nonexpansive, so every later trial is linear too: the
-    accepted state is z F^j with F = M_{dt/2}^2, and its trial's error is
-    ||z F^j E||_H / 3.  The run stops before the first rejected trial and
-    after the first accepted one with error <= tol/8 while dt < config.dt,
-    when grow is True and dt doubles.  The times are the running sums
-    t + dt + dt + ..., as in the per-step loop."""
+def _affine_trials(steps, z, t, dt, norm, norm0, config):
+    """(times, norms, states, grow) of the steps at dt from z (norm ||z||_H,
+    time t) that the per-step rule accepts, up to CHECK_EVERY, before it
+    changes dt or shortens a step, while the trials keep the first one's
+    zones: up to the first trial that leaves them or is rejected, or to the
+    first with error <= tol/8 while dt < config.dt, when grow is True."""
+    if steps.zoned is None:
+        return (), (), (), False
     t_end = config.t_end
-    ts = np.cumsum(np.concatenate([[t], np.full(CHECK_EVERY, dt)]))
+    ts = np.cumsum(np.concatenate([[t], np.full(CHECK_EVERY, dt)]))   # t + dt + dt ...
     full = (ts < t_end - 1e-12 * t_end) & ~(t_end - ts < dt)
     j = _leading(full[:CHECK_EVERY])                # full steps from z
-    if j == 0:
+    p = steps.zones(z[0] @ steps(dt)[0].T @ steps.to_control.T, dt)
+    if j == 0 or p.max() > 1:                       # no full step, or the coarse one crosses
         return (), (), (), False
-    powers, norm_err = steps.linear_trial_maps(dt)
-    Z = np.empty((j + 1, z.shape[1]))
-    Z[0] = z[0]
-    _powers_of(Z, 1, powers, j)
-    Y = Z @ norm_err
-    n = Z.shape[1]
+    Z, Y, box = _affine_pass(steps, z, dt, p, j + 1, trial=True)
+    n, m = z.shape[1], len(p)
     ns = np.sqrt(np.einsum("ij,ij->i", Y[:, :n], Y[:, :n]))
     ns[0] = norm                                    # z's recorded norm sets its tolerance
-    err = np.sqrt(np.einsum("ij,ij->i", Y[:j, n:], Y[:j, n:])) / 3.0
+    keep = _inside(Y[:j, n:n + 3 * m], box)         # the coarse and both half-steps
+    err = np.sqrt(np.einsum("ij,ij->i", Y[:j, n + 3 * m:], Y[:j, n + 3 * m:])) / 3.0
     tol = config.local_error_target * np.maximum(ns[:j], 1e-9 * norm0)
-    k = _leading(err <= tol)                        # up to the first rejection
+    k = _leading(keep & (err <= tol))               # up to the first rejection
     small = err[:k] <= 0.125 * tol[:k]
     grow = dt < config.dt and bool(small.any())
     if grow:
         k = int(np.argmax(small)) + 1
-    return ts[1:k + 1], ns[1:k + 1], Z[1:k + 1], grow
+    return ts[1:k + 1], ns[1:k + 1], Z[1:k + 1, :n], grow
 
 
 def _leading(mask):
@@ -446,17 +447,16 @@ def _leading(mask):
 
 def _subflow(system, damping):
     """dt -> the impulse map of the damping subflow over one step of length dt,
-    and the linear regime: (radius, dt -> gain), or None where there is none.
+    and its zones (`zoned`), or None where there are none.
 
     In s = sqrt(k) B* z the subflow reads ds/dt = -G sigma(s), G = k B*B, and
     z moves by -sqrt(k) B J, where J = int_0^dt sigma(s(t)) dt is the impulse,
     one row per row of s.  Where G = diag(g) the rows decouple and
     J = (s - s(dt)) / g from the exact flow, with the zero columns of B
     masked.  Otherwise J = dt sigma(x) at the implicit midpoint
-    x = s - dt/2 G sigma(x).  For linear and clamp damping, and for norm
-    saturation with equal gains, J = s * gain(dt) for every row of s = T a
-    with ||a||_H <= radius = s0 / kappa, where kappa is the largest ratio of
-    max_j |s_j| (|s|_U for norm saturation) to ||a||_H.
+    x = s - dt/2 G sigma(x).  Where the subflow has zones (module docstring)
+    zoned = (level, g, gain): J_j = gain_j(dt) s_j while |s_j| <= level_j,
+    and J_j = level_j dt sign(s_j) while |s_j| >= level_j (1 + g_j dt).
     """
     G = system.k * (system.Bstar @ system.B)
     g = np.diag(G).copy()
@@ -491,11 +491,10 @@ def _subflow(system, damping):
                         return S * (J / np.maximum(a, TINY))
                     return np.copysign(J, S)
                 return (lambda S: S * linear) if rule == "linear" else impulse
-            # s_j = T_j z with T = sqrt(k) B*: ||T_j||_{H*}^2 = (T W^-1 T^T)_jj = g_j / w_j,
-            # and for norm saturation ||T||_{H->U}^2 = ||T T*||_U = ||G||_U = g
-            kappa = np.sqrt(g if on_norm else np.max(g / w))
-            radius = np.inf if rule == "linear" else s0 / kappa
-            return saturating, (radius, gain)
+            # the zones of a clamp at s0; for norm saturation the box of side
+            # s0 / sqrt(m w) in the ball |s|_U <= s0, and no saturated zone if m > 1
+            level = np.inf if rule == "linear" else s0 / np.sqrt(len(w) * w) if on_norm else s0
+            return saturating, (level, np.inf if on_norm and len(w) > 1 else g, gain)
         drops = {
             "tanh": lambda a, dt: s0 * _tanh_drop(a / s0, g * dt),
             "weak_damping": lambda a, dt: a - np.maximum(

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -542,3 +544,16 @@ class TestDeterminism:
             assert run(tmp_path, "fit-decay", SCALAR_SAT, out=out, seed=7) == 0
         for name in ("trajectory.csv", "decay_fit.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestImports:
+    def test_cli_import_does_not_load_scipy_integrate(self):
+        # scipy.integrate is imported inside gramian_quadrature, the only user
+        import lyapcert
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lyapcert.__file__)))
+        code = ("import sys, lyapcert.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] == ['scipy', 'integrate']))")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
