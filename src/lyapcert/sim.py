@@ -26,17 +26,20 @@ as linear), the subflow is affine over a step in which each input component
 stays in one zone: linear, |s_j| <= s0, with J_j = gain_j s_j, or saturated,
 |s_j| >= s0 (1 + g_j dt), with J_j = s0 dt sign(s_j).  For a zone pattern p in
 {-1, 0, +1}^m the step is linear in (z, 1) (Van Loan, IEEE TAC 23, 1978), and
-an affine pass forms up to CHECK_EVERY steps by products with the squarings K,
-K^2, K^4, ... of the augmented step (6 products for 64), tests every step's
-input with one product and accepts the prefix that keeps p; under a saturating
-rule each row of a block runs alone.  A step that crosses a zone is a per-step
-step, and so is every step up to the next multiple of CHECK_EVERY after a pass
-that stops within CHECK_EVERY // 8.  Under step halving a trial is affine when
-its coarse step and both half-steps keep p: the fine step is F = M_p(dt/2)^2
-and the error ||(z, 1) E||_H / 3, E = M_p(dt) - F.  A pass accepts the prefix
-the per-step rule accepts before it changes dt: up to the first trial that
-leaves p or is rejected, or up to and including the first with error <= tol/8
-while dt is below the configured dt; the times stay the running sums t + dt.
+an affine pass forms its steps by products with the squarings K, K^2, K^4, ...
+of the augmented step (q products for 2^q steps), tests every step's input with
+one product and accepts the prefix that keeps p; under a saturating rule each
+row of a block runs alone.  Passes are run-sized: the most steps one takes is
+CHECK_EVERY at first, doubles up to MAX_PASS after a pass that accepts every
+step it formed, and falls back to CHECK_EVERY after one that stops early.  A
+step that crosses a zone is a per-step step, and so is every step up to the
+next multiple of CHECK_EVERY after a pass that stops within CHECK_EVERY // 8.
+Under step halving a trial is affine when its coarse step and both half-steps
+keep p: the fine step is F = M_p(dt/2)^2 and the error ||(z, 1) E||_H / 3,
+E = M_p(dt) - F.  A pass accepts the prefix the per-step rule accepts before
+it changes dt: up to the first trial that leaves p or is rejected, or up to
+and including the first with error <= tol/8 while dt is below the configured
+dt; the times stay the running sums t + dt.
 """
 
 from dataclasses import dataclass
@@ -50,7 +53,8 @@ GROWTH_TOL = 1e-10      # per-step admissible relative growth of the state norm
 MAX_HALVINGS = 45
 NEWTON_MAXITER = 50
 NEWTON_RTOL = 1e-13     # Newton stops when every update is this small relative to its row
-CHECK_EVERY = 64        # the most steps one affine pass takes
+CHECK_EVERY = 64        # the most steps a pass takes after one that stops early
+MAX_PASS = 512          # the most steps any affine pass takes; bounds the pass buffers
 TINY = np.finfo(float).tiny  # floor of the norm the saturation impulse divides by
 
 
@@ -111,9 +115,9 @@ def integrate(system, damping, z0, config, cert=None):
     past the configured value and the halvings per step are capped.
     `Trajectory.stats` records the accepted steps, the rejected trial steps,
     the most halvings within one step, the steps taken by affine passes
-    (module docstring) and by the per-step loop, the distinct step sizes,
-    the rows integrated together and the largest per-step growth of the
-    energy norm against GROWTH_TOL.
+    (module docstring) and by the per-step loop, the passes, the distinct
+    step sizes, the rows integrated together and the largest per-step growth
+    of the energy norm against GROWTH_TOL.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim != 1:
@@ -159,8 +163,8 @@ def _integrate(system, damping, Z0, config, cert):
         for rec, stats, max_growth in zip(block, row_stats, growth):
             states = rec[:, 2:]
             rec[:, 1] = _by_chunks(power, states)
-            traj = Trajectory(times=times, states=states, norm_H=rec[:, 0],
-                              norm_DA=_by_chunks(system.norm_DA, states),
+            norm_DA = rec[:, 0] + _by_chunks(lambda Z: _row_norms(Z @ steps.AL), states)
+            traj = Trajectory(times=times, states=states, norm_H=rec[:, 0], norm_DA=norm_DA,
                               damping_power=rec[:, 1],
                               V_values=None if cert is None else
                               _by_chunks(lambda Z: eval_V(cert, Z), states),
@@ -181,6 +185,7 @@ class _Steps:
         self.to_control = np.sqrt(system.k) * system.Bstar       # T: z -> s = T z
         self.from_control = (np.sqrt(system.k) * system.B).T     # P: impulse -> z
         self.chol = system.H_ip.factor                           # ||z||_H = |z @ L|
+        self.AL = self.A.T @ self.chol                           # ||A z||_H = |z @ A^T L|
         self.subflow, self.zoned = _subflow(system, damping)
         self.cache = {}                                          # dt -> (C, C^2, impulse)
         self.last_pass = (None, None)                            # (key, pass_maps(*key))
@@ -208,8 +213,7 @@ class _Steps:
         return (a - impulse(a @ T) @ P) @ C.T
 
     def norms(self, Z):
-        Y = Z @ self.chol
-        return np.sqrt(np.einsum("ij,ij->i", Y, Y))
+        return _row_norms(Z @ self.chol)
 
     def stacked(self, dt):
         """[C^T | (C^2)^T T | (C^2)^T]: b -> the next state, its s and its a."""
@@ -306,7 +310,7 @@ def _fixed_step(steps, Z0, config):
     rec[:, 0, 2:] = Z0
     # the rows of a block share each pass, so under a saturating rule each runs alone
     alone = steps.zoned is not None and np.isfinite(steps.zoned[0]).any()
-    affine = np.zeros(b, dtype=int)
+    affine = np.zeros((b, 2), dtype=int)                     # affine steps and passes
     for r in [slice(i, i + 1) for i in range(b)] if alone else [slice(None)]:
         affine[r] = _advance(steps, rec[r, :fused + 1], dt) if fused else 0
     if fused < count:
@@ -314,17 +318,17 @@ def _fixed_step(steps, Z0, config):
     for row in rec:
         row[:, 0] = _by_chunks(steps.norms, row[:, 2:])
     return times, rec, [{"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0,
-                         "affine_steps": int(a), "per_step_steps": count - int(a)}
-                        for a in affine]
+                         "affine_steps": int(a), "per_step_steps": count - int(a),
+                         "affine_passes": int(passes)} for a, passes in affine]
 
 
 def _advance(steps, rec, dt):
     """Fill the states of the (rows, 1 + steps, n + 2) record from its first
     column by steps of dt from b = a - J P, the exact impulse J; a pass goes
-    on by powers of K.  Returns the steps that affine passes took."""
+    on by powers of K.  Returns the steps that affine passes took and the passes."""
     impulse, stacked = steps(dt)[2], steps.stacked(dt)
     rows, n, m = len(rec), rec.shape[2] - 2, len(steps.to_control)
-    k = affine = 0
+    k, affine, passes, limit = 0, 0, 0, CHECK_EVERY
     resume = 0 if steps.zoned is not None else rec.shape[1]
     a = rec[:, 0, 2:] @ stacked[:, :n]
     sa = np.hstack([a @ steps.to_control.T, a])
@@ -332,19 +336,20 @@ def _advance(steps, rec, dt):
         b = sa[:, m:] - impulse(sa[:, :m]) @ steps.from_control
         p = steps.zones(sa[:, :m], dt) if k >= resume else None
         if p is not None and p.max() < 2 and np.all(p == p[0]):
-            j = min(CHECK_EVERY, rec.shape[1] - 1 - k)
+            j = min(limit, rec.shape[1] - 1 - k)
             Z, out, box = _affine_pass(steps, b, dt, p[0], j)
             i = 1 + _leading(_inside(out[:-rows, n:], box).reshape(j - 1, rows).all(axis=1))
             out, sa = out[:i * rows], Z[(i - 1) * rows:i * rows, :n] @ stacked[:, n:]
-            affine += i
-            if i < min(j, CHECK_EVERY // 8):        # little before the zones changed
+            affine, passes, limit = affine + i, passes + 1, _next_limit(limit, i, j)
+            if i < min(j, CHECK_EVERY // 8):        # little before the zones changed:
+                # where they change every few dozen steps (wave64) per-step steps cost less
                 resume = ((k + i) // CHECK_EVERY + 1) * CHECK_EVERY
         else:
             out, i = b @ stacked, 1
             sa = out[:, n:]
         rec[:, k + 1:k + i + 1, 2:] = out[:, :n].reshape(i, rows, n).transpose(1, 0, 2)
         k += i
-    return affine
+    return affine, passes
 
 
 def _check_growth(norms, times):
@@ -367,17 +372,18 @@ def _check_growth(norms, times):
 def _step_halving(steps, z0, config):
     """One row under Richardson step-halving error control, as a block of one.
     Where the damping has zones, `_affine_trials` takes the accepted steps at
-    the current dt in runs of up to CHECK_EVERY."""
+    the current dt in passes of run-sized length (module docstring)."""
     t_end = config.t_end
     z, t = z0[None], 0.0
     norm = norm0 = steps.norms(z)[0]
     times, norms, states = [t], [norm], [z0]
     dt = min(config.dt, t_end)
-    rejected = most_halvings = affine = 0
+    rejected, most_halvings, affine, passes, limit = 0, 0, 0, 0, CHECK_EVERY
     while t < t_end - 1e-12 * t_end:
         dt = min(dt, t_end - t)
-        ts, ns, Z, grow = _affine_trials(steps, z, t, dt, norm, norm0, config)
-        affine += len(ts)
+        ts, ns, Z, grow, j = _affine_trials(steps, z, t, dt, norm, norm0, config, limit)
+        affine, passes = affine + len(ts), passes + (j > 0)
+        limit = _next_limit(limit, len(ts), j) if j else limit
         if not len(ts):                             # one step by the per-step trial
             halvings = 0
             while True:
@@ -404,38 +410,47 @@ def _step_halving(steps, z0, config):
     rec[0, :, 0], rec[0, :, 2:] = norms, states
     stats = {"accepted_steps": len(times) - 1, "rejected_trials": rejected,
              "max_halvings": most_halvings, "affine_steps": affine,
-             "per_step_steps": len(times) - 1 - affine}
+             "per_step_steps": len(times) - 1 - affine, "affine_passes": passes}
     return np.array(times), rec, [stats]
 
 
-def _affine_trials(steps, z, t, dt, norm, norm0, config):
-    """(times, norms, states, grow) of the steps at dt from z (norm ||z||_H,
-    time t) that the per-step rule accepts, up to CHECK_EVERY, before it
-    changes dt or shortens a step, while the trials keep the first one's
-    zones: up to the first trial that leaves them or is rejected, or to the
-    first with error <= tol/8 while dt < config.dt, when grow is True."""
+def _affine_trials(steps, z, t, dt, norm, norm0, config, limit):
+    """(times, norms, states, grow, j) of the steps at dt from z (norm
+    ||z||_H, time t) that the per-step rule accepts, of the j <= limit trials
+    of one pass (j = 0: no pass), before it changes dt or shortens a step,
+    while the trials keep the first one's zones: up to the first trial that
+    leaves them or is rejected, or to the first with error <= tol/8 while
+    dt < config.dt, when grow is True."""
     if steps.zoned is None:
-        return (), (), (), False
+        return (), (), (), False, 0
     t_end = config.t_end
-    ts = np.cumsum(np.concatenate([[t], np.full(CHECK_EVERY, dt)]))   # t + dt + dt ...
+    ts = np.cumsum(np.concatenate([[t], np.full(limit, dt)]))   # t + dt + dt ...
     full = (ts < t_end - 1e-12 * t_end) & ~(t_end - ts < dt)
-    j = _leading(full[:CHECK_EVERY])                # full steps from z
+    j = _leading(full[:limit])                      # full steps from z
     p = steps.zones(z[0] @ steps(dt)[0].T @ steps.to_control.T, dt)
     if j == 0 or p.max() > 1:                       # no full step, or the coarse one crosses
-        return (), (), (), False
+        return (), (), (), False, 0
     Z, Y, box = _affine_pass(steps, z, dt, p, j + 1, trial=True)
     n, m = z.shape[1], len(p)
-    ns = np.sqrt(np.einsum("ij,ij->i", Y[:, :n], Y[:, :n]))
+    ns = _row_norms(Y[:, :n])
     ns[0] = norm                                    # z's recorded norm sets its tolerance
     keep = _inside(Y[:j, n:n + 3 * m], box)         # the coarse and both half-steps
-    err = np.sqrt(np.einsum("ij,ij->i", Y[:j, n + 3 * m:], Y[:j, n + 3 * m:])) / 3.0
+    err = _row_norms(Y[:j, n + 3 * m:]) / 3.0
     tol = config.local_error_target * np.maximum(ns[:j], 1e-9 * norm0)
     k = _leading(keep & (err <= tol))               # up to the first rejection
     small = err[:k] <= 0.125 * tol[:k]
     grow = dt < config.dt and bool(small.any())
     if grow:
         k = int(np.argmax(small)) + 1
-    return ts[1:k + 1], ns[1:k + 1], Z[1:k + 1, :n], grow
+    return ts[1:k + 1], ns[1:k + 1], Z[1:k + 1, :n], grow, j
+
+
+def _row_norms(Y):
+    return np.sqrt(np.einsum("ij,ij->i", Y, Y))
+
+
+def _next_limit(limit, accepted, formed):     # run-sized passes, module docstring
+    return min(2 * limit, MAX_PASS) if accepted == formed else CHECK_EVERY
 
 
 def _leading(mask):

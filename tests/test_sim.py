@@ -156,6 +156,20 @@ class TestIntegrate:
         assert traj.V_values is not None
         assert abs(traj.V_values[0] - lyapunov.eval_V(cert, traj.states[0])) < 1e-12
 
+    @pytest.mark.parametrize("case", ["kdv64", "wave64"])
+    def test_recorded_graph_norm(self, case, kdv64):
+        # the recorded norm_DA, norm_H plus |z @ A^T L|, against the model's graph norm
+        if case == "kdv64":
+            system, scale, dt, t_end = kdv64, 5.0, 2e-3, 16.0
+        else:                               # the wave_certify system, damped on a window
+            system = models.discretize_wave(64, lambda x: 1.0 if 0.25 <= x <= 0.75 else 0.0)
+            scale, dt, t_end = 5.0, 1e-3, 1.0
+        zhat = models.leading_eigvec(system.closed_loop())
+        traj = sim.integrate(system, damping.clamp(1.0), scale * zhat / system.norm_DA(zhat),
+                             sim.IntegratorConfig(dt=dt, t_end=t_end, error_control="none"))
+        np.testing.assert_allclose(traj.norm_DA, system.norm_DA(traj.states),
+                                   rtol=1e-12, atol=0)
+
 
 def reference_imex(system, spec, z0, config):
     """The previous scheme, kept as an order check of the new one: implicit
@@ -659,29 +673,33 @@ class TestAffineEngine:
     norm_H within 1e-12 relative at every step."""
 
     @pytest.mark.parametrize("case", ["oscillator_norm_saturation", "oscillator_clamp",
-                                      "kdv_clamp_r25"])
+                                      "kdv_clamp_r25", "kdv_linear_block"])
     def test_matches_per_step_path(self, case, kdv64, oscillator, monkeypatch):
         # the oscillator saturated through most of the run (the first case is
-        # the benchmark's fixed run), and kdv64 with short zone runs
-        system, spec, z0, dt, t_end, least = {
-            "oscillator_norm_saturation": (oscillator, damping.norm_saturation(1.0), None,
+        # the benchmark's fixed run), kdv64 with short zone runs, and the
+        # sweep's linear-damping block, whose passes grow to MAX_PASS steps
+        system, spec, launch, dt, t_end, least = {
+            "oscillator_norm_saturation": (oscillator, damping.norm_saturation(1.0), [20.0],
                                            2e-3, 40.0, 19900),
             "oscillator_clamp": (oscillator, damping.clamp(1.0),
-                                 100.0 * np.array([1.0, 1.0]) / np.sqrt(2.0), 1e-3, 20.0, 19900),
-            "kdv_clamp_r25": (kdv64, damping.clamp(1.0), None, 2e-3, 16.0, 7000),
+                                 100.0 * np.array([[1.0, 1.0]]) / np.sqrt(2.0), 1e-3, 20.0, 19900),
+            "kdv_clamp_r25": (kdv64, damping.clamp(1.0), [25.0], 2e-3, 16.0, 7000),
+            "kdv_linear_block": (kdv64, damping.linear(), [1.0, 5.0, 25.0], 2e-3, 16.0, 8000),
         }[case]
-        if z0 is None:
+        if np.ndim(launch) == 1:            # radii along the leading eigenvector
             zhat = models.leading_eigvec(system.closed_loop())
-            z0 = (20.0 if system is oscillator else 25.0) * zhat / system.norm_DA(zhat)
+            launch = np.outer(launch, zhat / system.norm_DA(zhat))
         config = sim.IntegratorConfig(dt=dt, t_end=t_end, error_control="none")
-        traj = sim.integrate(system, spec, z0, config)
+        trajs = sim.integrate_batch(system, spec, launch, config)
         per_step_only(monkeypatch)
-        per_step = sim.integrate(system, spec, z0, config)
-        assert traj.stats["affine_steps"] >= least and per_step.stats["affine_steps"] == 0
-        assert (traj.stats["affine_steps"] + traj.stats["per_step_steps"]
-                == per_step.stats["per_step_steps"] == len(traj.times) - 1)
-        assert np.array_equal(traj.times, per_step.times)
-        np.testing.assert_allclose(traj.norm_H, per_step.norm_H, rtol=1e-12, atol=0)
+        for traj, per_step in zip(trajs, sim.integrate_batch(system, spec, launch, config)):
+            assert traj.stats["affine_steps"] >= least and per_step.stats["affine_steps"] == 0
+            assert (traj.stats["affine_steps"] + traj.stats["per_step_steps"]
+                    == per_step.stats["per_step_steps"] == len(traj.times) - 1)
+            assert np.array_equal(traj.times, per_step.times)
+            np.testing.assert_allclose(traj.norm_H, per_step.norm_H, rtol=1e-12, atol=0)
+        if case == "kdv_linear_block":      # 8,000 steps in <= 25 passes: some take MAX_PASS
+            assert all(0 < traj.stats["affine_passes"] <= 25 for traj in trajs)
 
     def test_norm_saturation_with_several_inputs(self, wave32, monkeypatch):
         # saturating |s|_U on several inputs is not affine: those steps take the
