@@ -13,6 +13,7 @@ from .models import leading_eigvec
 from .sim import integrate_batch
 
 NOISE_FLOOR = 1e-8
+DOMAIN_TOL = 1e-12      # relative slack of the launch's D(A) norm over the radius r
 
 
 @dataclass
@@ -104,6 +105,14 @@ def verify_lyapunov_decrease(traj, cert, tol=None):
     return VerificationReport(check="lyapunov_decrease",
                               max_violation=max_violation, tolerance=float(tol),
                               passed=max_violation <= tol, samples=len(V) - 1)
+
+
+def verify_validity_domain(traj, r):
+    """Whether the launch lies in the domain ||z(0)||_{D(A)} <= r on which a
+    semiglobal or poly certificate holds; the margin is ||z(0)||_{D(A)}/r - 1."""
+    margin = float(traj.norm_DA[0] / r - 1.0)
+    return VerificationReport(check="validity_domain", max_violation=margin,
+                              tolerance=DOMAIN_TOL, passed=margin <= DOMAIN_TOL, samples=1)
 
 
 def verify_poly_chain(system, P_theta, C, z0, t_grid, tolerance=1e-8):

@@ -152,11 +152,12 @@ def build_certificate(cfg, system, damping, seed=0):
 
 def _trajectory_rows(traj):
     """The TRAJECTORY_COLUMNS rows as lists of Python floats, converted one
-    chunk of rows at a time."""
+    chunk of rows at a time.  The columns are read here, before anything is
+    written: norm_DA and damping_power are computed on first read."""
     V = traj.V_values if traj.V_values is not None else np.full(len(traj.times), np.nan)
     cols = (traj.times, traj.norm_H, traj.norm_DA, V, traj.damping_power)
-    for lo in range(0, len(traj.times), CSV_CHUNK_ROWS):
-        yield from np.column_stack([c[lo:lo + CSV_CHUNK_ROWS] for c in cols]).tolist()
+    return (row for lo in range(0, len(traj.times), CSV_CHUNK_ROWS)
+            for row in np.column_stack([c[lo:lo + CSV_CHUNK_ROWS] for c in cols]).tolist())
 
 
 def cmd_simulate(cfg, out_dir, seed):
@@ -219,7 +220,9 @@ def _load_trajectory(out_dir):
             raise MissingInput(f"{path} has non-finite {name} values")
     if np.any(np.diff(t) <= 0):
         raise MissingInput(f"{path} has times that are not strictly increasing")
-    return sim.Trajectory.from_norms(t, norm_H, V_values=V)
+    traj = sim.Trajectory.from_norms(t, norm_H, V_values=V)
+    traj.norm_DA = data[:, 2]
+    return traj
 
 
 def cmd_fit_decay(cfg, out_dir, seed):
@@ -270,7 +273,7 @@ def _load_exported_certificate(out_dir):
     if "C" not in scalars:
         raise MissingInput(f"{path} has no 'C' entry")
     from types import SimpleNamespace
-    return SimpleNamespace(C=scalars["C"], config_hash=recorded)
+    return SimpleNamespace(C=scalars["C"], r=scalars.get("r"), config_hash=recorded)
 
 
 def cmd_verify(cfg, out_dir, seed):
@@ -287,12 +290,15 @@ def cmd_verify(cfg, out_dir, seed):
         system = build_system(cfg)
         damping = build_damping(cfg)
         cert = build_certificate(cfg, system, damping, seed=seed)
-    report = analysis.verify_lyapunov_decrease(traj, cert)
+    reports = [analysis.verify_lyapunov_decrease(traj, cert)]
+    if cert.r is not None:                  # semiglobal and poly hold for ||z0||_{D(A)} <= r
+        reports.append(analysis.verify_validity_domain(traj, cert.r))
     write_csv(os.path.join(out_dir, "verification.csv"),
               ["check", "max_violation", "tolerance", "pass", "samples"],
-              [report.row()])
-    print(f"verify: {report.check} pass={report.passed} "
-          f"max_violation={report.max_violation!r}")
+              [report.row() for report in reports])
+    for report in reports:
+        print(f"verify: {report.check} pass={report.passed} "
+              f"max_violation={report.max_violation!r}")
     return ["verification.csv"]
 
 

@@ -43,6 +43,7 @@ dt; the times stay the running sums t + dt.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -74,19 +75,26 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
+    """A recorded run.  Where not given, norm_DA and damping_power are computed
+    from the states on first read by the `derive(traj, name)` that integrate
+    attaches, and kept; an error of `DampingSpec.apply` surfaces at that read."""
     times: np.ndarray
     states: np.ndarray                       # shape (len(times), n)
     norm_H: np.ndarray
-    norm_DA: np.ndarray
-    damping_power: np.ndarray
+    norm_DA: np.ndarray = cached_property(lambda traj: traj.derive(traj, "norm_DA"))
+    damping_power: np.ndarray = cached_property(lambda traj: traj.derive(traj, "damping_power"))
     V_values: np.ndarray = None
     t_star: float = None
     stats: dict = None                       # integrator record, see integrate
+    derive = None                            # (traj, name) -> column; not a field
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         if not np.all(np.diff(self.times) > 0):         # NaN fails too
             raise ValueError("times must be strictly increasing")
+        for name in ("norm_DA", "damping_power"):
+            if self.__dict__[name] is vars(Trajectory)[name]:   # not given: read derives it
+                del self.__dict__[name]
 
     @classmethod
     def from_norms(cls, times, norm_H, V_values=None):
@@ -108,7 +116,9 @@ def smooth_initial_state(system, z0, eps=1e-3):
 
 
 def integrate(system, damping, z0, config, cert=None):
-    """Run the closed loop from the state z0, recording norms, damping power and V.
+    """Run the closed loop from the state z0, recording the energy norm and V;
+    the graph norm and the damping power of the recorded states are computed
+    on first read, where an error of `DampingSpec.apply` surfaces (Trajectory).
 
     Step-halving error control compares one dt step against two dt/2 steps
     (Richardson, second order) and accepts the finer result; dt never grows
@@ -150,27 +160,29 @@ def _integrate(system, damping, Z0, config, cert):
     else:
         blocks = [_step_halving(steps, z, config) for z in Z0]
 
-    to_control, w = steps.to_control, system.U_weights
+    to_control, AL, w = steps.to_control, steps.AL, system.U_weights
 
     def power(Z):
         S = Z @ to_control.T
         return np.sum(w * damping.apply(S, w) * S, axis=1)
 
+    def derive(traj, name):                 # Trajectory.norm_DA and .damping_power
+        if name == "norm_DA":
+            return traj.norm_H + _by_chunks(lambda Z: _row_norms(Z @ AL), traj.states)
+        return _by_chunks(power, traj.states)
+
     trajs = []
     for times, block, row_stats in blocks:
-        # block: (rows, steps + 1, n + 2), columns energy norm, damping power, state
+        # block: (rows, steps + 1, n + 1), columns energy norm, state
         growth = _check_growth(block[:, :, 0], times)
         for rec, stats, max_growth in zip(block, row_stats, growth):
-            states = rec[:, 2:]
-            rec[:, 1] = _by_chunks(power, states)
-            norm_DA = rec[:, 0] + _by_chunks(lambda Z: _row_norms(Z @ steps.AL), states)
-            traj = Trajectory(times=times, states=states, norm_H=rec[:, 0], norm_DA=norm_DA,
-                              damping_power=rec[:, 1],
+            states = rec[:, 1:]
+            traj = Trajectory(times=times, states=states, norm_H=rec[:, 0],
                               V_values=None if cert is None else
                               _by_chunks(lambda Z: eval_V(cert, Z), states),
                               stats={**stats, "rows": len(Z0), "distinct_dt": len(steps.cache),
                                      "max_growth": float(max_growth), "growth_tol": GROWTH_TOL})
-            traj.t_star = detect_unit_ball_entry(traj)
+            traj.t_star, traj.derive = detect_unit_ball_entry(traj), derive
             trajs.append(traj)
     return trajs
 
@@ -306,31 +318,31 @@ def _fixed_step(steps, Z0, config):
     times[-1] = t_end
 
     b, n = Z0.shape
-    rec = np.empty((b, count + 1, n + 2))
-    rec[:, 0, 2:] = Z0
+    rec = np.empty((b, count + 1, n + 1))
+    rec[:, 0, 1:] = Z0
     # the rows of a block share each pass, so under a saturating rule each runs alone
     alone = steps.zoned is not None and np.isfinite(steps.zoned[0]).any()
     affine = np.zeros((b, 2), dtype=int)                     # affine steps and passes
     for r in [slice(i, i + 1) for i in range(b)] if alone else [slice(None)]:
         affine[r] = _advance(steps, rec[r, :fused + 1], dt) if fused else 0
     if fused < count:
-        rec[:, count, 2:] = steps.step(rec[:, fused, 2:], last)
+        rec[:, count, 1:] = steps.step(rec[:, fused, 1:], last)
     for row in rec:
-        row[:, 0] = _by_chunks(steps.norms, row[:, 2:])
+        row[:, 0] = _by_chunks(steps.norms, row[:, 1:])
     return times, rec, [{"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0,
                          "affine_steps": int(a), "per_step_steps": count - int(a),
                          "affine_passes": int(passes)} for a, passes in affine]
 
 
 def _advance(steps, rec, dt):
-    """Fill the states of the (rows, 1 + steps, n + 2) record from its first
+    """Fill the states of the (rows, 1 + steps, n + 1) record from its first
     column by steps of dt from b = a - J P, the exact impulse J; a pass goes
     on by powers of K.  Returns the steps that affine passes took and the passes."""
     impulse, stacked = steps(dt)[2], steps.stacked(dt)
-    rows, n, m = len(rec), rec.shape[2] - 2, len(steps.to_control)
+    rows, n, m = len(rec), rec.shape[2] - 1, len(steps.to_control)
     k, affine, passes, limit = 0, 0, 0, CHECK_EVERY
     resume = 0 if steps.zoned is not None else rec.shape[1]
-    a = rec[:, 0, 2:] @ stacked[:, :n]
+    a = rec[:, 0, 1:] @ stacked[:, :n]
     sa = np.hstack([a @ steps.to_control.T, a])
     while k < rec.shape[1] - 1:
         b = sa[:, m:] - impulse(sa[:, :m]) @ steps.from_control
@@ -347,7 +359,7 @@ def _advance(steps, rec, dt):
         else:
             out, i = b @ stacked, 1
             sa = out[:, n:]
-        rec[:, k + 1:k + i + 1, 2:] = out[:, :n].reshape(i, rows, n).transpose(1, 0, 2)
+        rec[:, k + 1:k + i + 1, 1:] = out[:, :n].reshape(i, rows, n).transpose(1, 0, 2)
         k += i
     return affine, passes
 
@@ -406,8 +418,8 @@ def _step_halving(steps, z0, config):
         t, z, norm = float(ts[-1]), Z[-1:], float(ns[-1])
         if grow:
             dt = min(2.0 * dt, config.dt)
-    rec = np.empty((1, len(times), len(z0) + 2))    # ||z||_H, damping power (later), z
-    rec[0, :, 0], rec[0, :, 2:] = norms, states
+    rec = np.empty((1, len(times), len(z0) + 1))    # ||z||_H, z
+    rec[0, :, 0], rec[0, :, 1:] = norms, states
     stats = {"accepted_steps": len(times) - 1, "rejected_trials": rejected,
              "max_halvings": most_halvings, "affine_steps": affine,
              "per_step_steps": len(times) - 1 - affine, "affine_passes": passes}

@@ -7,6 +7,7 @@ import pytest
 
 from lyapcert.cli import main
 from lyapcert.config import parse_config, serialize
+from lyapcert.damping import DampingSpec
 from lyapcert.errors import ParseError, ValidationError
 from lyapcert.io import load_matrix, read_csv, save_matrix
 
@@ -347,6 +348,58 @@ error_control = off
         assert out[-1].startswith("ERROR MissingInput:") and "'C'" in out[-1]
 
 
+KDV_DOMAIN = """
+[system]
+name = kdv
+N = 32
+L = 6.283185307179586
+a_profile = constant 1.0
+
+[damping]
+kind = clamp
+
+[sim]
+dt = 2e-3
+t_end = 2.0
+error_control = off
+z0 = eigvec 0 {scale}
+
+[analysis]
+certificate = semiglobal
+r = 5
+"""
+
+
+class TestValidityDomain:
+    """A semiglobal or poly certificate holds for ||z0||_{D(A)} <= r; verify
+    checks the launch in a second row of verification.csv."""
+
+    def test_launch_outside_r_fails(self, tmp_path):
+        cfg = KDV_DOMAIN.format(scale=50.0)
+        for sub in ("certify", "simulate", "verify"):        # r from certificate.txt
+            assert run(tmp_path, sub, cfg) == 0
+        header, rows = read_csv(tmp_path / "verification.csv")
+        assert header == ["check", "max_violation", "tolerance", "pass", "samples"]
+        assert [row[0] for row in rows] == ["lyapunov_decrease", "validity_domain"]
+        assert abs(float(rows[1][1]) - 9.0) <= 1e-12     # 50 / 5 - 1
+        assert rows[1][2:] == ["1e-12", "False", "1"]
+
+    def test_launch_inside_r_passes(self, tmp_path):
+        cfg = KDV_DOMAIN.format(scale=5.0)
+        for sub in ("simulate", "verify"):                   # r from the built certificate
+            assert run(tmp_path, sub, cfg) == 0
+        _, rows = read_csv(tmp_path / "verification.csv")
+        assert [row[0] for row in rows] == ["lyapunov_decrease", "validity_domain"]
+        assert abs(float(rows[1][1])) <= 1e-13           # rounding of the eigvec scaling
+        assert rows[1][2:] == ["1e-12", "True", "1"]
+
+    def test_exp_certificate_has_no_domain_row(self, tmp_path):
+        for sub in ("simulate", "verify"):
+            assert run(tmp_path, sub, SCALAR_SAT) == 0
+        _, rows = read_csv(tmp_path / "verification.csv")
+        assert [row[0] for row in rows] == ["lyapunov_decrease"]
+
+
 FILES_CFG = """
 [system]
 name = finite_dim
@@ -533,6 +586,19 @@ class TestMalformedInputs:
             assert run(tmp_path, sub, SCALAR_SAT, out=out) == 0
             results.append((last_line(capsys), (out / produced).read_bytes()))
         assert results[0] == results[1]
+
+    def test_damping_error_at_the_power_read_writes_nothing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # linear damping's subflow never calls apply: the first call is when
+        # simulate reads the damping power, which it does before writing
+        def fail(spec, *args):
+            raise ValueError("sigma failed")
+        monkeypatch.setattr(DampingSpec, "apply", fail)
+        cfg = MINIMAL.replace("kind = clamp", "kind = linear") + (
+            "\n[sim]\ndt = 1e-2\nt_end = 1.0\nerror_control = off\n")
+        assert run(tmp_path, "simulate", cfg) != 0
+        assert last_line(capsys) == "ERROR ValueError: sigma failed"
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestDeterminism:

@@ -505,6 +505,29 @@ class TestBatch:
             assert traj.stats == {**single.stats, "rows": 3}
         assert all(single.stats["affine_steps"] > 0 for single in singles)
 
+    def test_power_computed_on_first_read(self, kdv64, monkeypatch):
+        # the sweep's linear block reads only times and norm_H; linear damping's
+        # impulse never calls apply, so the power is not evaluated until read
+        calls = []
+        apply = damping.DampingSpec.apply
+        monkeypatch.setattr(damping.DampingSpec, "apply",
+                            lambda spec, *args: calls.append(1) or apply(spec, *args))
+        zhat = models.leading_eigvec(kdv64.closed_loop())
+        zhat /= kdv64.norm_DA(zhat)
+        config = sim.IntegratorConfig(dt=2e-3, t_end=16.0, error_control="none")
+        block = sim.integrate_batch(kdv64, damping.linear(), np.outer([1.0, 5.0, 25.0], zhat),
+                                    config)
+        for traj in block:
+            assert traj.times[-1] == 16.0 and traj.norm_H[-1] < 1e-3 * traj.norm_H[0]
+        assert len(calls) == 0
+        w = kdv64.U_weights
+        for traj in block:
+            S = traj.states @ (np.sqrt(kdv64.k) * kdv64.Bstar).T
+            power = np.sum(w * S * S, axis=1)                   # sigma(s) = s
+            np.testing.assert_allclose(traj.damping_power, power, rtol=1e-12,
+                                       atol=1e-12 * power.max())
+            assert traj.damping_power is traj.damping_power     # kept after the first read
+
     def test_step_halving_block_runs_rows_alone(self, oscillator):
         sat = damping.norm_saturation(1.0)
         Z0 = np.array([[20.0, 0.0], [2.0, 1.0]])
