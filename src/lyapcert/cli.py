@@ -20,8 +20,7 @@ from . import __version__, analysis, damping as dmp, lyapunov, models, sim
 from .config import parse_config, serialize
 from .errors import (LyapcertError, MissingInput, NotDissipative, ParseError,
                      StaleCertificate, ValidationError)
-from .io import (CSV_CHUNK_ROWS, load_matrix, read_csv_floats, read_csv_lines, save_matrix,
-                 write_csv)
+from .io import load_matrix, read_csv_floats, read_csv_lines, save_matrix, write_csv
 from .linalg import InnerProduct
 
 TRAJECTORY_COLUMNS = ["t", "norm_H", "norm_DA", "V", "damping_power"]
@@ -150,14 +149,12 @@ def build_certificate(cfg, system, damping, seed=0):
 
 # --- subcommands ---
 
-def _trajectory_rows(traj):
-    """The TRAJECTORY_COLUMNS rows as lists of Python floats, converted one
-    chunk of rows at a time.  The columns are read here, before anything is
-    written: norm_DA and damping_power are computed on first read."""
+def _trajectory_table(traj):
+    """The TRAJECTORY_COLUMNS as one float array, a row per sample.  The
+    columns are read here, before anything is written: norm_DA and
+    damping_power are computed on first read."""
     V = traj.V_values if traj.V_values is not None else np.full(len(traj.times), np.nan)
-    cols = (traj.times, traj.norm_H, traj.norm_DA, V, traj.damping_power)
-    return (row for lo in range(0, len(traj.times), CSV_CHUNK_ROWS)
-            for row in np.column_stack([c[lo:lo + CSV_CHUNK_ROWS] for c in cols]).tolist())
+    return np.column_stack((traj.times, traj.norm_H, traj.norm_DA, V, traj.damping_power))
 
 
 def cmd_simulate(cfg, out_dir, seed):
@@ -169,7 +166,7 @@ def cmd_simulate(cfg, out_dir, seed):
         cert = build_certificate(cfg, system, damping, seed=seed)
     traj = sim.integrate(system, damping, z0, integrator_config(cfg), cert=cert)
     write_csv(os.path.join(out_dir, "trajectory.csv"), TRAJECTORY_COLUMNS,
-              _trajectory_rows(traj))
+              _trajectory_table(traj))
     print(f"simulate: {len(traj.times)} samples, t_star={traj.t_star!r}")
     return ["trajectory.csv"]
 

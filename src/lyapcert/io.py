@@ -1,17 +1,18 @@
 """Plain-text matrix format, and CSV files written deterministically.
 
-Matrix files: a header line "rows cols", then whitespace-separated entries in
-row-major order, newline-terminated.
+Matrix files: a header line "rows cols", then exactly rows * cols
+whitespace-separated entries in row-major order, newline-terminated.
 
 CSV files: the header line first, then one line per row, cells joined by ","
 and every line ended by "\n" (the last one too).  Floats are written as
 their shortest round-tripping `repr` ("nan" for a missing value, "-0.0",
 "5e-324"), so identical runs produce identical bytes and reading a cell back
-with `float` gives the same float.  Rows are formatted and written a chunk of
-CSV_CHUNK_ROWS at a time; the caller may hand them over as a generator.
-Reading skips blank and whitespace-only lines; `read_csv_lines` returns the
-remaining lines unsplit, `read_csv` every cell as a string, `read_csv_floats`
-a float array checked against the header.
+with `float` gives the same float.  `write_csv` takes a float array or an
+iterable of rows of mixed values; it formats CSV_CHUNK_ROWS rows at a time,
+one column at a time, so no Python code runs per float cell.  Reading skips
+blank and whitespace-only lines; `read_csv_lines` returns the remaining lines
+unsplit, `read_csv` every cell as a string, `read_csv_floats` a float array
+checked against the header and parsed by numpy's text reader.
 """
 
 from itertools import islice
@@ -25,8 +26,6 @@ CSV_CHUNK_ROWS = 4096
 
 
 def format_value(v):
-    if type(v) is float:            # trajectory cells: the common case first
-        return repr(v)
     if isinstance(v, (bool, np.bool_)):
         return "True" if v else "False"
     if isinstance(v, (int, np.integer)):
@@ -61,17 +60,33 @@ def load_matrix(path):
         raise ValueError(f"matrix file {path}: {exc}") from None
     if vals.size != rows * cols:
         raise ValueError(f"matrix file {path} truncated")
+    if len(tokens) - 2 > rows * cols:
+        raise ValueError(f"matrix file {path} has more than {rows} x {cols} entries")
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"matrix file {path} has non-finite entries")
     return vals.reshape(rows, cols)
 
 
-def write_csv(path, header, rows):
+def _formatted_columns(rows):
+    """The rows in chunks of at most CSV_CHUNK_ROWS, each chunk as a list of
+    columns of formatted cells."""
+    if isinstance(rows, np.ndarray):
+        for lo in range(0, len(rows), CSV_CHUNK_ROWS):
+            yield [list(map(float.__repr__, col))
+                   for col in rows[lo:lo + CSV_CHUNK_ROWS].T.tolist()]
+        return
     rows = iter(rows)
+    while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+        yield [list(map(format_value, col)) for col in zip(*chunk, strict=True)]
+
+
+def write_csv(path, header, rows):
+    """Write `header` and `rows`: a 2-D float array, or an iterable of
+    equally long rows of mixed values."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-            fh.write("".join([",".join(map(format_value, row)) + "\n" for row in chunk]))
+        for cols in _formatted_columns(rows):
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def read_csv_lines(path):
@@ -90,19 +105,22 @@ def read_csv(path):
 
 def read_csv_floats(path, columns):
     """The rows of a CSV whose header is exactly `columns`, as a float array
-    of shape (rows, len(columns)); every cell is parsed as `float` parses it."""
+    of shape (rows, len(columns)).  numpy's text reader parses the cells; a
+    cell is a number when it is an ASCII decimal, `inf` or `nan` literal as
+    `float` spells it, without underscores, with optional surrounding
+    whitespace."""
     lines = read_csv_lines(path)
     header = lines[0].split(",")
     if header != columns:
         raise MissingInput(f"{path} has unexpected columns {header}")
     body = lines[1:]
-    if not body:
+    if not body:                # checked here: numpy's reader warns on no data
         raise MissingInput(f"{path} has a header but no samples")
     malformed = f"{path} has rows that are not {len(columns)} numbers"
-    if any(ln.count(",") != len(columns) - 1 for ln in body):
-        raise MissingInput(malformed)
     try:
-        # one conversion of all cells; each line holds exactly len(columns) of them
-        return np.array(",".join(body).split(","), dtype=float).reshape(len(body), -1)
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         raise MissingInput(malformed) from None
+    if data.shape != (len(body), len(columns)):
+        raise MissingInput(malformed)
+    return data

@@ -1,15 +1,17 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from lyapcert.cli import main
+from lyapcert import io as lio
+from lyapcert.cli import TRAJECTORY_COLUMNS, main
 from lyapcert.config import parse_config, serialize
 from lyapcert.damping import DampingSpec
-from lyapcert.errors import ParseError, ValidationError
-from lyapcert.io import load_matrix, read_csv, save_matrix
+from lyapcert.errors import MissingInput, ParseError, ValidationError
+from lyapcert.io import load_matrix, read_csv, read_csv_floats, save_matrix, write_csv
 
 MINIMAL = """
 [system]
@@ -127,6 +129,33 @@ class TestMatrixFormat:
         first_line = path.read_text().splitlines()[0]
         assert first_line == "2 2"
         assert np.array_equal(load_matrix(path), M)
+
+
+class TestCsvWriter:
+    def test_mixed_rows_formatted_per_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["item", "margin", "pass", "n"],
+                  [("a", 0.1, True, 3), ("b", np.float64(-0.0), np.bool_(False), np.int64(7))])
+        assert path.read_bytes() == b"item,margin,pass,n\na,0.1,True,3\nb,-0.0,False,7\n"
+
+    def test_ragged_rows_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2), (3,)])
+
+    def test_trajectory_cells_not_formatted_one_by_one(self, tmp_path, monkeypatch):
+        # simulate hands write_csv a float array, formatted a column at a
+        # time; the small mixed tables still go through format_value
+        calls, format_value = [], lio.format_value
+
+        def counted(v):
+            calls.append(v)
+            return format_value(v)
+
+        monkeypatch.setattr(lio, "format_value", counted)
+        assert run(tmp_path, "simulate", SCALAR_SAT) == 0
+        assert calls == []
+        assert run(tmp_path, "fit-decay", SCALAR_SAT) == 0
+        assert len(calls) == 6                  # the one row of decay_fit.csv
 
 
 def run(tmp_path, sub, config_text, name="run.cfg", out=None, seed=0):
@@ -599,6 +628,53 @@ class TestMalformedInputs:
         assert run(tmp_path, "simulate", cfg) != 0
         assert last_line(capsys) == "ERROR ValueError: sigma failed"
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("name, content", [("A.mat", "2 2\n0 1\n-1 0\n7 8 9\n"),
+                                               ("z0.vec", "2 1\n2\n0\n1\n")])
+    def test_matrix_file_with_extra_entries(self, files, capsys, name, content):
+        (files / name).write_text(content)
+        assert run(files, "simulate", FILES_CFG) != 0
+        line = last_line(capsys)
+        assert line.startswith("ERROR ValueError:") and name in line and "more than" in line
+
+    def test_header_only_trajectory_warns_nothing(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        path.write_text(TRAJECTORY_HEADER + "\n \n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MissingInput, match="has a header but no samples$"):
+                read_csv_floats(path, TRAJECTORY_COLUMNS)
+
+    @pytest.mark.parametrize("cell, value", [(" 0.5 ", 0.5), ("\t+5E-1", 0.5), (".5", 0.5),
+                                             ("5.", 5.0), ("-INF", -np.inf), ("Infinity", np.inf),
+                                             ("-0", -0.0), ("1e309", np.inf)])
+    def test_trajectory_cell_spellings_read(self, tmp_path, cell, value):
+        body = TRAJECTORY_BODY[:5] + [f"2.5,0.5,{cell},0.25,0.0"] + TRAJECTORY_BODY[6:]
+        (tmp_path / "trajectory.csv").write_text(trajectory_text(body))
+        data = read_csv_floats(tmp_path / "trajectory.csv", TRAJECTORY_COLUMNS)
+        assert data.shape == (40, 5)
+        assert np.array_equal(data[5, 2:3].view(np.uint64), np.array([value]).view(np.uint64))
+
+    @pytest.mark.parametrize("width", [1, 4, 6])
+    def test_trajectory_rows_all_of_another_width(self, tmp_path, width):
+        body = [",".join(["0.5"] * width)] * 3
+        path = tmp_path / "trajectory.csv"
+        path.write_text(trajectory_text(body))
+        with pytest.raises(MissingInput) as exc:
+            read_csv_floats(path, TRAJECTORY_COLUMNS)
+        assert str(exc.value) == f"{path} has rows that are not 5 numbers"
+
+    # `float` accepts these cells; numpy's text reader, and so lyapcert,
+    # does not: underscores between digits, non-ASCII digits
+    @pytest.mark.parametrize("cell", ["0.5_0", "\u0660.5"])
+    def test_trajectory_cell_spellings_refused(self, tmp_path, cell):
+        assert float(cell) == 0.5
+        body = TRAJECTORY_BODY[:5] + [f"2.5,0.5,{cell},0.25,0.0"] + TRAJECTORY_BODY[6:]
+        path = tmp_path / "trajectory.csv"
+        path.write_bytes(trajectory_text(body).encode())
+        with pytest.raises(MissingInput) as exc:
+            read_csv_floats(path, TRAJECTORY_COLUMNS)
+        assert str(exc.value) == f"{path} has rows that are not 5 numbers"
 
 
 class TestDeterminism:

@@ -14,10 +14,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lyapcert.cli import TRAJECTORY_COLUMNS, _load_trajectory, _trajectory_rows, main
+from lyapcert.cli import TRAJECTORY_COLUMNS, _load_trajectory, _trajectory_table, main
 from lyapcert.config import ExperimentConfig, parse_config
 from lyapcert.errors import MissingInput, ParseError, ValidationError
-from lyapcert.io import CSV_CHUNK_ROWS, load_matrix, read_csv, write_csv
+from lyapcert.io import CSV_CHUNK_ROWS, load_matrix, read_csv, read_csv_floats, write_csv
 from lyapcert.sim import Trajectory
 
 def fuzz(max_examples):
@@ -149,14 +149,17 @@ def test_trajectory_csv_bytes_and_round_trip(cols):
     oracle = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*cols))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trajectory.csv")
-        write_csv(path, TRAJECTORY_COLUMNS, _trajectory_rows(traj))
+        write_csv(path, TRAJECTORY_COLUMNS, _trajectory_table(traj))
         with open(path, "rb") as fh:
             written = fh.read().decode()
+        data = read_csv_floats(path, TRAJECTORY_COLUMNS)
         # the unit-ball entry time that loading computes may overflow on
         # extreme times; only the columns are compared here
         with np.errstate(all="ignore"):
             loaded = _load_trajectory(tmp)
     assert written == ",".join(TRAJECTORY_COLUMNS) + "\n" + oracle
+    # every column bit for bit: nan and the sign of -0.0 included
+    assert np.array_equal(data.view(np.uint64), np.column_stack(cols).view(np.uint64))
     assert (loaded.V_values is None) == no_V
     for got, want in [(loaded.times, times), (loaded.norm_H, norm_H)] + (
             [] if no_V else [(loaded.V_values, V)]):
