@@ -14,36 +14,40 @@ forms for linear, clamp, tanh, weak damping and norm saturation with equal
 gains); otherwise it is one implicit-midpoint step, nonexpansive too, by
 vectorized Newton, which raises if it does not converge.
 
-At a fixed step one stacked product per step takes a block of states from
-b = a - J P (a = C z, J the impulse, P = sqrt(k) B^T) to the next states, a
-and s; step halving runs one state at a time with unfused stages.  After the
-loop one pass over the recorded norms aborts at the earliest step that grows
-beyond a tight tolerance.
+The loop runs in the energy coordinates y = z L (W = L L^T the energy weight),
+so ||z||_H = |y|, with the maps conjugated once per dt (C as L^{-1} C^T L); a
+trajectory forms its states z = y L^{-1} on first read.  At a fixed step one
+stacked product per step takes a block from b = a - J P (a = y C, J the
+impulse) to the next y, a and s = a T; step halving runs one state at a time
+with unfused stages.  After the loop one pass over the recorded norms aborts
+at the earliest step that grows beyond a tight tolerance.
 
 For linear and clamp damping, and norm saturation with equal gains (a clamp at
 s0 / sqrt(w) with one input; with more, only |s_j| <= s0 / sqrt(m w_j) counts
 as linear), the subflow is affine over a step in which each input component
 stays in one zone: linear, |s_j| <= s0, with J_j = gain_j s_j, or saturated,
 |s_j| >= s0 (1 + g_j dt), with J_j = s0 dt sign(s_j).  For a zone pattern p in
-{-1, 0, +1}^m the step is linear in (z, 1) (Van Loan, IEEE TAC 23, 1978), and
-an affine pass forms its steps by products with the squarings K, K^2, K^4, ...
-of the augmented step (q products for 2^q steps), tests every step's input with
-one product and accepts the prefix that keeps p; under a saturating rule each
-row of a block runs alone.  Passes are run-sized: the most steps one takes is
-CHECK_EVERY at first, doubles up to MAX_PASS after a pass that accepts every
-step it formed, and falls back to CHECK_EVERY after one that stops early.  A
-step that crosses a zone is a per-step step, and so is every step up to the
-next multiple of CHECK_EVERY after a pass that stops within CHECK_EVERY // 8.
-Under step halving a trial is affine when its coarse step and both half-steps
-keep p: the fine step is F = M_p(dt/2)^2 and the error ||(z, 1) E||_H / 3,
-E = M_p(dt) - F.  A pass accepts the prefix the per-step rule accepts before
-it changes dt: up to the first trial that leaves p or is rejected, or up to
-and including the first with error <= tol/8 while dt is below the configured
-dt; the times stay the running sums t + dt.
+{-1, 0, +1}^m the step is linear in (y, 1) (Van Loan, IEEE TAC 23, 1978), and
+an affine pass forms its steps in the record itself by products with the
+squarings K, K^2, K^4, ... of the augmented step (q products for 2^q steps),
+tests every step's input with one product (none under linear damping) and
+accepts the prefix that keeps p; under a saturating rule each row of a block
+runs alone.  Passes are run-sized: the most steps one takes is CHECK_EVERY at
+first, doubles up to MAX_PASS after a pass that accepts every step it formed,
+and falls back to CHECK_EVERY after one that stops early.  A step that crosses
+a zone is a per-step step, and so is every step up to the next multiple of
+CHECK_EVERY after a pass that stops within CHECK_EVERY // 8.  Under step
+halving a trial is affine when its coarse step and both half-steps keep p: the
+fine step is F = M_p(dt/2)^2 and the error |(y, 1) E| / 3, E = M_p(dt) - F.
+A pass accepts the prefix the per-step rule accepts before it changes dt: up
+to the first trial that leaves p or is rejected, or up to and including the
+first with error <= tol/8 while dt is below the configured dt; the times stay
+the running sums t + dt.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -55,8 +59,11 @@ MAX_HALVINGS = 45
 NEWTON_MAXITER = 50
 NEWTON_RTOL = 1e-13     # Newton stops when every update is this small relative to its row
 CHECK_EVERY = 64        # the most steps a pass takes after one that stops early
-MAX_PASS = 512          # the most steps any affine pass takes; bounds the pass buffers
+MAX_PASS = 512          # the most steps any affine pass takes; bounds its probe product
 TINY = np.finfo(float).tiny  # floor of the norm the saturation impulse divides by
+
+# one step's maps: stacked = [C | C^2 T | C^2] takes b to the next y, s and a, first y to s and a
+_Maps = namedtuple("_Maps", "C C2 impulse stacked first CT PC")
 
 
 @dataclass(frozen=True)
@@ -75,12 +82,13 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """A recorded run.  Where not given, norm_DA and damping_power are computed
-    from the states on first read by the `derive(traj, name)` that integrate
-    attaches, and kept; an error of `DampingSpec.apply` surfaces at that read."""
+    """A recorded run.  Where not given, the (len(times), n) states, norm_DA and
+    damping_power are computed on first read by the `derive(traj, name)` that
+    integrate attaches, from the energy coordinates y = z L it records, and
+    kept; an error of `DampingSpec.apply` surfaces at the damping_power read."""
     times: np.ndarray
-    states: np.ndarray                       # shape (len(times), n)
     norm_H: np.ndarray
+    states: np.ndarray = cached_property(lambda traj: traj.derive(traj, "states"))
     norm_DA: np.ndarray = cached_property(lambda traj: traj.derive(traj, "norm_DA"))
     damping_power: np.ndarray = cached_property(lambda traj: traj.derive(traj, "damping_power"))
     V_values: np.ndarray = None
@@ -92,7 +100,7 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         if not np.all(np.diff(self.times) > 0):         # NaN fails too
             raise ValueError("times must be strictly increasing")
-        for name in ("norm_DA", "damping_power"):
+        for name in ("states", "norm_DA", "damping_power"):
             if self.__dict__[name] is vars(Trajectory)[name]:   # not given: read derives it
                 del self.__dict__[name]
 
@@ -117,8 +125,8 @@ def smooth_initial_state(system, z0, eps=1e-3):
 
 def integrate(system, damping, z0, config, cert=None):
     """Run the closed loop from the state z0, recording the energy norm and V;
-    the graph norm and the damping power of the recorded states are computed
-    on first read, where an error of `DampingSpec.apply` surfaces (Trajectory).
+    the states, their graph norm and their damping power are computed on first
+    read (Trajectory), so a caller that reads only the norms never forms them.
 
     Step-halving error control compares one dt step against two dt/2 steps
     (Richardson, second order) and accepts the finer result; dt never grows
@@ -156,81 +164,80 @@ def _integrate(system, damping, Z0, config, cert):
         raise ValueError("initial state must be finite")
     steps = _Steps(system, damping)
     if config.error_control == "none":
-        blocks = [_fixed_step(steps, Z0, config)]
+        blocks = [_fixed_step(steps, Z0 @ steps.chol, config)]
     else:
-        blocks = [_step_halving(steps, z, config) for z in Z0]
+        blocks = [_step_halving(steps, y0, config) for y0 in Z0 @ steps.chol]
+    to_z, T, AL, w = steps.to_z, steps.T, steps.AL, system.U_weights
 
-    to_control, AL, w = steps.to_control, steps.AL, system.U_weights
-
-    def power(Z):
-        S = Z @ to_control.T
+    def power(Y):
+        S = Y @ T
         return np.sum(w * damping.apply(S, w) * S, axis=1)
 
-    def derive(traj, name):                 # Trajectory.norm_DA and .damping_power
+    def derive(Y, traj, name):              # Trajectory.states, .norm_DA and .damping_power
+        if name == "states":
+            return Y @ to_z
         if name == "norm_DA":
-            return traj.norm_H + _by_chunks(lambda Z: _row_norms(Z @ AL), traj.states)
-        return _by_chunks(power, traj.states)
+            return traj.norm_H + _by_chunks(lambda X: _row_norms(X @ AL), Y)
+        return _by_chunks(power, Y)
 
     trajs = []
     for times, block, row_stats in blocks:
-        # block: (rows, steps + 1, n + 1), columns energy norm, state
-        growth = _check_growth(block[:, :, 0], times)
-        for rec, stats, max_growth in zip(block, row_stats, growth):
-            states = rec[:, 1:]
-            traj = Trajectory(times=times, states=states, norm_H=rec[:, 0],
+        norms = np.array([_row_norms(Y) for Y in block])    # block: (rows, steps + 1, n) of y
+        growth = _check_growth(norms, times)
+        for Y, norm_H, stats, max_growth in zip(block, norms, row_stats, growth):
+            traj = Trajectory(times=times, norm_H=norm_H,
                               V_values=None if cert is None else
-                              _by_chunks(lambda Z: eval_V(cert, Z), states),
+                              _by_chunks(lambda X: eval_V(cert, X @ to_z), Y),
                               stats={**stats, "rows": len(Z0), "distinct_dt": len(steps.cache),
                                      "max_growth": float(max_growth), "growth_tol": GROWTH_TOL})
-            traj.t_star, traj.derive = detect_unit_ball_entry(traj), derive
+            traj.t_star, traj.derive = detect_unit_ball_entry(traj), partial(derive, Y)
             trajs.append(traj)
     return trajs
 
 
 class _Steps:
-    """The maps one step needs, per distinct dt: the Cayley half-step C, its
-    square and the damping impulse.  Rows are states, so maps act from the
-    right: z -> z @ C.T."""
+    """The maps one step needs in the energy coordinates y = z L (z = y to_z):
+    the input map T (s = y T), the impulse map P (y -> y - J P) and, per distinct
+    dt, the conjugated Cayley half-step C, its square, the damping impulse and the
+    per-step loop's stacked maps.  Rows are states, so maps act from the right."""
 
     def __init__(self, system, damping):
-        self.A = system.A
-        self.to_control = np.sqrt(system.k) * system.Bstar       # T: z -> s = T z
-        self.from_control = (np.sqrt(system.k) * system.B).T     # P: impulse -> z
-        self.chol = system.H_ip.factor                           # ||z||_H = |z @ L|
-        self.AL = self.A.T @ self.chol                           # ||A z||_H = |z @ A^T L|
+        L = self.chol = system.H_ip.factor
+        self.A, self.to_z = system.A, sla.solve_triangular(L, np.eye(len(L)), lower=True)
+        self.T = np.sqrt(system.k) * L.T @ system.B / system.U_weights  # L^{-1} sqrt(k) B*^T
+        self.P = np.sqrt(system.k) * system.B.T @ L
+        self.AL = self.conjugate(self.A.T)                       # ||A z||_H = |y AL|
         self.subflow, self.zoned = _subflow(system, damping)
-        self.cache = {}                                          # dt -> (C, C^2, impulse)
+        self.cache = {}                                          # dt -> _Maps
         self.last_pass = (None, None)                            # (key, pass_maps(*key))
 
+    def conjugate(self, M):
+        """L^{-1} M L, the map y -> y L^{-1} M L of the map z -> z M."""
+        return sla.solve_triangular(self.chol, M @ self.chol, lower=True)
+
     def __call__(self, dt):
+        """The _Maps of a step of length dt, made once per dt."""
         if dt not in self.cache:
             eye = np.eye(len(self.A))
             lu = sla.lu_factor(eye - 0.25 * dt * self.A)
-            C = sla.lu_solve(lu, eye + 0.25 * dt * self.A)
-            self.cache[dt] = (C, C @ C, self.subflow(dt))
+            C = self.conjugate(sla.lu_solve(lu, eye + 0.25 * dt * self.A).T)
+            C2, CT = C @ C, C @ self.T
+            self.cache[dt] = _Maps(C, C2, self.subflow(dt), np.hstack([C, C2 @ self.T, C2]),
+                                   np.hstack([CT, C]), CT, self.P @ C)
         return self.cache[dt]
 
-    def step(self, Z, dt):
-        """One unfused Strang step of the rows Z."""
-        C, _, impulse = self(dt)
-        a = Z @ C.T
-        return (a - impulse(a @ self.to_control.T) @ self.from_control) @ C.T
+    def step(self, Y, dt):
+        """One unfused Strang step of the rows Y."""
+        C, _, impulse = self(dt)[:3]
+        a = Y @ C
+        return (a - impulse(a @ self.T) @ self.P) @ C
 
-    def two_steps(self, Z, dt):
+    def two_steps(self, Y, dt):
         """Two Strang steps of length dt/2, the inner half-steps merged into C^2."""
-        C, C2, impulse = self(0.5 * dt)
-        T, P = self.to_control.T, self.from_control
-        a = Z @ C.T
-        a = (a - impulse(a @ T) @ P) @ C2.T
-        return (a - impulse(a @ T) @ P) @ C.T
-
-    def norms(self, Z):
-        return _row_norms(Z @ self.chol)
-
-    def stacked(self, dt):
-        """[C^T | (C^2)^T T | (C^2)^T]: b -> the next state, its s and its a."""
-        C, C2, _ = self(dt)
-        return np.hstack([C.T, C2.T @ self.to_control.T, C2.T])
+        C, C2, impulse = self(0.5 * dt)[:3]
+        a = Y @ C
+        a = (a - impulse(a @ self.T) @ self.P) @ C2
+        return (a - impulse(a @ self.T) @ self.P) @ C
 
     def zones(self, s, dt):
         """The zone of each input component over a step of length dt: 0
@@ -249,66 +256,61 @@ class _Steps:
         return (np.where(p == 0, -level, np.where(p > 0, sat, -np.inf)),
                 np.where(p == 0, level, np.where(p < 0, -sat, np.inf)))
 
-    def affine(self, dt, p, M, MT, after=None):
-        """(b, 1) -> ((b M - J P) after, 1) with J = (b MT) lin + push, the
-        impulse in the zones p, as an augmented map acting from the right."""
+    def affine(self, dt, p):
+        """The Strang step of length dt in the zones p as an augmented map
+        acting from the right: (y, 1) -> ((a - J P) C, 1), a = y C, with the
+        impulse J = (a T) lin + push.  C^2 enters as the per-step loop's, so
+        the two paths' maps round alike and their states do not drift apart."""
         level, _, gain = self.zoned
-        K = np.eye(len(M) + 1)
-        K[:-1, :-1] = M - (MT * np.where(p == 0, gain(dt), 0.0)) @ self.from_control
-        K[-1, :-1] = -(np.where(p == 0, 0.0, level) * (p * dt)) @ self.from_control
-        if after is not None:
-            K[:, :-1] = K[:, :-1] @ after
+        maps = self(dt)
+        J = np.vstack([maps.CT * np.where(p == 0, gain(dt), 0.0),        # lin; push
+                       np.where(p == 0, 0.0, level) * (p * dt)])
+        K = np.eye(len(J))
+        K[:-1, :-1] = maps.C2
+        K[:, :-1] -= J @ maps.PC
         return K
 
     def pass_maps(self, dt, p, trial):
         """The squarings of K so far, the probe and the box of an affine pass,
-        kept for the last (dt, p, trial).  At a fixed step K advances b and the
-        probe gives the next state and s; under step halving K = F advances z
-        and the probe gives z L, the three inputs of a trial and E L."""
+        kept for the last (dt, p, trial).  At a fixed step K is the step and the
+        probe gives a state's input; under step halving K = F and the probe
+        gives the three inputs of a trial and (y, 1) E."""
         if self.last_pass[0] != (dt, p.tobytes(), trial):
-            n, m, T, L = len(self.A), len(p), self.to_control.T, self.chol
-            box = self.box(dt, p)
+            m, box = len(p), self.box(dt, p)
+            K, probe = self.affine(dt, p), self(dt).CT
             if trial:
-                CT, HT = self(dt)[0].T, self(0.5 * dt)[0].T
-                half = self.affine(0.5 * dt, p, HT, HT @ T, HT)
-                K = half @ half
-                probe = np.vstack([np.hstack([L, CT @ T, HT @ T]), np.zeros(n + 2 * m)])
-                probe = np.hstack([probe, half[:, :n] @ HT @ T,
-                                   (self.affine(dt, p, CT, CT @ T, CT) - K)[:, :n] @ L])
+                HT, half = self(0.5 * dt).CT, self.affine(0.5 * dt, p)
+                F = half @ half
+                probe = np.vstack([np.hstack([probe, HT]), np.zeros(2 * m)])
+                K, probe = F, np.hstack([probe, half[:, :-1] @ HT, (K - F)[:, :-1]])
                 if box is not None:                 # the coarse step and both half-steps
                     box = tuple(np.r_[c, h, h] for c, h in zip(box, self.box(0.5 * dt, p)))
-            else:
-                stacked = self.stacked(dt)
-                K = self.affine(dt, p, stacked[:, -n:], stacked[:, n:n + m])
-                probe = np.ascontiguousarray(stacked[:, :n if box is None else n + m])
             self.last_pass = (dt, p.tobytes(), trial), ([K], probe, box)
         return self.last_pass[1]
 
 
-def _affine_pass(steps, X, dt, p, count, trial=False):
-    """The candidates Z[i b + r] = (X[r], 1) K^i, i < count, of an affine pass
-    from the b rows X, by Z[s b:2 s b] = Z[:s b] @ K^s for s = 1, 2, 4, ...
-    (`_Steps.pass_maps`), with Z @ probe and the box."""
+def _affine_pass(steps, Z, dt, p, trial=False):
+    """Fill the candidates Z[:, i] = Z[:, 0] K^i of an affine pass in the
+    (rows, count, n + 1) block Z, whose last column is 1, by Z[:, s:2 s] =
+    Z[:, :s] @ K^s, s = 1, 2, 4, ... (`_Steps.pass_maps`); the probe and the box."""
     powers, probe, box = steps.pass_maps(dt, p, trial)
-    b, n = X.shape
-    Z = np.empty((count * b, n + 1))
-    Z[:b, :n], Z[:b, n] = X, 1.0
+    count = Z.shape[1]
     for i in range((count - 1).bit_length()):
         if i == len(powers):
             powers.append(powers[-1] @ powers[-1])
         s, hi = 2 ** i, min(2 ** (i + 1), count)
-        Z[s * b:hi * b] = Z[:(hi - s) * b] @ powers[i]
-    return Z, Z[:, :len(probe)] @ probe, box
+        np.matmul(Z[:, :hi - s], powers[i], out=Z[:, s:hi])
+    return probe, box
 
 
 def _inside(S, box):
-    """Whether each row of the inputs S lies in the box (lo, hi)."""
+    """Whether each input (the last axis of S) lies in the box (lo, hi)."""
     if box is None:
-        return np.ones(len(S), dtype=bool)
-    return np.all((S >= box[0]) & (S <= box[1]), axis=1)
+        return np.ones(S.shape[:-1], dtype=bool)
+    return np.all((S >= box[0]) & (S <= box[1]), axis=-1)
 
 
-def _fixed_step(steps, Z0, config):
+def _fixed_step(steps, Y0, config):
     """All rows at the configured dt; the last step is shortened to end at t_end."""
     dt, t_end = config.dt, config.t_end
     count = max(1, int(np.ceil(t_end / dt * (1.0 - 1e-12))))
@@ -317,49 +319,47 @@ def _fixed_step(steps, Z0, config):
     times = np.arange(count + 1) * dt
     times[-1] = t_end
 
-    b, n = Z0.shape
-    rec = np.empty((b, count + 1, n + 1))
-    rec[:, 0, 1:] = Z0
+    b, n = Y0.shape
+    rec = np.empty((b, count + 1, n + 1))                    # y and a constant 1
+    rec[:, 0, :n], rec[:, :, n] = Y0, 1.0
     # the rows of a block share each pass, so under a saturating rule each runs alone
     alone = steps.zoned is not None and np.isfinite(steps.zoned[0]).any()
     affine = np.zeros((b, 2), dtype=int)                     # affine steps and passes
     for r in [slice(i, i + 1) for i in range(b)] if alone else [slice(None)]:
         affine[r] = _advance(steps, rec[r, :fused + 1], dt) if fused else 0
     if fused < count:
-        rec[:, count, 1:] = steps.step(rec[:, fused, 1:], last)
-    for row in rec:
-        row[:, 0] = _by_chunks(steps.norms, row[:, 1:])
-    return times, rec, [{"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0,
-                         "affine_steps": int(a), "per_step_steps": count - int(a),
-                         "affine_passes": int(passes)} for a, passes in affine]
+        rec[:, count, :n] = steps.step(rec[:, fused, :n], last)
+    return times, rec[..., :n], [
+        {"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0, "affine_steps": int(a),
+         "per_step_steps": count - int(a), "affine_passes": int(passes)} for a, passes in affine]
 
 
 def _advance(steps, rec, dt):
     """Fill the states of the (rows, 1 + steps, n + 1) record from its first
-    column by steps of dt from b = a - J P, the exact impulse J; a pass goes
-    on by powers of K.  Returns the steps that affine passes took and the passes."""
-    impulse, stacked = steps(dt)[2], steps.stacked(dt)
-    rows, n, m = len(rec), rec.shape[2] - 1, len(steps.to_control)
+    column by steps of dt.  A pass writes its candidate states into the
+    record, and the per-step loop overwrites those it did not accept.
+    Returns the steps that affine passes took and the passes."""
+    _, _, impulse, stacked, first = steps(dt)[:5]
+    last, n, m = rec.shape[1] - 1, rec.shape[2] - 1, steps.T.shape[1]
     k, affine, passes, limit = 0, 0, 0, CHECK_EVERY
-    resume = 0 if steps.zoned is not None else rec.shape[1]
-    a = rec[:, 0, 1:] @ stacked[:, :n]
-    sa = np.hstack([a @ steps.to_control.T, a])
-    while k < rec.shape[1] - 1:
-        b = sa[:, m:] - impulse(sa[:, :m]) @ steps.from_control
+    resume = 0 if steps.zoned is not None else last
+    sa = rec[:, 0, :n] @ first
+    while k < last:
         p = steps.zones(sa[:, :m], dt) if k >= resume else None
         if p is not None and p.max() < 2 and np.all(p == p[0]):
-            j = min(limit, rec.shape[1] - 1 - k)
-            Z, out, box = _affine_pass(steps, b, dt, p[0], j)
-            i = 1 + _leading(_inside(out[:-rows, n:], box).reshape(j - 1, rows).all(axis=1))
-            out, sa = out[:i * rows], Z[(i - 1) * rows:i * rows, :n] @ stacked[:, n:]
+            j = min(limit, last - k)
+            probe, box = _affine_pass(steps, rec[:, k:k + j + 1], dt, p[0])
+            # step k keeps p; steps k + 1 ... k + j - 1 keep it while their inputs are in the box
+            i = j if box is None else 1 + _leading(
+                _inside(rec[:, k + 1:k + j, :n] @ probe, box).all(axis=0))
+            sa = rec[:, k + i, :n] @ first
             affine, passes, limit = affine + i, passes + 1, _next_limit(limit, i, j)
             if i < min(j, CHECK_EVERY // 8):        # little before the zones changed:
                 # where they change every few dozen steps (wave64) per-step steps cost less
                 resume = ((k + i) // CHECK_EVERY + 1) * CHECK_EVERY
         else:
-            out, i = b @ stacked, 1
-            sa = out[:, n:]
-        rec[:, k + 1:k + i + 1, 1:] = out[:, :n].reshape(i, rows, n).transpose(1, 0, 2)
+            out, i = (sa[:, m:] - impulse(sa[:, :m]) @ steps.P) @ stacked, 1
+            rec[:, k + 1, :n], sa = out[:, :n], out[:, n:]
         k += i
     return affine, passes
 
@@ -381,26 +381,26 @@ def _check_growth(norms, times):
     return growth.max(axis=1, initial=0.0)
 
 
-def _step_halving(steps, z0, config):
+def _step_halving(steps, y0, config):
     """One row under Richardson step-halving error control, as a block of one.
     Where the damping has zones, `_affine_trials` takes the accepted steps at
     the current dt in passes of run-sized length (module docstring)."""
     t_end = config.t_end
-    z, t = z0[None], 0.0
-    norm = norm0 = steps.norms(z)[0]
-    times, norms, states = [t], [norm], [z0]
+    y, t = y0[None], 0.0
+    norm = norm0 = _row_norms(y)[0]
+    times, states = [t], [y0]
     dt = min(config.dt, t_end)
     rejected, most_halvings, affine, passes, limit = 0, 0, 0, 0, CHECK_EVERY
     while t < t_end - 1e-12 * t_end:
         dt = min(dt, t_end - t)
-        ts, ns, Z, grow, j = _affine_trials(steps, z, t, dt, norm, norm0, config, limit)
+        ts, ns, Y, grow, j = _affine_trials(steps, y, t, dt, norm, norm0, config, limit)
         affine, passes = affine + len(ts), passes + (j > 0)
         limit = _next_limit(limit, len(ts), j) if j else limit
         if not len(ts):                             # one step by the per-step trial
             halvings = 0
             while True:
-                Z = steps.two_steps(z, dt)
-                err = steps.norms(steps.step(z, dt) - Z)[0] / 3.0
+                Y = steps.two_steps(y, dt)
+                err = _row_norms(steps.step(y, dt) - Y)[0] / 3.0
                 tol = config.local_error_target * max(norm, 1e-9 * norm0)
                 if err <= tol:
                     break
@@ -411,23 +411,20 @@ def _step_halving(steps, z0, config):
                         f"local error {err:.3e} above target after {halvings} halvings")
             rejected += halvings
             most_halvings = max(most_halvings, halvings)
-            ts, ns, grow = [t + dt], steps.norms(Z), err <= 0.125 * tol
+            ts, ns, grow = [t + dt], _row_norms(Y), err <= 0.125 * tol
         times.extend(ts)
-        norms.extend(ns)
-        states.extend(Z)
-        t, z, norm = float(ts[-1]), Z[-1:], float(ns[-1])
+        states.extend(Y)
+        t, y, norm = float(ts[-1]), Y[-1:], float(ns[-1])
         if grow:
             dt = min(2.0 * dt, config.dt)
-    rec = np.empty((1, len(times), len(z0) + 1))    # ||z||_H, z
-    rec[0, :, 0], rec[0, :, 1:] = norms, states
     stats = {"accepted_steps": len(times) - 1, "rejected_trials": rejected,
              "max_halvings": most_halvings, "affine_steps": affine,
              "per_step_steps": len(times) - 1 - affine, "affine_passes": passes}
-    return np.array(times), rec, [stats]
+    return np.array(times), np.array(states)[None], [stats]
 
 
-def _affine_trials(steps, z, t, dt, norm, norm0, config, limit):
-    """(times, norms, states, grow, j) of the steps at dt from z (norm
+def _affine_trials(steps, y, t, dt, norm, norm0, config, limit):
+    """(times, norms, states, grow, j) of the steps at dt from y (norm
     ||z||_H, time t) that the per-step rule accepts, of the j <= limit trials
     of one pass (j = 0: no pass), before it changes dt or shortens a step,
     while the trials keep the first one's zones: up to the first trial that
@@ -438,16 +435,19 @@ def _affine_trials(steps, z, t, dt, norm, norm0, config, limit):
     t_end = config.t_end
     ts = np.cumsum(np.concatenate([[t], np.full(limit, dt)]))   # t + dt + dt ...
     full = (ts < t_end - 1e-12 * t_end) & ~(t_end - ts < dt)
-    j = _leading(full[:limit])                      # full steps from z
-    p = steps.zones(z[0] @ steps(dt)[0].T @ steps.to_control.T, dt)
+    j = _leading(full[:limit])                      # full steps from y
+    n, m = y.shape[1], steps.T.shape[1]
+    p = steps.zones(y[0] @ steps(dt).CT, dt)
     if j == 0 or p.max() > 1:                       # no full step, or the coarse one crosses
         return (), (), (), False, 0
-    Z, Y, box = _affine_pass(steps, z, dt, p, j + 1, trial=True)
-    n, m = z.shape[1], len(p)
-    ns = _row_norms(Y[:, :n])
-    ns[0] = norm                                    # z's recorded norm sets its tolerance
-    keep = _inside(Y[:j, n:n + 3 * m], box)         # the coarse and both half-steps
-    err = _row_norms(Y[:j, n + 3 * m:]) / 3.0
+    Z = np.ones((j + 1, n + 1))
+    Z[0, :n] = y[0]
+    probe, box = _affine_pass(steps, Z[None], dt, p, trial=True)
+    ns = _row_norms(Z[:, :n])
+    ns[0] = norm                                    # y's recorded norm sets its tolerance
+    X = Z[:j] @ probe
+    keep = _inside(X[:, :3 * m], box)               # the coarse and both half-steps
+    err = _row_norms(X[:, 3 * m:]) / 3.0
     tol = config.local_error_target * np.maximum(ns[:j], 1e-9 * norm0)
     k = _leading(keep & (err <= tol))               # up to the first rejection
     small = err[:k] <= 0.125 * tol[:k]

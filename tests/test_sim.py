@@ -317,6 +317,22 @@ class TestAgainstReference:
         self.assert_matches(traj, reference_integrate(kdv64, clamp1, z0, config, cert),
                             with_V=True)
 
+    def test_wave_clamp_fixed_step(self, clamp1):
+        # the energy weight couples the displacements through the stiffness
+        # matrix, so its Cholesky factor is not diagonal
+        system = models.discretize_wave(32, lambda x: 1.0 if 0.25 <= x <= 0.75 else 0.0)
+        L = system.H_ip.factor
+        assert np.any(L - np.diag(np.diag(L)))
+        x = np.arange(1, 33) / 33
+        z = np.concatenate([np.sin(np.pi * x), np.zeros(32)])
+        z0 = 5.0 * z / system.norm_DA(z)
+        cert = lyapunov.build_semiglobal_certificate(
+            system, clamp1, 5.0, c_S=models.estimate_cS(system))
+        config = sim.IntegratorConfig(dt=1e-3, t_end=1.0, error_control="none")
+        traj = sim.integrate(system, clamp1, z0, config, cert=cert)
+        self.assert_matches(traj, reference_integrate(system, clamp1, z0, config, cert),
+                            with_V=True)
+
     def test_oscillator_step_halving(self, oscillator):
         sat = damping.norm_saturation(1.0)
         cert = lyapunov.build_exp_certificate(oscillator, sat)
@@ -527,6 +543,22 @@ class TestBatch:
             np.testing.assert_allclose(traj.damping_power, power, rtol=1e-12,
                                        atol=1e-12 * power.max())
             assert traj.damping_power is traj.damping_power     # kept after the first read
+
+    def test_sweep_block_leaves_states_unformed(self, kdv64, clamp1):
+        # the sweep reads only times and norm_H: the states are never formed,
+        # and a later read gives states whose energy norm is the recorded one
+        zhat = models.leading_eigvec(kdv64.closed_loop())
+        zhat /= kdv64.norm_DA(zhat)
+        config = sim.IntegratorConfig(dt=2e-3, t_end=16.0, error_control="none")
+        block = sim.integrate_batch(kdv64, clamp1, np.outer([1.0, 5.0, 25.0], zhat), config)
+        for traj in block:
+            assert traj.times[-1] == 16.0 and traj.norm_H[-1] < traj.norm_H[0]
+            assert "states" not in vars(traj)
+        for traj in block:
+            states = traj.states
+            assert states.shape == (len(traj.times), kdv64.n)
+            np.testing.assert_allclose(kdv64.norm_H(states), traj.norm_H, rtol=1e-13, atol=0)
+            assert traj.states is states                        # kept after the first read
 
     def test_step_halving_block_runs_rows_alone(self, oscillator):
         sat = damping.norm_saturation(1.0)
