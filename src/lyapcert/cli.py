@@ -163,7 +163,11 @@ def cmd_simulate(cfg, out_dir, seed):
     z0 = initial_state(cfg, system)
     cert = None
     if cfg.get("analysis", "certificate") is not None:
-        cert = build_certificate(cfg, system, damping, seed=seed)
+        try:                                # certify's certificate of this config, if whole
+            cert = load_certificate(out_dir, cfg, system, damping)
+        except StaleCertificate:
+            pass
+        cert = cert or build_certificate(cfg, system, damping, seed=seed)
     traj = sim.integrate(system, damping, z0, integrator_config(cfg), cert=cert)
     write_csv(os.path.join(out_dir, "trajectory.csv"), TRAJECTORY_COLUMNS,
               _trajectory_table(traj))
@@ -252,25 +256,46 @@ def cmd_sweep(cfg, out_dir, seed):
     return ["sweep.csv"]
 
 
-def _load_exported_certificate(out_dir):
-    """Minimal certificate view from an exported certificate.txt, if present."""
+def load_certificate(out_dir, cfg, system=None, damping=None):
+    """The certificate that certify exported to out_dir, or None where there is
+    no certificate.txt.  Raises StaleCertificate where it records the
+    config_hash of another config than cfg.  Given the config's system and
+    damping it is whole, P read from certificate_P.mat, and None where that
+    file is missing or no config_hash was recorded; otherwise it carries the
+    scalars only (P and G are None)."""
     path = os.path.join(out_dir, "certificate.txt")
     if not os.path.exists(path):
         return None
-    scalars, recorded = {}, None
+    fields, flags, recorded = {}, [], None
     with open(path) as fh:
         for line in fh:
-            key, _, val = line.partition(" = ")
-            if key.strip() == "config_hash":
-                recorded = val.strip()
-            try:
-                scalars[key.strip()] = float(val)
-            except ValueError:
-                continue
-    if "C" not in scalars:
-        raise MissingInput(f"{path} has no 'C' entry")
-    from types import SimpleNamespace
-    return SimpleNamespace(C=scalars["C"], r=scalars.get("r"), config_hash=recorded)
+            key, _, val = (part.strip() for part in line.partition(" = "))
+            if key == "kind":
+                fields["kind"] = val.strip("'")     # export_text writes the repr
+            elif key == "flag":
+                flags.append(val)
+            elif key == "config_hash":
+                recorded = val
+            elif key in lyapunov.SCALARS:
+                try:
+                    fields[key] = float(val)
+                except ValueError:
+                    continue
+    if recorded not in (None, config_hash(cfg)):
+        raise StaleCertificate(f"{path} was certified for config {recorded}, not this "
+                               f"config ({config_hash(cfg)}); run certify again")
+    mat = os.path.join(out_dir, "certificate_P.mat")
+    if system is not None and (recorded is None or not os.path.exists(mat)):
+        return None
+    for key in ("kind",) + lyapunov.SCALARS[:5]:
+        if key not in fields:
+            raise MissingInput(f"{path} has no {key!r} entry")
+    P = G = None
+    if system is not None:
+        P = load_matrix(mat)
+        G = system.H_ip.weight @ P
+    return lyapunov.LyapunovCertificate(P=P, G=G, damping_ref=damping, system=system,
+                                        flags=tuple(flags), **fields)
 
 
 def cmd_verify(cfg, out_dir, seed):
@@ -278,11 +303,7 @@ def cmd_verify(cfg, out_dir, seed):
     if traj.V_values is None:
         raise MissingInput("trajectory.csv has no V column values; "
                            "simulate with a certificate configured")
-    cert = _load_exported_certificate(out_dir)
-    if cert is not None and cert.config_hash not in (None, config_hash(cfg)):
-        raise StaleCertificate(
-            f"{os.path.join(out_dir, 'certificate.txt')} was certified for config "
-            f"{cert.config_hash}, not this config ({config_hash(cfg)}); run certify again")
+    cert = load_certificate(out_dir, cfg)
     if cert is None:
         system = build_system(cfg)
         damping = build_damping(cfg)

@@ -13,6 +13,7 @@ inverse-sqrt decay of the state norm on such balls.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,6 +27,9 @@ KINDS = ("global_exp_SU", "semiglobal_exp_SneqU", "semiglobal_poly", "finite_dim
 GRAMIAN_SHIFT = 0.1                               # coercivity shift of the poly form
 CALIBRATION_T_GRID = np.linspace(0.0, 100.0, 41)  # times at which C_theta is calibrated
 CALIBRATION_PROBES = 32                           # random probe states
+# the scalars of a certificate, which export_text writes; the first five in every kind
+SCALARS = ("C", "alpha", "M", "B_norm", "P_norm_H", "P_norm_DA", "mu", "r", "c_S",
+           "C_theta", "gamma")
 
 
 @dataclass(frozen=True)
@@ -54,14 +58,18 @@ class LyapunovCertificate:
         q = np.einsum("...i,...i->...", z @ self.G, z)
         return float(q) if q.ndim == 0 else q
 
+    @cached_property
+    def energy_form(self):
+        """L^T P L^{-T} = L^{-1} G L^{-T} (W = L L^T): <Pz, z>_H in the energy
+        coordinates y = z L, by a triangular solve (how a conjugated map is built
+        decides its drift).  From P, which certificate_P.mat holds exactly, so a
+        certificate read back evaluates as the one built."""
+        L = self.system.H_ip.factor
+        return sla.solve_triangular(L, self.P.T @ L, lower=True).T
+
     def scalars(self):
-        out = {"kind": self.kind, "C": self.C, "alpha": self.alpha, "M": self.M,
-               "B_norm": self.B_norm, "P_norm_H": self.P_norm_H}
-        for name in ("P_norm_DA", "mu", "r", "c_S", "C_theta", "gamma"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+        values = {"kind": self.kind, **{name: getattr(self, name) for name in SCALARS}}
+        return {name: v for name, v in values.items() if v is not None}
 
 
 def _norms_and_form(system, gain):
@@ -211,14 +219,18 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
                                C_theta=C_theta, gamma=gamma, flags=flags)
 
 
-def eval_V(cert, z):
-    """Value of the certificate functional at state z (along the last axis)."""
-    z = np.asarray(z, dtype=float)
-    quad = cert.quad_form(z)
-    nH = cert.system.norm_H(z)
+def eval_V(cert, z=None, y=None, norm_H=None):
+    """Value of the certificate functional along the last axis: at the state z,
+    or at the energy coordinates y = z L of a recorded run and their norms
+    norm_H = |y| = ||z||_H, through `energy_form`, without forming z."""
+    if y is None:
+        z = np.asarray(z, dtype=float)
+        quad, norm_H = cert.quad_form(z), cert.system.norm_H(z)
+    else:
+        quad = np.einsum("...i,...i->...", y @ cert.energy_form, y)
     if cert.kind in ("global_exp_SU", "finite_dim"):
-        return quad + cert.M * cert.damping_ref.k_integral(nH * nH, cert.B_norm)
-    return quad + cert.M * nH * nH
+        return quad + cert.M * cert.damping_ref.k_integral(norm_H * norm_H, cert.B_norm)
+    return quad + cert.M * norm_H * norm_H
 
 
 def sandwich_bounds(cert, z):

@@ -15,12 +15,13 @@ gains); otherwise it is one implicit-midpoint step, nonexpansive too, by
 vectorized Newton, which raises if it does not converge.
 
 The loop runs in the energy coordinates y = z L (W = L L^T the energy weight),
-so ||z||_H = |y|, with the maps conjugated once per dt (C as L^{-1} C^T L); a
-trajectory forms its states z = y L^{-1} on first read.  At a fixed step one
-stacked product per step takes a block from b = a - J P (a = y C, J the
-impulse) to the next y, a and s = a T; step halving runs one state at a time
-with unfused stages.  After the loop one pass over the recorded norms aborts
-at the earliest step that grows beyond a tight tolerance.
+so ||z||_H = |y|, with the maps conjugated once per dt (C as L^{-1} C^T L); V
+is evaluated on y and the recorded norms, and a trajectory forms its states
+z = y L^{-1} on first read.  At a fixed step one stacked product per step
+takes a block from b = a - J P (a = y C, J the impulse) to the next y, a and
+s = a T; step halving runs one state at a time with unfused stages.  After
+the loop one pass over the recorded norms aborts at the earliest step that
+grows beyond a tight tolerance.
 
 For linear and clamp damping, and norm saturation with equal gains (a clamp at
 s0 / sqrt(w) with one input; with more, only |s_j| <= s0 / sqrt(m w_j) counts
@@ -31,18 +32,19 @@ stays in one zone: linear, |s_j| <= s0, with J_j = gain_j s_j, or saturated,
 an affine pass forms its steps in the record itself by products with the
 squarings K, K^2, K^4, ... of the augmented step (q products for 2^q steps),
 tests every step's input with one product (none under linear damping) and
-accepts the prefix that keeps p; under a saturating rule each row of a block
-runs alone.  Passes are run-sized: the most steps one takes is CHECK_EVERY at
-first, doubles up to MAX_PASS after a pass that accepts every step it formed,
-and falls back to CHECK_EVERY after one that stops early.  A step that crosses
-a zone is a per-step step, and so is every step up to the next multiple of
-CHECK_EVERY after a pass that stops within CHECK_EVERY // 8.  Under step
-halving a trial is affine when its coarse step and both half-steps keep p: the
-fine step is F = M_p(dt/2)^2 and the error |(y, 1) E| / 3, E = M_p(dt) - F.
-A pass accepts the prefix the per-step rule accepts before it changes dt: up
-to the first trial that leaves p or is rejected, or up to and including the
-first with error <= tol/8 while dt is below the configured dt; the times stay
-the running sums t + dt.
+accepts the prefix that keeps p (where p is all linear, the leading steps
+inside the ball |y| <= rho of `_Steps.ball` without the product); under a
+saturating rule each row of a block runs alone.  Passes are run-sized: the
+most steps one takes is CHECK_EVERY at first, doubles up to MAX_PASS after a
+pass that accepts every step it formed, and falls back to CHECK_EVERY after
+one that stops early.  A step that crosses a zone is a per-step step, and so
+is every step up to the next multiple of CHECK_EVERY after a pass that stops
+within CHECK_EVERY // 8.  Under step halving a trial is affine when its
+coarse step and both half-steps keep p: the fine step is F = M_p(dt/2)^2 and
+the error |(y, 1) E| / 3, E = M_p(dt) - F.  A pass accepts the prefix the
+per-step rule accepts before it changes dt: up to the first trial that leaves
+p or is rejected, or up to and including the first with error <= tol/8 while
+dt is below the configured dt; the times stay the running sums t + dt.
 """
 
 from collections import namedtuple
@@ -63,7 +65,8 @@ MAX_PASS = 512          # the most steps any affine pass takes; bounds its probe
 TINY = np.finfo(float).tiny  # floor of the norm the saturation impulse divides by
 
 # one step's maps: stacked = [C | C^2 T | C^2] takes b to the next y, s and a, first y to s and a
-_Maps = namedtuple("_Maps", "C C2 impulse stacked first CT PC")
+# ball: the radius rho of `_Steps.ball`, within which every input is linear
+_Maps = namedtuple("_Maps", "C C2 impulse stacked first CT PC ball")
 
 
 @dataclass(frozen=True)
@@ -186,8 +189,8 @@ def _integrate(system, damping, Z0, config, cert):
         growth = _check_growth(norms, times)
         for Y, norm_H, stats, max_growth in zip(block, norms, row_stats, growth):
             traj = Trajectory(times=times, norm_H=norm_H,
-                              V_values=None if cert is None else
-                              _by_chunks(lambda X: eval_V(cert, X @ to_z), Y),
+                              V_values=None if cert is None else _by_chunks(
+                                  lambda X, nX: eval_V(cert, y=X, norm_H=nX), Y, norm_H),
                               stats={**stats, "rows": len(Z0), "distinct_dt": len(steps.cache),
                                      "max_growth": float(max_growth), "growth_tol": GROWTH_TOL})
             traj.t_star, traj.derive = detect_unit_ball_entry(traj), partial(derive, Y)
@@ -223,8 +226,17 @@ class _Steps:
             C = self.conjugate(sla.lu_solve(lu, eye + 0.25 * dt * self.A).T)
             C2, CT = C @ C, C @ self.T
             self.cache[dt] = _Maps(C, C2, self.subflow(dt), np.hstack([C, C2 @ self.T, C2]),
-                                   np.hstack([CT, C]), CT, self.P @ C)
+                                   np.hstack([CT, C]), CT, self.P @ C, self.ball(CT))
         return self.cache[dt]
+
+    def ball(self, CT):
+        """rho = (1 - 1e-12) min_j level_j / |CT_j| over the inputs with CT_j != 0,
+        so that |s_j| = |y CT_j| <= |y| |CT_j| <= level_j (Cauchy-Schwarz) whenever
+        |y| <= rho: every input of such a state is linear, rounding included
+        (rho = inf where there are no zones)."""
+        col, level = np.sqrt(np.einsum("ij,ij->j", CT, CT)), (self.zoned or [np.inf])[0]
+        return (1.0 - 1e-12) * np.divide(level, col, out=np.full_like(col, np.inf),
+                                         where=col > 0).min(initial=np.inf)
 
     def step(self, Y, dt):
         """One unfused Strang step of the rows Y."""
@@ -339,7 +351,7 @@ def _advance(steps, rec, dt):
     column by steps of dt.  A pass writes its candidate states into the
     record, and the per-step loop overwrites those it did not accept.
     Returns the steps that affine passes took and the passes."""
-    _, _, impulse, stacked, first = steps(dt)[:5]
+    _, _, impulse, stacked, first, _, _, ball = steps(dt)
     last, n, m = rec.shape[1] - 1, rec.shape[2] - 1, steps.T.shape[1]
     k, affine, passes, limit = 0, 0, 0, CHECK_EVERY
     resume = 0 if steps.zoned is not None else last
@@ -349,9 +361,12 @@ def _advance(steps, rec, dt):
         if p is not None and p.max() < 2 and np.all(p == p[0]):
             j = min(limit, last - k)
             probe, box = _affine_pass(steps, rec[:, k:k + j + 1], dt, p[0])
-            # step k keeps p; steps k + 1 ... k + j - 1 keep it while their inputs are in the box
-            i = j if box is None else 1 + _leading(
-                _inside(rec[:, k + 1:k + j, :n] @ probe, box).all(axis=0))
+            # step k keeps p; steps k + 1 ... k + j - 1 keep it while their inputs
+            # are in the box, which the leading ones within the ball are if p is linear
+            i, later = j, rec[:, k + 1:k + j, :n]
+            if box is not None:
+                inner = _leading((_row_norms(later) <= ball).all(axis=0)) if not p[0].any() else 0
+                i = 1 + inner + _leading(_inside(later[:, inner:] @ probe, box).all(axis=0))
             sa = rec[:, k + i, :n] @ first
             affine, passes, limit = affine + i, passes + 1, _next_limit(limit, i, j)
             if i < min(j, CHECK_EVERY // 8):        # little before the zones changed:
@@ -458,7 +473,7 @@ def _affine_trials(steps, y, t, dt, norm, norm0, config, limit):
 
 
 def _row_norms(Y):
-    return np.sqrt(np.einsum("ij,ij->i", Y, Y))
+    return np.sqrt(np.einsum("...i,...i->...", Y, Y))
 
 
 def _next_limit(limit, accepted, formed):     # run-sized passes, module docstring
@@ -602,10 +617,11 @@ def _sigma_derivative(rule, s0, w, U):
     return np.ones_like(U)
 
 
-def _by_chunks(f, states, rows=1024):
-    """f on consecutive row blocks of the recorded states; the blocks bound
-    the size of the temporaries f makes."""
-    return np.concatenate([f(states[i:i + rows]) for i in range(0, len(states), rows)])
+def _by_chunks(f, *columns, rows=1024):
+    """f on consecutive row blocks of the recorded columns (states, norms); the
+    blocks bound the size of the temporaries f makes."""
+    return np.concatenate([f(*(c[i:i + rows] for c in columns))
+                           for i in range(0, len(columns[0]), rows)])
 
 
 def detect_unit_ball_entry(traj):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lyapcert import cli, lyapunov, models
 from lyapcert import io as lio
 from lyapcert.cli import TRAJECTORY_COLUMNS, main
 from lyapcert.config import parse_config, serialize
@@ -427,6 +428,131 @@ class TestValidityDomain:
             assert run(tmp_path, sub, SCALAR_SAT) == 0
         _, rows = read_csv(tmp_path / "verification.csv")
         assert [row[0] for row in rows] == ["lyapunov_decrease"]
+
+
+OSCILLATOR_EXP = """
+[system]
+name = finite_dim
+A = 0, 1; -1, 0
+B = 1; 0
+
+[damping]
+kind = norm_saturation
+s0 = 1.0
+
+[sim]
+dt = 2e-3
+t_end = 1.0
+error_control = off
+z0 = eigvec 0 20.0
+
+[analysis]
+certificate = exp
+"""
+
+WAVE32_POLY = """
+[system]
+name = wave
+N = 32
+a_profile = constant 1.0
+
+[damping]
+kind = tanh
+s0 = 1.0
+
+[analysis]
+certificate = poly
+r = 2.0
+gamma = 0.5
+"""
+
+
+class TestExportedCertificate:
+    """simulate and verify read the certificate certify exported to the same
+    --out directory through one loader; simulate reuses it only when it was
+    certified for the same config and certificate_P.mat is there."""
+
+    @pytest.mark.parametrize("text, kind", [
+        (OSCILLATOR_EXP, "finite_dim"),
+        (KDV_DOMAIN.format(scale=5.0), "semiglobal_exp_SneqU"),
+        (WAVE32_POLY, "semiglobal_poly")], ids=["oscillator", "kdv32", "wave32"])
+    def test_round_trip(self, tmp_path, text, kind):
+        assert run(tmp_path, "certify", text) == 0
+        cfg = parse_config(text)
+        system, spec = cli.build_system(cfg), cli.build_damping(cfg)
+        built = cli.build_certificate(cfg, system, spec)
+        loaded = cli.load_certificate(tmp_path, cfg, system, spec)
+        assert loaded.kind == kind == built.kind
+        assert loaded.scalars() == built.scalars() and loaded.flags == built.flags
+        if kind == "semiglobal_poly":       # gamma = 1/2 is flagged
+            assert len(loaded.flags) == 1
+        Z = np.random.default_rng(3).standard_normal((5, system.n))
+        Y = Z @ system.H_ip.factor
+        for V in (lyapunov.eval_V(loaded, Z),
+                  lyapunov.eval_V(loaded, y=Y, norm_H=np.linalg.norm(Y, axis=1))):
+            np.testing.assert_allclose(V, lyapunov.eval_V(built, Z), rtol=1e-12, atol=0)
+        scalars_only = cli.load_certificate(tmp_path, cfg)
+        assert scalars_only.scalars() == built.scalars() and scalars_only.P is None
+
+    @staticmethod
+    def count_builders(monkeypatch):
+        calls = []
+        for module, name in ((lyapunov, "build_exp_certificate"),
+                             (lyapunov, "build_semiglobal_certificate"),
+                             (lyapunov, "build_poly_certificate"), (models, "estimate_cS")):
+            def counted(*args, _builder=getattr(module, name), **kwargs):
+                calls.append(_builder.__name__)
+                return _builder(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_simulate_reuses_certificate_of_same_config(self, tmp_path, monkeypatch):
+        text = KDV_DOMAIN.format(scale=5.0)
+        assert run(tmp_path, "certify", text) == 0
+        # a changed M shows in V only if simulate reads the exported certificate
+        cert_path = tmp_path / "certificate.txt"
+        lines = cert_path.read_text().splitlines()
+        cert_path.write_text("\n".join("M = 0.5" if ln.startswith("M = ") else ln
+                                       for ln in lines) + "\n")
+        calls = self.count_builders(monkeypatch)
+        assert run(tmp_path, "simulate", text) == 0
+        assert calls == []
+        cfg = parse_config(text)
+        system, spec = cli.build_system(cfg), cli.build_damping(cfg)
+        exported = cli.load_certificate(tmp_path, cfg, system, spec)
+        assert exported.M == 0.5
+        V0 = float(read_csv(tmp_path / "trajectory.csv")[1][0][3])
+        z0 = cli.initial_state(cfg, system)
+        assert abs(V0 / lyapunov.eval_V(exported, z0) - 1.0) <= 1e-12
+        assert run(tmp_path, "verify", text) == 0
+
+    def test_reuse_keeps_trajectory_bytes(self, tmp_path):
+        # V comes from P, which certificate_P.mat holds exactly: the same bytes
+        # whether simulate builds the certificate or reads certify's
+        text = KDV_DOMAIN.format(scale=5.0)
+        fresh, certified = tmp_path / "fresh", tmp_path / "certified"
+        assert run(tmp_path, "simulate", text, out=fresh) == 0
+        assert run(tmp_path, "certify", text, out=certified) == 0
+        assert run(tmp_path, "simulate", text, out=certified) == 0
+        assert ((fresh / "trajectory.csv").read_bytes()
+                == (certified / "trajectory.csv").read_bytes())
+
+    @pytest.mark.parametrize("case", ["other_config", "no_config_hash", "no_P_file"])
+    def test_simulate_builds_its_own_certificate(self, tmp_path, monkeypatch, case):
+        text = KDV_DOMAIN.format(scale=5.0)
+        other = text.replace("r = 5", "r = 6")
+        assert run(tmp_path, "certify", other if case == "other_config" else text,
+                   name="certified.cfg") == 0
+        cert_path = tmp_path / "certificate.txt"
+        if case == "no_config_hash":
+            lines = cert_path.read_text().splitlines()
+            cert_path.write_text("\n".join(ln for ln in lines
+                                           if not ln.startswith("config_hash")) + "\n")
+        if case == "no_P_file":
+            (tmp_path / "certificate_P.mat").unlink()
+        calls = self.count_builders(monkeypatch)
+        assert run(tmp_path, "simulate", text) == 0
+        assert calls == ["estimate_cS", "build_semiglobal_certificate"]
 
 
 FILES_CFG = """

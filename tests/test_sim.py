@@ -158,16 +158,25 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("case", ["kdv64", "wave64"])
     def test_recorded_graph_norm(self, case, kdv64):
-        # the recorded norm_DA, norm_H plus |z @ A^T L|, against the model's graph norm
+        # the recorded norm_DA, norm_H plus |z @ A^T L|, against the model's graph
+        # norm, and V, evaluated on y = z L and norm_H, against V on the states z
         if case == "kdv64":
             system, scale, dt, t_end = kdv64, 5.0, 2e-3, 16.0
         else:                               # the wave_certify system, damped on a window
             system = models.discretize_wave(64, lambda x: 1.0 if 0.25 <= x <= 0.75 else 0.0)
             scale, dt, t_end = 5.0, 1e-3, 1.0
+            L = system.H_ip.factor
+            assert np.any(L - np.diag(np.diag(L)))
+        clamp = damping.clamp(1.0)
+        cert = lyapunov.build_semiglobal_certificate(system, clamp, 5.0,
+                                                     c_S=models.estimate_cS(system))
         zhat = models.leading_eigvec(system.closed_loop())
-        traj = sim.integrate(system, damping.clamp(1.0), scale * zhat / system.norm_DA(zhat),
-                             sim.IntegratorConfig(dt=dt, t_end=t_end, error_control="none"))
+        traj = sim.integrate(system, clamp, scale * zhat / system.norm_DA(zhat),
+                             sim.IntegratorConfig(dt=dt, t_end=t_end, error_control="none"),
+                             cert=cert)
         np.testing.assert_allclose(traj.norm_DA, system.norm_DA(traj.states),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(traj.V_values, lyapunov.eval_V(cert, traj.states),
                                    rtol=1e-12, atol=0)
 
 
@@ -767,6 +776,35 @@ class TestAffineEngine:
         per_step = sim.integrate(wave32, damping.norm_saturation(1.0), z0, config)
         assert wave32.m > 1 and traj.stats["affine_steps"] > 0 and traj.stats["per_step_steps"] > 0
         np.testing.assert_allclose(traj.norm_H, per_step.norm_H, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case, affine, passes", [
+        ("kdv_r1", 8000, 18), ("kdv_r5", 7868, 38), ("kdv_r25", 7640, 73),
+        ("wave64", None, None)])
+    def test_linear_ball_decides_as_the_probe(self, case, affine, passes, kdv64, monkeypatch):
+        # an all-linear pass accepts its leading candidates with |y| <= rho
+        # without the probe product; with rho = 0 it probes every candidate
+        if case == "wave64":                # damped on a window: CT has zero columns
+            system = models.discretize_wave(64, lambda x: 1.0 if 0.25 <= x <= 0.75 else 0.0)
+            x = np.arange(1, 65) / 65
+            z0 = np.concatenate([np.sin(np.pi * x), np.zeros(64)])
+            z0 *= 5.0 / system.norm_DA(z0)
+            dt, t_end = 1e-3, 1.0
+        else:
+            system, dt, t_end = kdv64, 2e-3, 16.0
+            zhat = models.leading_eigvec(system.closed_loop())
+            z0 = float(case[5:]) * zhat / system.norm_DA(zhat)
+        clamp = damping.clamp(1.0)
+        maps = sim_mod._Steps(system, clamp)(dt)
+        assert 0 < maps.ball < np.inf
+        assert np.any(np.all(maps.CT == 0, axis=0)) == (case == "wave64")
+        config = sim.IntegratorConfig(dt=dt, t_end=t_end, error_control="none")
+        traj = sim.integrate(system, clamp, z0, config)
+        monkeypatch.setattr(sim_mod._Steps, "ball", lambda self, CT: 0.0)
+        probed = sim.integrate(system, clamp, z0, config)
+        assert np.array_equal(traj.norm_H.view(np.uint64), probed.norm_H.view(np.uint64))
+        assert traj.stats == probed.stats
+        if affine is not None:
+            assert (traj.stats["affine_steps"], traj.stats["affine_passes"]) == (affine, passes)
 
 
 class TestStats:
