@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -41,7 +42,6 @@ def build_damping(cfg):
     c1 = cfg.get("damping", "C1")
     c2 = cfg.get("damping", "C2")
     if c1 is not None or c2 is not None:
-        from dataclasses import replace
         spec = replace(spec, C1=float(c1 if c1 is not None else spec.C1),
                        C2=float(c2 if c2 is not None else spec.C2))
     return spec
@@ -163,11 +163,8 @@ def cmd_simulate(cfg, out_dir, seed):
     z0 = initial_state(cfg, system)
     cert = None
     if cfg.get("analysis", "certificate") is not None:
-        try:                                # certify's certificate of this config, if whole
-            cert = load_certificate(out_dir, cfg, system, damping)
-        except StaleCertificate:
-            pass
-        cert = cert or build_certificate(cfg, system, damping, seed=seed)
+        cert = (_reusable_certificate(out_dir, cfg, system, damping, seed)
+                or build_certificate(cfg, system, damping, seed=seed))
     traj = sim.integrate(system, damping, z0, integrator_config(cfg), cert=cert)
     write_csv(os.path.join(out_dir, "trajectory.csv"), TRAJECTORY_COLUMNS,
               _trajectory_table(traj))
@@ -189,6 +186,7 @@ def cmd_certify(cfg, out_dir, seed):
     with open(os.path.join(out_dir, "certificate.txt"), "w") as fh:
         fh.write(lyapunov.export_text(cert))
         fh.write(f"config_hash = {config_hash(cfg)}\n")
+        fh.write(f"seed = {seed}\ntool_version = {__version__}\n")
     save_matrix(os.path.join(out_dir, "certificate_P.mat"), cert.P)
     save_matrix(os.path.join(out_dir, "system_A.mat"), system.A)
     save_matrix(os.path.join(out_dir, "system_B.mat"), system.B)
@@ -256,46 +254,68 @@ def cmd_sweep(cfg, out_dir, seed):
     return ["sweep.csv"]
 
 
-def load_certificate(out_dir, cfg, system=None, damping=None):
-    """The certificate that certify exported to out_dir, or None where there is
-    no certificate.txt.  Raises StaleCertificate where it records the
-    config_hash of another config than cfg.  Given the config's system and
-    damping it is whole, P read from certificate_P.mat, and None where that
-    file is missing or no config_hash was recorded; otherwise it carries the
-    scalars only (P and G are None)."""
+# the scalars every kind exports
+REQUIRED_SCALARS = ("C", "alpha", "M", "B_norm", "P_norm_H")
+
+
+def load_certificate(out_dir, cfg):
+    """The certificate that certify exported to out_dir, scalars only (P, G,
+    system and damping are None), and its provenance lines (config_hash, seed,
+    tool_version) as a dict; (None, {}) where there is no certificate.txt.
+    Raises StaleCertificate where it records the config_hash of another config
+    than cfg."""
     path = os.path.join(out_dir, "certificate.txt")
     if not os.path.exists(path):
-        return None
-    fields, flags, recorded = {}, [], None
+        return None, {}
+    fields, flags, provenance = {}, [], {}
     with open(path) as fh:
         for line in fh:
             key, _, val = (part.strip() for part in line.partition(" = "))
             if key == "kind":
-                fields["kind"] = val.strip("'")     # export_text writes the repr
+                fields["kind"] = val
             elif key == "flag":
                 flags.append(val)
-            elif key == "config_hash":
-                recorded = val
+            elif key in ("config_hash", "seed", "tool_version"):
+                provenance[key] = val
             elif key in lyapunov.SCALARS:
                 try:
                     fields[key] = float(val)
                 except ValueError:
                     continue
+    recorded = provenance.get("config_hash")
     if recorded not in (None, config_hash(cfg)):
         raise StaleCertificate(f"{path} was certified for config {recorded}, not this "
                                f"config ({config_hash(cfg)}); run certify again")
-    mat = os.path.join(out_dir, "certificate_P.mat")
-    if system is not None and (recorded is None or not os.path.exists(mat)):
-        return None
-    for key in ("kind",) + lyapunov.SCALARS[:5]:
+    for key in ("kind",) + REQUIRED_SCALARS:
         if key not in fields:
             raise MissingInput(f"{path} has no {key!r} entry")
-    P = G = None
-    if system is not None:
-        P = load_matrix(mat)
-        G = system.H_ip.weight @ P
-    return lyapunov.LyapunovCertificate(P=P, G=G, damping_ref=damping, system=system,
+    kinds = [repr(kind) for kind in lyapunov.KINDS]     # export_text writes the repr
+    if fields["kind"] not in kinds:
+        raise MissingInput(f"{path}: kind {fields['kind']} is not one of {', '.join(kinds)}")
+    fields["kind"] = fields["kind"][1:-1]
+    cert = lyapunov.LyapunovCertificate(P=None, G=None, damping_ref=None,
                                         flags=tuple(flags), **fields)
+    return cert, provenance
+
+
+def _reusable_certificate(out_dir, cfg, system, damping, seed):
+    """certify's certificate in out_dir, whole, where it was certified for this
+    config and seed by this version and certificate_P.mat holds its P; else
+    None.  The seed counts: c_S = auto and the poly calibration draw from it."""
+    mat = os.path.join(out_dir, "certificate_P.mat")
+    try:
+        cert, provenance = load_certificate(out_dir, cfg)
+        if (cert is None or not os.path.exists(mat) or provenance != {
+                "config_hash": config_hash(cfg), "seed": str(seed),
+                "tool_version": __version__}):
+            return None
+        P = load_matrix(mat)
+    except (LyapcertError, ValueError):     # stale or malformed: build instead
+        return None
+    if P.shape != (system.n, system.n):
+        return None
+    return replace(cert, P=P, G=system.H_ip.weight @ P, system=system,
+                   damping_ref=damping)
 
 
 def cmd_verify(cfg, out_dir, seed):
@@ -303,7 +323,7 @@ def cmd_verify(cfg, out_dir, seed):
     if traj.V_values is None:
         raise MissingInput("trajectory.csv has no V column values; "
                            "simulate with a certificate configured")
-    cert = load_certificate(out_dir, cfg)
+    cert, _ = load_certificate(out_dir, cfg)
     if cert is None:
         system = build_system(cfg)
         damping = build_damping(cfg)

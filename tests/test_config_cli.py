@@ -470,7 +470,8 @@ gamma = 0.5
 class TestExportedCertificate:
     """simulate and verify read the certificate certify exported to the same
     --out directory through one loader; simulate reuses it only when it was
-    certified for the same config and certificate_P.mat is there."""
+    certified for the same config and seed by the same version and
+    certificate_P.mat is there."""
 
     @pytest.mark.parametrize("text, kind", [
         (OSCILLATOR_EXP, "finite_dim"),
@@ -481,9 +482,13 @@ class TestExportedCertificate:
         cfg = parse_config(text)
         system, spec = cli.build_system(cfg), cli.build_damping(cfg)
         built = cli.build_certificate(cfg, system, spec)
-        loaded = cli.load_certificate(tmp_path, cfg, system, spec)
-        assert loaded.kind == kind == built.kind
-        assert loaded.scalars() == built.scalars() and loaded.flags == built.flags
+        scalars_only, provenance = cli.load_certificate(tmp_path, cfg)
+        assert scalars_only.P is None and provenance == {
+            "config_hash": cli.config_hash(cfg), "seed": "0", "tool_version": cli.__version__}
+        loaded = cli._reusable_certificate(tmp_path, cfg, system, spec, seed=0)
+        for cert in (scalars_only, loaded):
+            assert cert.kind == kind == built.kind
+            assert cert.scalars() == built.scalars() and cert.flags == built.flags
         if kind == "semiglobal_poly":       # gamma = 1/2 is flagged
             assert len(loaded.flags) == 1
         Z = np.random.default_rng(3).standard_normal((5, system.n))
@@ -491,8 +496,14 @@ class TestExportedCertificate:
         for V in (lyapunov.eval_V(loaded, Z),
                   lyapunov.eval_V(loaded, y=Y, norm_H=np.linalg.norm(Y, axis=1))):
             np.testing.assert_allclose(V, lyapunov.eval_V(built, Z), rtol=1e-12, atol=0)
-        scalars_only = cli.load_certificate(tmp_path, cfg)
-        assert scalars_only.scalars() == built.scalars() and scalars_only.P is None
+
+    @staticmethod
+    def edit_certificate(tmp_path, key, line):
+        """Replace certificate.txt's `key = ...` line by `line`, or drop it."""
+        cert_path = tmp_path / "certificate.txt"
+        lines = cert_path.read_text().splitlines()
+        kept = [line if ln.startswith(key + " = ") else ln for ln in lines]
+        cert_path.write_text("\n".join(ln for ln in kept if ln is not None) + "\n")
 
     @staticmethod
     def count_builders(monkeypatch):
@@ -510,49 +521,70 @@ class TestExportedCertificate:
         text = KDV_DOMAIN.format(scale=5.0)
         assert run(tmp_path, "certify", text) == 0
         # a changed M shows in V only if simulate reads the exported certificate
-        cert_path = tmp_path / "certificate.txt"
-        lines = cert_path.read_text().splitlines()
-        cert_path.write_text("\n".join("M = 0.5" if ln.startswith("M = ") else ln
-                                       for ln in lines) + "\n")
+        self.edit_certificate(tmp_path, "M", "M = 0.5")
         calls = self.count_builders(monkeypatch)
         assert run(tmp_path, "simulate", text) == 0
         assert calls == []
         cfg = parse_config(text)
         system, spec = cli.build_system(cfg), cli.build_damping(cfg)
-        exported = cli.load_certificate(tmp_path, cfg, system, spec)
+        exported = cli._reusable_certificate(tmp_path, cfg, system, spec, seed=0)
         assert exported.M == 0.5
         V0 = float(read_csv(tmp_path / "trajectory.csv")[1][0][3])
         z0 = cli.initial_state(cfg, system)
         assert abs(V0 / lyapunov.eval_V(exported, z0) - 1.0) <= 1e-12
         assert run(tmp_path, "verify", text) == 0
 
-    def test_reuse_keeps_trajectory_bytes(self, tmp_path):
+    @pytest.mark.parametrize("certify_seed", [0, 1])
+    def test_reuse_keeps_trajectory_bytes(self, tmp_path, monkeypatch, certify_seed):
         # V comes from P, which certificate_P.mat holds exactly: the same bytes
-        # whether simulate builds the certificate or reads certify's
+        # whether simulate builds the certificate or reads certify's.  c_S =
+        # auto draws from the seed (its eigenvector probes win on this system,
+        # so a seed-dependent estimate stands in), and a certificate of
+        # another seed is not read.
+        estimate = models.estimate_cS
+        monkeypatch.setattr(models, "estimate_cS",
+                            lambda system, seed=0: (1.0 + seed) * estimate(system, seed=seed))
         text = KDV_DOMAIN.format(scale=5.0)
         fresh, certified = tmp_path / "fresh", tmp_path / "certified"
         assert run(tmp_path, "simulate", text, out=fresh) == 0
-        assert run(tmp_path, "certify", text, out=certified) == 0
+        assert run(tmp_path, "certify", text, out=fresh) == 0
+        assert run(tmp_path, "certify", text, out=certified, seed=certify_seed) == 0
+        cfg = parse_config(text)
+        M = [cli.load_certificate(out, cfg)[0].M for out in (fresh, certified)]
+        assert (M[0] == M[1]) == (certify_seed == 0)
         assert run(tmp_path, "simulate", text, out=certified) == 0
         assert ((fresh / "trajectory.csv").read_bytes()
                 == (certified / "trajectory.csv").read_bytes())
 
-    @pytest.mark.parametrize("case", ["other_config", "no_config_hash", "no_P_file"])
+    @pytest.mark.parametrize("case", ["other_config", "other_seed", "other_version",
+                                      "no_config_hash", "no_P_file", "quoted_kind"])
     def test_simulate_builds_its_own_certificate(self, tmp_path, monkeypatch, case):
         text = KDV_DOMAIN.format(scale=5.0)
         other = text.replace("r = 5", "r = 6")
         assert run(tmp_path, "certify", other if case == "other_config" else text,
-                   name="certified.cfg") == 0
-        cert_path = tmp_path / "certificate.txt"
+                   name="certified.cfg", seed=1 if case == "other_seed" else 0) == 0
+        if case == "other_version":
+            self.edit_certificate(tmp_path, "tool_version", "tool_version = 0.0.1")
         if case == "no_config_hash":
-            lines = cert_path.read_text().splitlines()
-            cert_path.write_text("\n".join(ln for ln in lines
-                                           if not ln.startswith("config_hash")) + "\n")
+            self.edit_certificate(tmp_path, "config_hash", None)
         if case == "no_P_file":
             (tmp_path / "certificate_P.mat").unlink()
+        if case == "quoted_kind":
+            self.edit_certificate(tmp_path, "kind", 'kind = "semiglobal_exp_SneqU"')
         calls = self.count_builders(monkeypatch)
         assert run(tmp_path, "simulate", text) == 0
         assert calls == ["estimate_cS", "build_semiglobal_certificate"]
+
+    @pytest.mark.parametrize("kind", ['"finite_dim"', "finite_dim", "'finite'", "''"])
+    def test_verify_refuses_unknown_kind(self, tmp_path, capsys, kind):
+        assert run(tmp_path, "simulate", OSCILLATOR_EXP) == 0
+        assert run(tmp_path, "certify", OSCILLATOR_EXP) == 0
+        self.edit_certificate(tmp_path, "kind", f"kind = {kind}")
+        capsys.readouterr()
+        assert run(tmp_path, "verify", OSCILLATOR_EXP) == 4
+        line = last_line(capsys)
+        assert line.startswith("ERROR MissingInput:") and f"kind {kind} is not one of" in line
+        assert not (tmp_path / "verification.csv").exists()
 
 
 FILES_CFG = """
