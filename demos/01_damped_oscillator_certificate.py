@@ -37,9 +37,9 @@ tail = analysis.fit_exponential(traj, window=(traj.t_star, traj.times[-1]))
 print(f"exponential tail: rate {tail.rate:.4f}, R^2 = {tail.r_squared:.5f}")
 
 prof = analysis.behavior_profile(traj, sat, cert.B_norm, cert)
-print(f"envelope calibration: C3 = {prof.C3:.4f}, C4 = {prof.C4:.4f}; "
-      f"observed/predicted <= {prof.pre_ratio:.4f} before t*, "
-      f"{prof.post_ratio:.4f} after")
+print(f"envelope from the certificate's constants (C4 = {prof.C4:.4f}, nothing fitted): "
+      f"max observed/predicted {prof.pre_ratio:.4f} before t* and "
+      f"{prof.post_ratio:.4f} after; the bound holds where both are <= 1")
 
 try:
     import matplotlib

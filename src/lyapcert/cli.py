@@ -254,16 +254,12 @@ def cmd_sweep(cfg, out_dir, seed):
     return ["sweep.csv"]
 
 
-# the scalars every kind exports
-REQUIRED_SCALARS = ("C", "alpha", "M", "B_norm", "P_norm_H")
-
-
 def load_certificate(out_dir, cfg):
     """The certificate that certify exported to out_dir, scalars only (P, G,
     system and damping are None), and its provenance lines (config_hash, seed,
     tool_version) as a dict; (None, {}) where there is no certificate.txt.
     Raises StaleCertificate where it records the config_hash of another config
-    than cfg."""
+    than cfg, and MissingInput where a scalar is absent or not a finite number."""
     path = os.path.join(out_dir, "certificate.txt")
     if not os.path.exists(path):
         return None, {}
@@ -281,12 +277,14 @@ def load_certificate(out_dir, cfg):
                 try:
                     fields[key] = float(val)
                 except ValueError:
-                    continue
+                    fields[key] = np.nan
+                if not np.isfinite(fields[key]):
+                    raise MissingInput(f"{path}: {key} = {val!r} is not a finite number")
     recorded = provenance.get("config_hash")
     if recorded not in (None, config_hash(cfg)):
         raise StaleCertificate(f"{path} was certified for config {recorded}, not this "
                                f"config ({config_hash(cfg)}); run certify again")
-    for key in ("kind",) + REQUIRED_SCALARS:
+    for key in ("kind",) + lyapunov.REQUIRED_SCALARS:
         if key not in fields:
             raise MissingInput(f"{path} has no {key!r} entry")
     kinds = [repr(kind) for kind in lyapunov.KINDS]     # export_text writes the repr

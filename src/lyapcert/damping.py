@@ -21,6 +21,8 @@ SCALAR_RULES = ("clamp", "tanh", "arctan")
 U_EUCLIDEAN = "U_euclidean"
 S_SUP = "S_sup"
 
+S_NORM_FLOOR = 1e-6     # weak damping's sector check skips ||s||_S below this
+
 
 @dataclass(frozen=True)
 class DampingSpec:
@@ -188,12 +190,11 @@ class DampingReport:
         return "\n".join(lines)
 
 
-def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None,
-                      s_norm_floor=1e-6):
+def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None):
     """Sampled check of the three definition items; failures land in the report.
 
     trials >= 100.  For weak damping the sector inequality is evaluated only on
-    samples with ||s||_S >= s_norm_floor and the report flags the singular h(0).
+    samples with ||s||_S > S_NORM_FLOOR and the report flags the singular h(0).
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
@@ -233,7 +234,7 @@ def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None,
         s_norms = np.max(np.abs(S), axis=1)
     else:
         s_norms = u_norms(S)
-    keep = s_norms > (s_norm_floor if spec.kind == "weak_damping" else 0.0)
+    keep = s_norms > (S_NORM_FLOOR if spec.kind == "weak_damping" else 0.0)
     skipped = int(trials - np.sum(keep))
     S, s_norms = S[keep], s_norms[keep]
     sig = spec.apply(S, w)
@@ -249,7 +250,7 @@ def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None,
 
     if spec.kind == "weak_damping":
         report.flags.append("h(x) = x^(q-1) is unbounded at x = 0; "
-                            f"sector check restricted to ||s||_S >= {s_norm_floor!r} "
+                            f"sector check restricted to ||s||_S >= {S_NORM_FLOOR!r} "
                             f"({skipped} samples skipped)")
         report.flags.append("sigma is not Lipschitz at 0 (sublinear growth)")
     return report

@@ -27,9 +27,9 @@ KINDS = ("global_exp_SU", "semiglobal_exp_SneqU", "semiglobal_poly", "finite_dim
 GRAMIAN_SHIFT = 0.1                               # coercivity shift of the poly form
 CALIBRATION_T_GRID = np.linspace(0.0, 100.0, 41)  # times at which C_theta is calibrated
 CALIBRATION_PROBES = 32                           # random probe states
-# the scalars of a certificate, which export_text writes; the first five in every kind
-SCALARS = ("C", "alpha", "M", "B_norm", "P_norm_H", "P_norm_DA", "mu", "r", "c_S",
-           "C_theta", "gamma")
+# the scalars export_text writes: those every kind has, then the rest
+REQUIRED_SCALARS = ("C", "alpha", "M", "B_norm", "P_norm_H")
+SCALARS = REQUIRED_SCALARS + ("P_norm_DA", "mu", "r", "c_S", "C_theta", "gamma")
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,20 @@ class LyapunovCertificate:
         return {name: v for name, v in values.items() if v is not None}
 
 
-def _norms_and_form(system, gain):
-    Atilde = system.closed_loop(gain)
-    W = system.H_ip.weight
-    G = solve_lyapunov(Atilde, W)
-    P = np.linalg.solve(W, G)
-    alpha = float(sla.eigh(G, W, eigvals_only=True)[0])
-    P_norm_H = operator_norm(P, system.H_ip)
+def _operator_and_norms(system, G):
+    """P = W^-1 G, ||P||_H and ||B*||_{L(H,U)}."""
+    P = np.linalg.solve(system.H_ip.weight, G)
     U_ip = InnerProduct(np.diag(system.U_weights))
-    B_norm = operator_norm_nonsym(system.Bstar, system.H_ip, U_ip)
-    return Atilde, G, P, alpha, P_norm_H, B_norm
+    return (P, operator_norm(P, system.H_ip),
+            operator_norm_nonsym(system.Bstar, system.H_ip, U_ip))
+
+
+def _norms_and_form(system, gain):
+    W = system.H_ip.weight
+    G = solve_lyapunov(system.closed_loop(gain), W)
+    alpha = float(sla.eigh(G, W, eigvals_only=True)[0])
+    P, P_norm_H, B_norm = _operator_and_norms(system, G)
+    return G, P, alpha, P_norm_H, B_norm
 
 
 def _graph_ip(system):
@@ -109,7 +113,7 @@ def build_exp_certificate(system, damping):
     if damping.kind == "componentwise_saturation" and system.S_choice == dmp.S_SUP:
         raise WrongNormChoice(
             "componentwise damping on a sup-norm system needs the semiglobal builder")
-    _, G, P, alpha, P_norm_H, B_norm = _norms_and_form(system, damping.C1)
+    G, P, alpha, P_norm_H, B_norm = _norms_and_form(system, damping.C1)
     M = damping.C2 * B_norm * P_norm_H
     kind = "finite_dim" if system.H_ip.is_identity() else "global_exp_SU"
     return LyapunovCertificate(kind=kind, P=P, G=G, C=1.0, alpha=alpha, M=M,
@@ -129,10 +133,9 @@ def build_semiglobal_certificate(system, damping, r, c_S=None):
         raise ValueError(f"c_S must be finite and >= 0, got {c_S!r}")
     if not 0 < r < np.inf:
         raise ValueError(f"radius r must be positive and finite, got {r!r}")
-    _, G, P, alpha, P_norm_H, B_norm = _norms_and_form(system, damping.C1)
+    G, P, alpha, P_norm_H, B_norm = _norms_and_form(system, damping.C1)
     P_norm_DA = _p_norm_DA(system, P)
-    h_val = damping.h_eval(B_norm * r) if B_norm * r > 0 else damping.h_eval(0.0)
-    M = c_S * damping.C2 * h_val * r * P_norm_DA
+    M = c_S * damping.C2 * damping.h_eval(B_norm * r) * r * P_norm_DA
     C = 1.0
     mu = C / (2.0 * P_norm_H) if M == 0.0 else min(C / (2.0 * P_norm_H), C / (2.0 * M))
     return LyapunovCertificate(kind="semiglobal_exp_SneqU", P=P, G=G, C=C,
@@ -187,7 +190,6 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
     Atilde = system.closed_loop(damping.C1)
     W = system.H_ip.weight
     G1 = solve_lyapunov(Atilde, W) + GRAMIAN_SHIFT * W
-    P1 = np.linalg.solve(W, G1)
 
     needed = calibrate_C_theta(system, damping.C1, G1, gamma, seed=seed)
     if C_theta is None:
@@ -203,11 +205,8 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
     WG = W + system.A.T @ W @ system.A
     alpha = 0.5 * float(sla.eigh(G1, WG, eigvals_only=True)[0])
 
-    P_norm_H = operator_norm(P1, system.H_ip)
-    U_ip = InnerProduct(np.diag(system.U_weights))
-    B_norm = operator_norm_nonsym(system.Bstar, system.H_ip, U_ip)
-    h_val = damping.h_eval(B_norm * r) if B_norm * r > 0 else damping.h_eval(0.0)
-    M = damping.C2 * C_theta * h_val * B_norm * r
+    P1, P_norm_H, B_norm = _operator_and_norms(system, G1)
+    M = damping.C2 * C_theta * damping.h_eval(B_norm * r) * B_norm * r
 
     flags = ()
     if gamma <= 0.5:
@@ -240,7 +239,7 @@ def sandwich_bounds(cert, z):
     if cert.kind in ("global_exp_SU", "finite_dim"):
         h0 = cert.damping_ref.h_eval(0.0)
         lower = cert.alpha * nH**2 + cert.M * (2.0 * h0 / 3.0) * nH**3
-        h_at = cert.damping_ref.h_eval(cert.B_norm * nH) if cert.B_norm * nH > 0 else h0
+        h_at = cert.damping_ref.h_eval(cert.B_norm * nH)
         upper = cert.P_norm_H * nH**2 + cert.M * nH**3 * h_at
         return lower, upper
     if cert.kind == "semiglobal_exp_SneqU":

@@ -120,12 +120,6 @@ class Trajectory:
         return traj
 
 
-def smooth_initial_state(system, z0, eps=1e-3):
-    """One resolvent application (I - eps A)^{-1} z0; produces strong-solution data."""
-    n = system.n
-    return np.linalg.solve(np.eye(n) - eps * system.A, np.asarray(z0, dtype=float))
-
-
 def integrate(system, damping, z0, config, cert=None):
     """Run the closed loop from the state z0, recording the energy norm and V;
     the states, their graph norm and their damping power are computed on first

@@ -557,7 +557,8 @@ class TestExportedCertificate:
                 == (certified / "trajectory.csv").read_bytes())
 
     @pytest.mark.parametrize("case", ["other_config", "other_seed", "other_version",
-                                      "no_config_hash", "no_P_file", "quoted_kind"])
+                                      "no_config_hash", "no_P_file", "quoted_kind",
+                                      "malformed_r", "infinite_r"])
     def test_simulate_builds_its_own_certificate(self, tmp_path, monkeypatch, case):
         text = KDV_DOMAIN.format(scale=5.0)
         other = text.replace("r = 5", "r = 6")
@@ -571,6 +572,9 @@ class TestExportedCertificate:
             (tmp_path / "certificate_P.mat").unlink()
         if case == "quoted_kind":
             self.edit_certificate(tmp_path, "kind", 'kind = "semiglobal_exp_SneqU"')
+        if case in ("malformed_r", "infinite_r"):
+            self.edit_certificate(tmp_path, "r", "r = 5.0x" if case == "malformed_r"
+                                  else "r = inf")
         calls = self.count_builders(monkeypatch)
         assert run(tmp_path, "simulate", text) == 0
         assert calls == ["estimate_cS", "build_semiglobal_certificate"]
@@ -584,6 +588,22 @@ class TestExportedCertificate:
         assert run(tmp_path, "verify", OSCILLATOR_EXP) == 4
         line = last_line(capsys)
         assert line.startswith("ERROR MissingInput:") and f"kind {kind} is not one of" in line
+        assert not (tmp_path / "verification.csv").exists()
+
+    @pytest.mark.parametrize("entry", ["r = 5.0x", "r = inf", "r = nan", "M = -inf",
+                                       "M = ", "mu = 1e999"])
+    def test_verify_refuses_scalar_not_finite(self, tmp_path, capsys, entry):
+        # the launch lies outside r = 5, which a dropped or infinite r would hide
+        cfg = KDV_DOMAIN.format(scale=50.0)
+        for sub in ("certify", "simulate"):
+            assert run(tmp_path, sub, cfg) == 0
+        key, _, value = entry.partition(" = ")
+        self.edit_certificate(tmp_path, key, entry)
+        capsys.readouterr()
+        assert run(tmp_path, "verify", cfg) == 4
+        line = last_line(capsys)
+        assert line.startswith("ERROR MissingInput:")
+        assert f"{key} = {value!r} is not a finite number" in line
         assert not (tmp_path / "verification.csv").exists()
 
 
