@@ -63,12 +63,21 @@ class InnerProduct:
     def norm(self, x):
         """||x||_W along the last axis: a float for one vector, the row norms
         of a block.  Via the Cholesky factor, so never negative under roundoff."""
-        y = np.asarray(x) @ self._chol
-        nrm = np.sqrt(np.einsum("...i,...i->...", y, y))
+        nrm = row_norms(np.asarray(x) @ self._chol)
         return float(nrm) if nrm.ndim == 0 else nrm
+
+    def conjugate(self, M):
+        """L^{-1} M L, by one triangular solve: the map y -> y L^{-1} M L on
+        the coordinates y = x L of the map x -> x M."""
+        return sla.solve_triangular(self._chol, M @ self._chol, lower=True)
 
     def is_identity(self):
         return bool(np.array_equal(self.weight, np.eye(self.dim)))
+
+
+def row_norms(Y):
+    """The Euclidean norms along the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", Y, Y))
 
 
 def spectral_abscissa(A):

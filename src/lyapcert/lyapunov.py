@@ -21,7 +21,7 @@ import scipy.linalg as sla
 from . import damping as dmp
 from .errors import CalibrationFailed, MissingCS, WrongNormChoice
 from .linalg import (InnerProduct, matrix_exponential, operator_norm,
-                     operator_norm_nonsym, solve_lyapunov)
+                     operator_norm_nonsym, row_norms, solve_lyapunov)
 
 KINDS = ("global_exp_SU", "semiglobal_exp_SneqU", "semiglobal_poly", "finite_dim")
 GRAMIAN_SHIFT = 0.1                               # coercivity shift of the poly form
@@ -52,20 +52,12 @@ class LyapunovCertificate:
     gamma: float = None
     flags: tuple = ()
 
-    def quad_form(self, z):
-        """<Pz, z>_H along the last axis."""
-        z = np.asarray(z, dtype=float)
-        q = np.einsum("...i,...i->...", z @ self.G, z)
-        return float(q) if q.ndim == 0 else q
-
     @cached_property
     def energy_form(self):
         """L^T P L^{-T} = L^{-1} G L^{-T} (W = L L^T): <Pz, z>_H in the energy
-        coordinates y = z L, by a triangular solve (how a conjugated map is built
-        decides its drift).  From P, which certificate_P.mat holds exactly, so a
+        coordinates y = z L.  From P, which certificate_P.mat holds exactly, so a
         certificate read back evaluates as the one built."""
-        L = self.system.H_ip.factor
-        return sla.solve_triangular(L, self.P.T @ L, lower=True).T
+        return self.system.H_ip.conjugate(self.P.T).T
 
     def scalars(self):
         values = {"kind": self.kind, **{name: getattr(self, name) for name in SCALARS}}
@@ -88,17 +80,10 @@ def _norms_and_form(system, gain):
     return G, P, alpha, P_norm_H, B_norm
 
 
-def _graph_ip(system):
-    W = system.H_ip.weight
-    A = system.A
-    return InnerProduct(W + A.T @ W @ A)
-
-
 def _p_norm_DA(system, P):
     # Upper bound for the operator norm in the sum graph norm via the
     # equivalent quadratic graph norm: ||z||_G <= ||z||_H + ||Az||_H <= sqrt(2) ||z||_G.
-    gip = _graph_ip(system)
-    return float(np.sqrt(2.0) * operator_norm_nonsym(P, gip))
+    return float(np.sqrt(2.0) * operator_norm_nonsym(P, InnerProduct(system.graph_weight)))
 
 
 def build_exp_certificate(system, damping):
@@ -152,10 +137,7 @@ def calibrate_C_theta(system, gain, G1, gamma, seed=0):
     states reduces to a generalized eigenvalue against the quadratic graph
     weight.
     """
-    W = system.H_ip.weight
-    A = system.A
-    WG = W + A.T @ W @ A
-    needed = float(sla.eigh(0.5 * (G1 + G1.T), WG, eigvals_only=True)[-1])
+    needed = float(sla.eigh(0.5 * (G1 + G1.T), system.graph_weight, eigvals_only=True)[-1])
 
     Atilde = system.closed_loop(gain)
     rng = np.random.default_rng(seed)
@@ -202,8 +184,7 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
     D = -(Atilde.T @ G1 + G1 @ Atilde)
     C = float(min(1.0, sla.eigh(0.5 * (D + D.T), W, eigvals_only=True)[0]))
 
-    WG = W + system.A.T @ W @ system.A
-    alpha = 0.5 * float(sla.eigh(G1, WG, eigvals_only=True)[0])
+    alpha = 0.5 * float(sla.eigh(G1, system.graph_weight, eigvals_only=True)[0])
 
     P1, P_norm_H, B_norm = _operator_and_norms(system, G1)
     M = damping.C2 * C_theta * damping.h_eval(B_norm * r) * B_norm * r
@@ -219,14 +200,13 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
 
 
 def eval_V(cert, z=None, y=None, norm_H=None):
-    """Value of the certificate functional along the last axis: at the state z,
-    or at the energy coordinates y = z L of a recorded run and their norms
-    norm_H = |y| = ||z||_H, through `energy_form`, without forming z."""
+    """Value of the certificate functional along the last axis, through
+    `energy_form`: at the energy coordinates y = z L of the state z, or at
+    those of a recorded run and their norms norm_H = |y| = ||z||_H."""
     if y is None:
-        z = np.asarray(z, dtype=float)
-        quad, norm_H = cert.quad_form(z), cert.system.norm_H(z)
-    else:
-        quad = np.einsum("...i,...i->...", y @ cert.energy_form, y)
+        y = np.asarray(z, dtype=float) @ cert.system.H_ip.factor
+        norm_H = row_norms(y)
+    quad = np.einsum("...i,...i->...", y @ cert.energy_form, y)
     if cert.kind in ("global_exp_SU", "finite_dim"):
         return quad + cert.M * cert.damping_ref.k_integral(norm_H * norm_H, cert.B_norm)
     return quad + cert.M * norm_H * norm_H

@@ -8,6 +8,7 @@ dissipativity margin of the assembled A before returning.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,12 @@ class SemiDiscreteSystem:
     def closed_loop(self, gain=None):
         g = self.k if gain is None else gain
         return self.A - g * self.B @ self.Bstar
+
+    @cached_property
+    def graph_weight(self):
+        """W + A^T W A, the weight of the quadratic graph norm of D(A)."""
+        W = self.H_ip.weight
+        return W + self.A.T @ W @ self.A
 
     def norm_H(self, z):
         return self.H_ip.norm(z)

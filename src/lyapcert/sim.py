@@ -17,9 +17,10 @@ vectorized Newton, which raises if it does not converge.
 The loop runs in the energy coordinates y = z L (W = L L^T the energy weight),
 so ||z||_H = |y|, with the maps conjugated once per dt (C as L^{-1} C^T L); V
 is evaluated on y and the recorded norms, and a trajectory forms its states
-z = y L^{-1} on first read.  At a fixed step one stacked product per step
-takes a block from b = a - J P (a = y C, J the impulse) to the next y, a and
-s = a T; step halving runs one state at a time with unfused stages.  After
+z = y L^{-1} on first read.  Every Strang step outside an affine pass is one
+stacked product (`_Steps.step`) from b = a - J P (a = y C, J the impulse) to
+the next y, a and s = a T, the inner half-steps merged into C^2; at a fixed
+step it advances a block of rows, step halving one state at a time.  After
 the loop one pass over the recorded norms aborts at the earliest step that
 grows beyond a tight tolerance.
 
@@ -55,6 +56,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ContractionViolation, StepRejectionLimit, SubflowNotConverged
+from .linalg import row_norms
 
 GROWTH_TOL = 1e-10      # per-step admissible relative growth of the state norm
 MAX_HALVINGS = 45
@@ -66,7 +68,7 @@ TINY = np.finfo(float).tiny  # floor of the norm the saturation impulse divides 
 
 # one step's maps: stacked = [C | C^2 T | C^2] takes b to the next y, s and a, first y to s and a
 # ball: the radius rho of `_Steps.ball`, within which every input is linear
-_Maps = namedtuple("_Maps", "C C2 impulse stacked first CT PC ball")
+_Maps = namedtuple("_Maps", "C2 impulse stacked first CT PC ball")
 
 
 @dataclass(frozen=True)
@@ -159,11 +161,11 @@ def _integrate(system, damping, Z0, config, cert):
         raise ValueError(f"initial states must be rows of length {system.n}")
     if not np.all(np.isfinite(Z0)):
         raise ValueError("initial state must be finite")
-    steps = _Steps(system, damping)
+    steps, Y0 = _Steps(system, damping), Z0 @ system.H_ip.factor
     if config.error_control == "none":
-        blocks = [_fixed_step(steps, Z0 @ steps.chol, config)]
+        blocks = [_fixed_step(steps, Y0, config)]
     else:
-        blocks = [_step_halving(steps, y0, config) for y0 in Z0 @ steps.chol]
+        blocks = [_step_halving(steps, y0, config) for y0 in Y0]
     to_z, T, AL, w = steps.to_z, steps.T, steps.AL, system.U_weights
 
     def power(Y):
@@ -174,12 +176,12 @@ def _integrate(system, damping, Z0, config, cert):
         if name == "states":
             return Y @ to_z
         if name == "norm_DA":
-            return traj.norm_H + _by_chunks(lambda X: _row_norms(X @ AL), Y)
+            return traj.norm_H + _by_chunks(lambda X: row_norms(X @ AL), Y)
         return _by_chunks(power, Y)
 
     trajs = []
     for times, block, row_stats in blocks:
-        norms = np.array([_row_norms(Y) for Y in block])    # block: (rows, steps + 1, n) of y
+        norms = np.array([row_norms(Y) for Y in block])    # block: (rows, steps + 1, n) of y
         growth = _check_growth(norms, times)
         for Y, norm_H, stats, max_growth in zip(block, norms, row_stats, growth):
             traj = Trajectory(times=times, norm_H=norm_H,
@@ -195,31 +197,27 @@ def _integrate(system, damping, Z0, config, cert):
 class _Steps:
     """The maps one step needs in the energy coordinates y = z L (z = y to_z):
     the input map T (s = y T), the impulse map P (y -> y - J P) and, per distinct
-    dt, the conjugated Cayley half-step C, its square, the damping impulse and the
-    per-step loop's stacked maps.  Rows are states, so maps act from the right."""
+    dt, the square of the conjugated Cayley half-step C, the damping impulse and
+    the stacked maps of `step`.  Rows are states, so maps act from the right."""
 
     def __init__(self, system, damping):
-        L = self.chol = system.H_ip.factor
+        self.ip, L = system.H_ip, system.H_ip.factor
         self.A, self.to_z = system.A, sla.solve_triangular(L, np.eye(len(L)), lower=True)
         self.T = np.sqrt(system.k) * L.T @ system.B / system.U_weights  # L^{-1} sqrt(k) B*^T
         self.P = np.sqrt(system.k) * system.B.T @ L
-        self.AL = self.conjugate(self.A.T)                       # ||A z||_H = |y AL|
+        self.AL = self.ip.conjugate(self.A.T)                    # ||A z||_H = |y AL|
         self.subflow, self.zoned = _subflow(system, damping)
         self.cache = {}                                          # dt -> _Maps
         self.last_pass = (None, None)                            # (key, pass_maps(*key))
-
-    def conjugate(self, M):
-        """L^{-1} M L, the map y -> y L^{-1} M L of the map z -> z M."""
-        return sla.solve_triangular(self.chol, M @ self.chol, lower=True)
 
     def __call__(self, dt):
         """The _Maps of a step of length dt, made once per dt."""
         if dt not in self.cache:
             eye = np.eye(len(self.A))
             lu = sla.lu_factor(eye - 0.25 * dt * self.A)
-            C = self.conjugate(sla.lu_solve(lu, eye + 0.25 * dt * self.A).T)
+            C = self.ip.conjugate(sla.lu_solve(lu, eye + 0.25 * dt * self.A).T)
             C2, CT = C @ C, C @ self.T
-            self.cache[dt] = _Maps(C, C2, self.subflow(dt), np.hstack([C, C2 @ self.T, C2]),
+            self.cache[dt] = _Maps(C2, self.subflow(dt), np.hstack([C, C2 @ self.T, C2]),
                                    np.hstack([CT, C]), CT, self.P @ C, self.ball(CT))
         return self.cache[dt]
 
@@ -232,18 +230,19 @@ class _Steps:
         return (1.0 - 1e-12) * np.divide(level, col, out=np.full_like(col, np.inf),
                                          where=col > 0).min(initial=np.inf)
 
-    def step(self, Y, dt):
-        """One unfused Strang step of the rows Y."""
-        C, _, impulse = self(dt)[:3]
-        a = Y @ C
-        return (a - impulse(a @ self.T) @ self.P) @ C
+    def step(self, sa, dt):
+        """The Strang step of length dt from [s | a] (a = y C, s = a T of the
+        rows y): the next [y | s | a], by one product with `_Maps.stacked`."""
+        maps, m = self(dt), self.T.shape[1]
+        return (sa[:, m:] - maps.impulse(sa[:, :m]) @ self.P) @ maps.stacked
 
-    def two_steps(self, Y, dt):
-        """Two Strang steps of length dt/2, the inner half-steps merged into C^2."""
-        C, C2, impulse = self(0.5 * dt)[:3]
-        a = Y @ C
-        a = (a - impulse(a @ self.T) @ self.P) @ C2
-        return (a - impulse(a @ self.T) @ self.P) @ C
+    def run(self, Y, dt, count=1):
+        """The rows Y after count Strang steps of length dt."""
+        n, sa = Y.shape[1], Y @ self(dt).first
+        for _ in range(count):
+            out = self.step(sa, dt)
+            sa = out[:, n:]
+        return out[:, :n]
 
     def zones(self, s, dt):
         """The zone of each input component over a step of length dt: 0
@@ -265,8 +264,7 @@ class _Steps:
     def affine(self, dt, p):
         """The Strang step of length dt in the zones p as an augmented map
         acting from the right: (y, 1) -> ((a - J P) C, 1), a = y C, with the
-        impulse J = (a T) lin + push.  C^2 enters as the per-step loop's, so
-        the two paths' maps round alike and their states do not drift apart."""
+        impulse J = (a T) lin + push."""
         level, _, gain = self.zoned
         maps = self(dt)
         J = np.vstack([maps.CT * np.where(p == 0, gain(dt), 0.0),        # lin; push
@@ -334,7 +332,7 @@ def _fixed_step(steps, Y0, config):
     for r in [slice(i, i + 1) for i in range(b)] if alone else [slice(None)]:
         affine[r] = _advance(steps, rec[r, :fused + 1], dt) if fused else 0
     if fused < count:
-        rec[:, count, :n] = steps.step(rec[:, fused, :n], last)
+        rec[:, count, :n] = steps.run(rec[:, fused, :n], last)
     return times, rec[..., :n], [
         {"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0, "affine_steps": int(a),
          "per_step_steps": count - int(a), "affine_passes": int(passes)} for a, passes in affine]
@@ -345,11 +343,11 @@ def _advance(steps, rec, dt):
     column by steps of dt.  A pass writes its candidate states into the
     record, and the per-step loop overwrites those it did not accept.
     Returns the steps that affine passes took and the passes."""
-    _, _, impulse, stacked, first, _, _, ball = steps(dt)
+    maps = steps(dt)
     last, n, m = rec.shape[1] - 1, rec.shape[2] - 1, steps.T.shape[1]
     k, affine, passes, limit = 0, 0, 0, CHECK_EVERY
     resume = 0 if steps.zoned is not None else last
-    sa = rec[:, 0, :n] @ first
+    sa = rec[:, 0, :n] @ maps.first
     while k < last:
         p = steps.zones(sa[:, :m], dt) if k >= resume else None
         if p is not None and p.max() < 2 and np.all(p == p[0]):
@@ -357,17 +355,17 @@ def _advance(steps, rec, dt):
             probe, box = _affine_pass(steps, rec[:, k:k + j + 1], dt, p[0])
             # step k keeps p; steps k + 1 ... k + j - 1 keep it while their inputs
             # are in the box, which the leading ones within the ball are if p is linear
-            i, later = j, rec[:, k + 1:k + j, :n]
+            i, later, ball = j, rec[:, k + 1:k + j, :n], maps.ball
             if box is not None:
-                inner = _leading((_row_norms(later) <= ball).all(axis=0)) if not p[0].any() else 0
+                inner = _leading((row_norms(later) <= ball).all(axis=0)) if not p[0].any() else 0
                 i = 1 + inner + _leading(_inside(later[:, inner:] @ probe, box).all(axis=0))
-            sa = rec[:, k + i, :n] @ first
+            sa = rec[:, k + i, :n] @ maps.first
             affine, passes, limit = affine + i, passes + 1, _next_limit(limit, i, j)
             if i < min(j, CHECK_EVERY // 8):        # little before the zones changed:
                 # where they change every few dozen steps (wave64) per-step steps cost less
                 resume = ((k + i) // CHECK_EVERY + 1) * CHECK_EVERY
         else:
-            out, i = (sa[:, m:] - impulse(sa[:, :m]) @ steps.P) @ stacked, 1
+            out, i = steps.step(sa, dt), 1
             rec[:, k + 1, :n], sa = out[:, :n], out[:, n:]
         k += i
     return affine, passes
@@ -396,7 +394,7 @@ def _step_halving(steps, y0, config):
     the current dt in passes of run-sized length (module docstring)."""
     t_end = config.t_end
     y, t = y0[None], 0.0
-    norm = norm0 = _row_norms(y)[0]
+    norm = norm0 = row_norms(y)[0]
     times, states = [t], [y0]
     dt = min(config.dt, t_end)
     rejected, most_halvings, affine, passes, limit = 0, 0, 0, 0, CHECK_EVERY
@@ -408,8 +406,8 @@ def _step_halving(steps, y0, config):
         if not len(ts):                             # one step by the per-step trial
             halvings = 0
             while True:
-                Y = steps.two_steps(y, dt)
-                err = _row_norms(steps.step(y, dt) - Y)[0] / 3.0
+                Y = steps.run(y, 0.5 * dt, 2)
+                err = row_norms(steps.run(y, dt) - Y)[0] / 3.0
                 tol = config.local_error_target * max(norm, 1e-9 * norm0)
                 if err <= tol:
                     break
@@ -420,7 +418,7 @@ def _step_halving(steps, y0, config):
                         f"local error {err:.3e} above target after {halvings} halvings")
             rejected += halvings
             most_halvings = max(most_halvings, halvings)
-            ts, ns, grow = [t + dt], _row_norms(Y), err <= 0.125 * tol
+            ts, ns, grow = [t + dt], row_norms(Y), err <= 0.125 * tol
         times.extend(ts)
         states.extend(Y)
         t, y, norm = float(ts[-1]), Y[-1:], float(ns[-1])
@@ -452,11 +450,11 @@ def _affine_trials(steps, y, t, dt, norm, norm0, config, limit):
     Z = np.ones((j + 1, n + 1))
     Z[0, :n] = y[0]
     probe, box = _affine_pass(steps, Z[None], dt, p, trial=True)
-    ns = _row_norms(Z[:, :n])
+    ns = row_norms(Z[:, :n])
     ns[0] = norm                                    # y's recorded norm sets its tolerance
     X = Z[:j] @ probe
     keep = _inside(X[:, :3 * m], box)               # the coarse and both half-steps
-    err = _row_norms(X[:, 3 * m:]) / 3.0
+    err = row_norms(X[:, 3 * m:]) / 3.0
     tol = config.local_error_target * np.maximum(ns[:j], 1e-9 * norm0)
     k = _leading(keep & (err <= tol))               # up to the first rejection
     small = err[:k] <= 0.125 * tol[:k]
@@ -464,10 +462,6 @@ def _affine_trials(steps, y, t, dt, norm, norm0, config, limit):
     if grow:
         k = int(np.argmax(small)) + 1
     return ts[1:k + 1], ns[1:k + 1], Z[1:k + 1, :n], grow, j
-
-
-def _row_norms(Y):
-    return np.sqrt(np.einsum("...i,...i->...", Y, Y))
 
 
 def _next_limit(limit, accepted, formed):     # run-sized passes, module docstring

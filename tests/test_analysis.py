@@ -107,6 +107,30 @@ class TestLyapunovDecrease:
         rep = analysis.verify_lyapunov_decrease(traj, bad)
         assert not rep.passed
 
+    def test_corrupted_tail_fails(self, oscillator, clamp1):
+        # demo 01's run with V raised by 10 (t - t*) after unit-ball entry; a
+        # slack scaled by the launch's V(0) (26.3 here) let it pass
+        cert = lyapunov.build_exp_certificate(oscillator, clamp1)
+        z0 = 60.0 * np.array([1.0, 1.0]) / np.sqrt(2.0)
+        traj = sim.integrate(oscillator, clamp1, z0,
+                             sim.IntegratorConfig(dt=1e-3, t_end=120.0,
+                                                  error_control="none"),
+                             cert=cert)
+        assert analysis.verify_lyapunov_decrease(traj, cert).passed
+        tail = traj.times > traj.t_star
+        V = traj.V_values.copy()
+        V[tail] += 10.0 * (traj.times[tail] - traj.t_star)
+        bad = sim.Trajectory.from_norms(traj.times, traj.norm_H, V_values=V)
+        assert not analysis.verify_lyapunov_decrease(bad, cert).passed
+
+    def test_zero_state_has_no_violation(self, oscillator, clamp1):
+        # each step's scale C ||z||^2 is floored, so a run at rest divides by no zero
+        cert = lyapunov.build_exp_certificate(oscillator, clamp1)
+        rest = sim.Trajectory.from_norms(np.arange(5.0), np.zeros(5), V_values=np.zeros(5))
+        with np.errstate(all="raise"):
+            rep = analysis.verify_lyapunov_decrease(rest, cert)
+        assert rep.passed and rep.max_violation == 0.0
+
     def test_requires_recorded_V(self, oscillator, clamp1):
         cert = lyapunov.build_exp_certificate(oscillator, clamp1)
         traj = sim.integrate(oscillator, clamp1, np.array([1.0, 0.0]),

@@ -181,6 +181,19 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             InnerProduct(np.diag([1.0, -1.0]))
 
+    def test_conjugate_matches_dense(self):
+        # L^{-1} M L by one triangular solve against the dense inverse, and the
+        # conjugated map acts on y = x L as M acts on x
+        rng = np.random.default_rng(3)
+        ip = InnerProduct(random_spd(rng, 6))
+        L = ip.factor
+        M = rng.standard_normal((6, 6))
+        dense = np.linalg.inv(L) @ M @ L
+        np.testing.assert_allclose(ip.conjugate(M), dense, rtol=0,
+                                   atol=1e-12 * np.abs(dense).max())
+        x = rng.standard_normal(6)
+        np.testing.assert_allclose((x @ L) @ ip.conjugate(M), (x @ M) @ L, rtol=1e-12)
+
     def test_norm_consistency(self):
         rng = np.random.default_rng(1)
         W = random_spd(rng, 4)

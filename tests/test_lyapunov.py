@@ -264,6 +264,18 @@ class TestFunctionalEvaluation:
             assert isinstance(lyapunov.eval_V(cert, Z[0]), float)
             assert isinstance(system.norm_DA(Z[0]), float)
 
+    def test_state_and_energy_coordinates_agree_bitwise(self, clamp1):
+        # V at z and V at y = z L with the norm |y| of a recorded run are one
+        # evaluation, on the wave_certify system, whose L is not diagonal
+        system = models.discretize_wave(64, lambda x: 1.0 if 0.25 <= x <= 0.75 else 0.0)
+        L = system.H_ip.factor
+        assert np.any(L - np.diag(np.diag(L)))
+        cert = lyapunov.build_semiglobal_certificate(system, clamp1, 5.0, c_S=0.3)
+        Z = np.random.default_rng(11).standard_normal((1000, system.n))
+        Y = Z @ L
+        assert np.array_equal(lyapunov.eval_V(cert, Z),
+                              lyapunov.eval_V(cert, y=Y, norm_H=system.norm_H(Z)))
+
     def test_export_text_full_precision(self, oscillator, clamp1):
         cert = lyapunov.build_exp_certificate(oscillator, clamp1)
         text = lyapunov.export_text(cert)

@@ -116,6 +116,13 @@ class TestWave:
         assert np.allclose(wave32.Bstar @ z, np.sqrt(wave32.a_profile) * z[32:],
                            atol=1e-12)
 
+    def test_graph_weight_is_the_quadratic_graph_norm(self, wave32):
+        # z^T (W + A^T W A) z = ||z||_H^2 + ||Az||_H^2, built once per system
+        z = np.random.default_rng(4).standard_normal(64)
+        expected = wave32.norm_H(z) ** 2 + wave32.norm_H(wave32.A @ z) ** 2
+        assert abs(z @ wave32.graph_weight @ z - expected) <= 1e-12 * expected
+        assert wave32.graph_weight is wave32.graph_weight
+
 
 class TestEstimateCS:
     def test_zero_input_map(self, wave32_undamped):
