@@ -103,6 +103,8 @@ def verify_lyapunov_decrease(traj, cert):
     if traj.V_values is None:
         raise ValueError("trajectory has no recorded V values")
     V = traj.V_values
+    if len(V) < 2:
+        raise InsufficientData(f"{len(V)} samples (need >= 2 for the decrease check)")
     sq = traj.norm_H ** 2
     scale = 0.5 * cert.C * (sq[:-1] + sq[1:])
     viol = (np.diff(V) / np.diff(traj.times) + scale) / np.maximum(scale, np.finfo(float).tiny)

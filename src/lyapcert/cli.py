@@ -21,7 +21,8 @@ from . import __version__, analysis, damping as dmp, lyapunov, models, sim
 from .config import parse_config, serialize
 from .errors import (LyapcertError, MissingInput, NotDissipative, ParseError,
                      StaleCertificate, ValidationError)
-from .io import load_matrix, read_csv_floats, read_csv_lines, save_matrix, write_csv
+from .io import (load_float_copy, load_matrix, read_csv_floats, read_csv_lines,
+                 save_float_copy, save_matrix, write_csv)
 from .linalg import InnerProduct
 
 TRAJECTORY_COLUMNS = ["t", "norm_H", "norm_DA", "V", "damping_power"]
@@ -166,10 +167,12 @@ def cmd_simulate(cfg, out_dir, seed):
         cert = (_reusable_certificate(out_dir, cfg, system, damping, seed)
                 or build_certificate(cfg, system, damping, seed=seed))
     traj = sim.integrate(system, damping, z0, integrator_config(cfg), cert=cert)
-    write_csv(os.path.join(out_dir, "trajectory.csv"), TRAJECTORY_COLUMNS,
-              _trajectory_table(traj))
+    table = _trajectory_table(traj)
+    path = os.path.join(out_dir, "trajectory.csv")
+    write_csv(path, TRAJECTORY_COLUMNS, table)
+    save_float_copy(os.path.join(out_dir, "trajectory.f64"), path, table)
     print(f"simulate: {len(traj.times)} samples, t_star={traj.t_star!r}")
-    return ["trajectory.csv"]
+    return ["trajectory.csv", "trajectory.f64"]
 
 
 def config_hash(cfg):
@@ -207,10 +210,14 @@ def cmd_check_damping(cfg, out_dir, seed):
 
 
 def _load_trajectory(out_dir):
+    """trajectory.csv's samples, read from simulate's trajectory.f64 where
+    that is a copy of the CSV as it now is, else parsed; checked either way."""
     path = os.path.join(out_dir, "trajectory.csv")
     if not os.path.exists(path):
         raise MissingInput(f"{path} not found; run simulate first")
-    data = read_csv_floats(path, TRAJECTORY_COLUMNS)
+    data = load_float_copy(os.path.join(out_dir, "trajectory.f64"), path, TRAJECTORY_COLUMNS)
+    if data is None:
+        data = read_csv_floats(path, TRAJECTORY_COLUMNS)
     t, norm_H, V = data[:, 0], data[:, 1], data[:, 3]
     if np.all(np.isnan(V)):
         V = None                            # written without a certificate

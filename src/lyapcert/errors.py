@@ -78,7 +78,7 @@ class SubflowNotConverged(LyapcertError):
 # --- analysis ---
 
 class InsufficientData(LyapcertError):
-    """Too few usable samples for the requested fit."""
+    """Too few usable samples for the requested fit or check."""
 
 
 class NoLinearPhase(LyapcertError):

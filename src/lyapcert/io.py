@@ -1,4 +1,5 @@
-"""Plain-text matrix format, and CSV files written deterministically.
+"""Plain-text matrix format, CSV files written deterministically, and keyed
+binary copies of float CSVs.
 
 Matrix files: a header line "rows cols", then exactly rows * cols
 whitespace-separated entries in row-major order, newline-terminated.
@@ -13,8 +14,14 @@ one column at a time, so no Python code runs per float cell.  Reading skips
 blank and whitespace-only lines; `read_csv_lines` returns the remaining lines
 unsplit, `read_csv` every cell as a string, `read_csv_floats` a float array
 checked against the header and parsed by numpy's text reader.
+
+`save_float_copy` writes a table just written by `write_csv` again as the
+CSV's SHA-256 (its key) and little-endian float64 rows; `load_float_copy`
+returns it only while the key matches the CSV, bit for bit what parsing the
+CSV would give, and None otherwise.
 """
 
+import hashlib
 from itertools import islice
 
 import numpy as np
@@ -124,3 +131,34 @@ def read_csv_floats(path, columns):
     if data.shape != (len(body), len(columns)):
         raise MissingInput(malformed)
     return data
+
+
+def save_float_copy(path, csv_path, table):
+    """Write `table`, just written to `csv_path` by `write_csv`, to `path`:
+    the SHA-256 of `csv_path`'s bytes, then the rows as little-endian float64
+    with every NaN the one that parsing "nan" gives."""
+    with open(csv_path, "rb") as fh:
+        key = hashlib.sha256(fh.read()).digest()
+    table = np.asarray(table, dtype=float)
+    with open(path, "wb") as fh:
+        fh.write(key)
+        fh.write(np.where(np.isnan(table), np.nan, table).astype("<f8", copy=False))
+
+
+def load_float_copy(path, csv_path, columns):
+    """The float array that `save_float_copy` wrote to `path` from the CSV
+    `csv_path` with header `columns`, writable like a parsed one; None where
+    `path` is missing or is not a copy of `csv_path` as it now is."""
+    try:
+        with open(path, "rb") as fh:
+            buf = bytearray(fh.read())
+    except OSError:
+        return None
+    with open(csv_path, "rb") as fh:
+        text = fh.read()
+    rows = text.count(b"\n") - 1           # write_csv writes no blank lines
+    if (buf[:32] != hashlib.sha256(text).digest() or rows < 1
+            or len(buf) != 32 + 8 * len(columns) * rows
+            or not text.startswith((",".join(columns) + "\n").encode())):
+        return None
+    return np.frombuffer(buf, dtype="<f8", offset=32).reshape(rows, len(columns))

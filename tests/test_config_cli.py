@@ -636,6 +636,12 @@ def trajectory_text(body, end="\n", final=True):
     return end.join([TRAJECTORY_HEADER] + body) + (end if final else "")
 
 
+def simulated_like(body):
+    """A config whose simulate run writes as many rows as `body` holds."""
+    return SCALAR_SAT.replace("dt = 1e-3", "dt = 0.5").replace(
+        "t_end = 6.0", f"t_end = {0.5 * (len(body) - 1)!r}")
+
+
 # trajectory.csv files that verify and fit-decay refuse with MissingInput
 MALFORMED_TRAJECTORIES = {
     "four_cells": TRAJECTORY_BODY[:5] + ["2.5,0.5,0.5,0.25"] + TRAJECTORY_BODY[6:],
@@ -761,23 +767,40 @@ class TestMalformedInputs:
         line = last_line(capsys)
         assert line.startswith("ERROR MissingInput:") and "trajectory.csv" in line
 
+    @pytest.mark.parametrize("sub, message", [
+        ("verify", "1 samples (need >= 2 for the decrease check)"),
+        ("fit-decay", "1 usable samples (need >= 10)")], ids=["verify", "fit-decay"])
+    def test_trajectory_of_one_row(self, tmp_path, capsys, sub, message):
+        (tmp_path / "trajectory.csv").write_text(trajectory_text(TRAJECTORY_BODY[:1]))
+        assert run(tmp_path, sub, SCALAR_SAT) == 5
+        assert last_line(capsys) == f"ERROR InsufficientData: {message}"
+
+    # each file is read twice: alone, and over the trajectory.f64 of a
+    # simulate run with as many rows, a valid copy of the CSV that the file
+    # overwrites; only the copy's key then tells the two apart
     @pytest.mark.parametrize("sub", ["verify", "fit-decay"])
     @pytest.mark.parametrize("case", sorted(MALFORMED_TRAJECTORIES))
     def test_trajectory_rows_not_5_numbers(self, tmp_path, capsys, sub, case):
-        (tmp_path / "trajectory.csv").write_bytes(
-            trajectory_text(MALFORMED_TRAJECTORIES[case]).encode())
-        assert run(tmp_path, sub, SCALAR_SAT) == 4
-        assert last_line(capsys) == (f"ERROR MissingInput: {tmp_path / 'trajectory.csv'} "
-                                     "has rows that are not 5 numbers")
+        body = MALFORMED_TRAJECTORIES[case]
+        for simulated in (False, True):
+            if simulated:
+                assert run(tmp_path, "simulate", simulated_like(body), name="sim.cfg") == 0
+            (tmp_path / "trajectory.csv").write_bytes(trajectory_text(body).encode())
+            assert run(tmp_path, sub, SCALAR_SAT) == 4
+            assert last_line(capsys) == (f"ERROR MissingInput: {tmp_path / 'trajectory.csv'} "
+                                         "has rows that are not 5 numbers")
 
     @pytest.mark.parametrize("sub", ["verify", "fit-decay"])
     @pytest.mark.parametrize("case", sorted(INVALID_TRAJECTORIES))
     def test_trajectory_values_invalid(self, tmp_path, capsys, sub, case):
         body, message = INVALID_TRAJECTORIES[case]
-        (tmp_path / "trajectory.csv").write_text(trajectory_text(body))
-        assert run(tmp_path, sub, SCALAR_SAT) == 4
-        assert last_line(capsys) == (f"ERROR MissingInput: {tmp_path / 'trajectory.csv'} "
-                                     + message)
+        for simulated in (False, True):
+            if simulated:
+                assert run(tmp_path, "simulate", simulated_like(body), name="sim.cfg") == 0
+            (tmp_path / "trajectory.csv").write_text(trajectory_text(body))
+            assert run(tmp_path, sub, SCALAR_SAT) == 4
+            assert last_line(capsys) == (f"ERROR MissingInput: {tmp_path / 'trajectory.csv'} "
+                                         + message)
 
     @pytest.mark.parametrize("sub, produced", [("verify", "verification.csv"),
                                                ("fit-decay", "decay_fit.csv")])
@@ -806,6 +829,7 @@ class TestMalformedInputs:
         assert run(tmp_path, "simulate", cfg) != 0
         assert last_line(capsys) == "ERROR ValueError: sigma failed"
         assert not (tmp_path / "trajectory.csv").exists()
+        assert not (tmp_path / "trajectory.f64").exists()
 
     @pytest.mark.parametrize("name, content", [("A.mat", "2 2\n0 1\n-1 0\n7 8 9\n"),
                                                ("z0.vec", "2 1\n2\n0\n1\n")])
@@ -855,6 +879,74 @@ class TestMalformedInputs:
         assert str(exc.value) == f"{path} has rows that are not 5 numbers"
 
 
+NO_CERTIFICATE = SCALAR_SAT.replace("certificate = exp\n", "")
+
+
+class TestFloatCopy:
+    """simulate's trajectory.f64: the float table of trajectory.csv keyed by
+    the CSV's SHA-256, read by verify and fit-decay only while the key holds."""
+
+    @pytest.mark.parametrize("cfg", [SCALAR_SAT, NO_CERTIFICATE], ids=["V", "V_nan"])
+    def test_copy_is_the_parsed_csv_bitwise(self, tmp_path, cfg):
+        assert run(tmp_path, "simulate", cfg) == 0
+        csv = tmp_path / "trajectory.csv"
+        copy = lio.load_float_copy(tmp_path / "trajectory.f64", csv, TRAJECTORY_COLUMNS)
+        parsed = read_csv_floats(csv, TRAJECTORY_COLUMNS)
+        assert np.array_equal(copy.view(np.uint64), parsed.view(np.uint64))
+        assert copy.flags.writeable and parsed.flags.writeable
+        assert np.all(np.isnan(copy[:, 3])) == (cfg is NO_CERTIFICATE)
+
+    def test_nan_written_as_parsed(self, tmp_path):
+        table = np.array([[0.0, -0.0, np.inf, np.nan, -np.inf]])
+        table[0, 3] = np.inf - np.inf           # the sign-set NaN of x86 arithmetic
+        write_csv(tmp_path / "x.csv", TRAJECTORY_COLUMNS, table)
+        lio.save_float_copy(tmp_path / "x.f64", tmp_path / "x.csv", table)
+        copy = lio.load_float_copy(tmp_path / "x.f64", tmp_path / "x.csv", TRAJECTORY_COLUMNS)
+        parsed = read_csv_floats(tmp_path / "x.csv", TRAJECTORY_COLUMNS)
+        assert np.array_equal(copy.view(np.uint64), parsed.view(np.uint64))
+
+    @staticmethod
+    def outputs(tmp_path, out, capsys):
+        capsys.readouterr()
+        assert run(tmp_path, "verify", SCALAR_SAT, out=out) == 0
+        assert run(tmp_path, "fit-decay", SCALAR_SAT, out=out) == 0
+        return (capsys.readouterr().out, (out / "verification.csv").read_bytes(),
+                (out / "decay_fit.csv").read_bytes())
+
+    def test_outputs_whatever_the_copy(self, tmp_path, capsys, monkeypatch):
+        parses = []
+        monkeypatch.setattr(cli, "read_csv_floats",
+                            lambda *a: parses.append(a) or read_csv_floats(*a))
+        run_dir, other = tmp_path / "run", tmp_path / "other"
+        assert run(tmp_path, "simulate", SCALAR_SAT, out=run_dir) == 0
+        assert run(tmp_path, "simulate", SCALAR_SAT.replace("t_end = 6.0", "t_end = 5.0"),
+                   name="other.cfg", out=other) == 0
+        copy = run_dir / "trajectory.f64"
+        whole = copy.read_bytes()
+        expected = self.outputs(tmp_path, run_dir, capsys)
+        assert parses == []                     # the copy was read, not the CSV
+        variants = {"deleted": None, "empty": b"", "key_cut": whole[:16],
+                    "row_cut": whole[:-40], "byte_cut": whole[:-1],
+                    "row_added": whole + whole[-40:],
+                    "other_run": (other / "trajectory.f64").read_bytes()}
+        for name, content in variants.items():
+            if content is None:
+                copy.unlink()
+            else:
+                copy.write_bytes(content)
+            assert self.outputs(tmp_path, run_dir, capsys) == expected, name
+            assert len(parses) == 2, name       # verify and fit-decay parsed the CSV
+            parses.clear()
+
+    def test_manifest_lists_copy_and_report_skips_it(self, tmp_path):
+        assert run(tmp_path, "simulate", SCALAR_SAT) == 0
+        assert "file = trajectory.f64 bytes=" in (tmp_path / "manifest.txt").read_text()
+        assert run(tmp_path, "report", SCALAR_SAT) == 0
+        report = (tmp_path / "report.txt").read_text()
+        assert report.startswith("run report (1 artifacts)\n")
+        assert "trajectory.f64" not in report
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
         out1 = tmp_path / "a"
@@ -862,7 +954,7 @@ class TestDeterminism:
         for out in (out1, out2):
             assert run(tmp_path, "simulate", SCALAR_SAT, out=out, seed=7) == 0
             assert run(tmp_path, "fit-decay", SCALAR_SAT, out=out, seed=7) == 0
-        for name in ("trajectory.csv", "decay_fit.csv"):
+        for name in ("trajectory.csv", "trajectory.f64", "decay_fit.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
