@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, analysis, damping as dmp, lyapunov, models, sim
-from .config import parse_config, serialize
+from .config import parse_config, parse_profile, serialize
 from .errors import (LyapcertError, MissingInput, NotDissipative, ParseError,
                      StaleCertificate, ValidationError)
 from .io import (load_float_copy, load_matrix, read_csv_floats, read_csv_lines,
@@ -33,29 +33,14 @@ EXIT_CODES = {"ParseError": 2, "ValidationError": 3, "MissingInput": 4}
 # --- builders from config ---
 
 def build_damping(cfg):
-    kind = cfg.get("damping", "kind")
-    kwargs = {}
-    if kind in ("norm_saturation", "clamp", "tanh", "arctan"):
-        kwargs["s0"] = float(cfg.get("damping", "s0"))
-    if kind == "weak":
-        kwargs = {"c": float(cfg.get("damping", "c")), "q": float(cfg.get("damping", "q"))}
-    spec = dmp.from_name(kind, **kwargs)
+    make, keys = dmp.BY_NAME[cfg.get("damping", "kind")]
+    spec = make(**{key: float(cfg.get("damping", key)) for key in keys})
     c1 = cfg.get("damping", "C1")
     c2 = cfg.get("damping", "C2")
     if c1 is not None or c2 is not None:
         spec = replace(spec, C1=float(c1 if c1 is not None else spec.C1),
                        C2=float(c2 if c2 is not None else spec.C2))
     return spec
-
-
-def _profile_from_config(cfg):
-    prof = cfg.get("system", "a_profile", "constant 1.0")
-    toks = str(prof).split()
-    if toks[0] == "constant":
-        c = float(toks[1])
-        return lambda x: c
-    lo, hi, amp = (float(t) for t in toks[1:])
-    return lambda x: amp if lo <= x <= hi else 0.0
 
 
 def _matrix_from_config(cfg, key):
@@ -92,12 +77,11 @@ def build_system(cfg):
             return models.SemiDiscreteSystem(A=A, B=B, k=k, H_ip=ip,
                                              U_weights=np.ones(B.shape[1]))
         return models.make_finite_dim(A, B, k)
+    N = int(cfg.get("system", "N"))
+    profile = parse_profile(cfg.get("system", "a_profile", "constant 1.0"))
     if name == "kdv":
-        L = float(cfg.get("system", "L", 2 * np.pi))
-        return models.discretize_kdv(L, int(cfg.get("system", "N")),
-                                     _profile_from_config(cfg), k)
-    return models.discretize_wave(int(cfg.get("system", "N")),
-                                  _profile_from_config(cfg), k)
+        return models.discretize_kdv(float(cfg.get("system", "L", 2 * np.pi)), N, profile, k)
+    return models.discretize_wave(N, profile, k)
 
 
 def initial_state(cfg, system):
@@ -348,9 +332,6 @@ def cmd_verify(cfg, out_dir, seed):
 PLOT_HINTS = {
     "trajectory.csv": ("t", [("norm_H", 2), ("norm_DA", 3), ("V", 4)], "logscale"),
     "sweep.csv": ("r", [("mu", 2)], "linear"),
-    "decay_fit.csv": None,
-    "verification.csv": None,
-    "damping_report.csv": None,
 }
 
 

@@ -4,13 +4,15 @@ Grammar: `[section]` headers, `key = value` lines, `#` starts a comment,
 blank lines ignored.  Values parse as int, float, comma-separated list,
 semicolon-separated matrix rows, or fall back to (possibly spaced) strings.
 Every semantic violation is collected and reported together with the line
-number where the key was set.
+number where the key was set.  The damping kinds are damping.BY_NAME's keys;
+the `a_profile` grammar is parse_profile's, which cli.build_system calls too.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .damping import BY_NAME
 from .errors import ParseError, ValidationError
 
 SECTIONS = ("system", "damping", "sim", "analysis", "output")
@@ -22,7 +24,7 @@ SUBCOMMAND_DEFAULTS = {
     "analysis": {"fits": ["exponential"]},
     "output": {"directory": "out", "formats": ["csv"]},
 }
-DAMPING_KINDS = ("linear", "norm_saturation", "clamp", "tanh", "arctan", "weak")
+DAMPING_KINDS = tuple(BY_NAME)
 SYSTEM_NAMES = ("finite_dim", "kdv", "wave")
 
 
@@ -53,13 +55,6 @@ def _parse_scalar(tok):
     except ValueError:
         pass
     return tok
-
-
-def _finite_number(tok):
-    try:
-        return bool(np.isfinite(float(tok)))
-    except ValueError:
-        return False
 
 
 def _parse_value(text):
@@ -113,6 +108,31 @@ def parse_config(text):
     return cfg
 
 
+def parse_profile(text):
+    """The profile a(x) that an `a_profile` value names: `constant c`, or
+    `indicator lo hi amplitude` (the amplitude on [lo, hi], 0 elsewhere) with
+    lo < hi; finite numbers, amplitude >= 0.  ValueError says what fails."""
+    toks = str(text).split()
+    if toks[:1] not in (["constant"], ["indicator"]):
+        raise ValueError("expected 'constant c' or 'indicator lo hi amplitude'")
+    if toks[0] == "constant" and len(toks) != 2:
+        raise ValueError("constant profile takes one amplitude")
+    if toks[0] == "indicator" and len(toks) != 4:
+        raise ValueError("indicator profile takes lo hi amplitude")
+    try:
+        *window, amp = (float(t) for t in toks[1:])
+    except ValueError:
+        window, amp = [], np.nan
+    if not np.all(np.isfinite(window + [amp])):
+        raise ValueError(f"bounds and amplitude must be finite numbers, got {text!r}")
+    if amp < 0:
+        raise ValueError(f"amplitude must be >= 0, got {text!r}")
+    lo, hi = window or (-np.inf, np.inf)         # constant: amplitude everywhere
+    if lo >= hi:
+        raise ValueError(f"indicator needs lo < hi, got {text!r}")
+    return lambda x: amp if lo <= x <= hi else 0.0
+
+
 def validate(cfg):
     problems = []
 
@@ -145,78 +165,53 @@ def validate(cfg):
         N = cfg.get("system", "N")
         if not isinstance(N, int) or N < 16:
             bad("system", "N", f"must be an integer >= 16, got {N!r}")
-    if name == "kdv":
-        L = cfg.get("system", "L", 2 * np.pi)
-        if not positive(L):
-            bad("system", "L", f"must be positive, got {L!r}")
-    k = cfg.get("system", "k", 1.0)
-    if not positive(k):
-        bad("system", "k", f"must be positive, got {k!r}")
-    prof = cfg.get("system", "a_profile")
-    if prof is not None and name in ("kdv", "wave"):
-        toks = str(prof).split()
-        if toks[:1] not in (["constant"], ["indicator"]):
-            bad("system", "a_profile", "expected 'constant c' or 'indicator lo hi amplitude'")
-        elif toks[0] == "constant" and len(toks) != 2:
-            bad("system", "a_profile", "constant profile takes one amplitude")
-        elif toks[0] == "indicator" and len(toks) != 4:
-            bad("system", "a_profile", "indicator profile takes lo hi amplitude")
-        elif not all(_finite_number(t) for t in toks[1:]):
-            bad("system", "a_profile", f"bounds and amplitude must be finite numbers, got {prof!r}")
+        try:
+            parse_profile(cfg.get("system", "a_profile", "constant 1.0"))
+        except ValueError as exc:
+            bad("system", "a_profile", str(exc))
 
-    kind = choice("damping", "kind")
+    kind, q = choice("damping", "kind"), cfg.get("damping", "q")
     if kind not in DAMPING_KINDS:
         bad("damping", "kind", f"unknown kind {kind!r}; one of " + "|".join(DAMPING_KINDS))
-    s0 = cfg.get("damping", "s0")
-    if not positive(s0):
-        bad("damping", "s0", f"must be positive, got {s0!r}")
-    q = cfg.get("damping", "q")
-    if kind == "weak" and not (isinstance(q, (int, float)) and 0 < q < 1):
+    elif "q" in BY_NAME[kind][1] and not (isinstance(q, (int, float)) and 0 < q < 1):
         bad("damping", "q", f"must lie in (0, 1), got {q!r}")
-    for key in ("c", "C1", "C2"):
-        val = cfg.get("damping", key)
-        if val is not None and not positive(val):
-            bad("damping", key, f"must be positive and finite, got {val!r}")
     for key, least in (("verify_dim", 1), ("verify_trials", 100)):
         val = cfg.get("damping", key)
         if not isinstance(val, int) or val < least:
             bad("damping", key, f"must be an integer >= {least}, got {val!r}")
-
-    dt = cfg.get("sim", "dt")
-    if not positive(dt):
-        bad("sim", "dt", f"must be positive and finite, got {dt!r}")
-    t_end = cfg.get("sim", "t_end")
-    if not positive(t_end):
-        bad("sim", "t_end", f"must be positive and finite, got {t_end!r}")
     ec = choice("sim", "error_control")
     if ec not in ("on", "off"):
         bad("sim", "error_control", f"must be on|off, got {ec!r}")
-    target = cfg.get("sim", "local_error_target")
-    if not positive(target):
-        bad("sim", "local_error_target", f"must be positive and finite, got {target!r}")
 
+    # positive and finite: required or defaulted keys, optional keys, auto keys
+    required = [("system", "L", 2 * np.pi)] if name == "kdv" else []
+    required += [("system", "k", 1.0), ("damping", "s0", None), ("sim", "dt", None),
+                 ("sim", "t_end", None), ("sim", "local_error_target", None)]
+    for sect, key, default in required:
+        val = cfg.get(sect, key, default)
+        if not positive(val):
+            bad(sect, key, f"must be positive and finite, got {val!r}")
+    for sect, key in (("damping", "c"), ("damping", "C1"), ("damping", "C2"),
+                      ("analysis", "r"), ("analysis", "gamma")):
+        val = cfg.get(sect, key)
+        if val is not None and not positive(val):
+            bad(sect, key, f"must be positive and finite, got {val!r}")
+    for key in ("c_S", "C_theta"):
+        val = cfg.get("analysis", key)
+        if not (val is None or positive(val) or choice("analysis", key) == "auto"):
+            bad("analysis", key, f"must be positive and finite or auto, got {val!r}")
+
+    for key in ("radii", "fits"):               # one value is a list of one
+        if cfg.get("analysis", key) is not None and not isinstance(cfg.analysis[key], list):
+            cfg.analysis[key] = [cfg.analysis[key]]
     radii = cfg.get("analysis", "radii")
     if radii is not None:
-        if not isinstance(radii, list):
-            radii = [radii]
-            cfg.analysis["radii"] = radii
         vals = [r for r in radii if positive(r)]
         if len(vals) != len(radii) or any(b <= a for a, b in zip(vals, vals[1:])):
             bad("analysis", "radii", f"must be positive and increasing, got {radii!r}")
-    fits = cfg.get("analysis", "fits")
-    if fits is not None:
-        if not isinstance(fits, list):
-            fits = [fits]
-            cfg.analysis["fits"] = fits
-        for f in fits:
-            if not isinstance(f, str) or f not in ("exponential", "polynomial"):
-                bad("analysis", "fits", f"unknown fit {f!r}")
-    for key, may_be_auto in (("r", False), ("gamma", False), ("c_S", True), ("C_theta", True)):
-        val = cfg.get("analysis", key)
-        if val is None or positive(val) or (may_be_auto and choice("analysis", key) == "auto"):
-            continue
-        bad("analysis", key, "must be positive and finite" + (" or auto" if may_be_auto else "")
-            + f", got {val!r}")
+    for f in cfg.get("analysis", "fits") or []:
+        if not isinstance(f, str) or f not in ("exponential", "polynomial"):
+            bad("analysis", "fits", f"unknown fit {f!r}")
     lo, hi = cfg.get("analysis", "window_lo"), cfg.get("analysis", "window_hi")
     for key, val in (("window_lo", lo), ("window_hi", hi)):
         if val is not None and not finite(val):

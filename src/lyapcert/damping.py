@@ -113,42 +113,42 @@ def _check_level(s0):
     return s0
 
 
+def _saturation(kind, rule, s0):
+    return DampingSpec(kind=kind, scalar_rule=rule, s0=_check_level(s0), C1=1.0, C2=1.0 / s0)
+
+
 def norm_saturation(s0=1.0):
-    return DampingSpec(kind="norm_saturation", s0=_check_level(s0), C1=1.0, C2=1.0 / s0)
+    return _saturation("norm_saturation", "", s0)
 
 
 def clamp(s0=1.0):
-    return DampingSpec(kind="componentwise_saturation", scalar_rule="clamp",
-                       s0=_check_level(s0), C1=1.0, C2=1.0 / s0)
+    return _saturation("componentwise_saturation", "clamp", s0)
 
 
 def tanh_saturation(s0=1.0):
-    return DampingSpec(kind="componentwise_saturation", scalar_rule="tanh",
-                       s0=_check_level(s0), C1=1.0, C2=1.0 / s0)
+    return _saturation("componentwise_saturation", "tanh", s0)
 
 
 def arctan_saturation(s0=1.0):
-    return DampingSpec(kind="componentwise_saturation", scalar_rule="arctan",
-                       s0=_check_level(s0), C1=1.0, C2=1.0 / s0)
+    return _saturation("componentwise_saturation", "arctan", s0)
 
 
 def weak_damping(c=1.0, q=0.5):
     return DampingSpec(kind="weak_damping", c=c, q=q, C1=c, C2=1.0)
 
 
+# Config kind -> (constructor, the [damping] keys it takes); the one list of
+# kinds, read by config.validate and cli.build_damping.
+BY_NAME = {"linear": (linear, ()), "norm_saturation": (norm_saturation, ("s0",)),
+           "clamp": (clamp, ("s0",)), "tanh": (tanh_saturation, ("s0",)),
+           "arctan": (arctan_saturation, ("s0",)), "weak": (weak_damping, ("c", "q"))}
+
+
 def from_name(name, **kw):
-    table = {
-        "linear": linear,
-        "norm_saturation": norm_saturation,
-        "clamp": clamp,
-        "tanh": tanh_saturation,
-        "arctan": arctan_saturation,
-        "weak": weak_damping,
-        "weak_damping": weak_damping,
-    }
-    if name not in table:
+    """The damping of config kind `name`, by its constructor in BY_NAME."""
+    if name not in BY_NAME:
         raise ValueError(f"unknown damping name {name!r}")
-    return table[name](**kw)
+    return BY_NAME[name][0](**kw)
 
 
 # --- definition compliance checker ---

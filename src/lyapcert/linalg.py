@@ -53,10 +53,6 @@ class InnerProduct:
         """Lower Cholesky factor L of the weight, W = L L^T: ||x||_W = |x @ L|."""
         return self._chol
 
-    @property
-    def dim(self):
-        return self.weight.shape[0]
-
     def inner(self, x, y):
         return float(np.asarray(x) @ self.weight @ np.asarray(y))
 
@@ -72,7 +68,7 @@ class InnerProduct:
         return sla.solve_triangular(self._chol, M @ self._chol, lower=True)
 
     def is_identity(self):
-        return bool(np.array_equal(self.weight, np.eye(self.dim)))
+        return bool(np.array_equal(self.weight, np.eye(len(self.weight))))
 
 
 def row_norms(Y):
@@ -155,8 +151,7 @@ def gramian_quadrature(A, alpha=0.0, tol=1e-8, t_max=1e6):
             raise TailNotConvergent(
                 f"tail bound not met by T={T:.3e} (||exp(TA)|| = {prev:.3e})")
         T *= 2.0
-        cur = np.linalg.norm(matrix_exponential(A, T), 2)
-        prev = cur
+        prev = np.linalg.norm(matrix_exponential(A, T), 2)
 
     def integrand(s):
         E = matrix_exponential(A, s)

@@ -4,7 +4,8 @@ transport/dispersion and wave models, all in the form
     dz/dt = A z - sqrt(k) B sigma(sqrt(k) B* z)
 
 with A dissipative for the system's inner product.  Every builder verifies the
-dissipativity margin of the assembled A before returning.
+dissipativity margin of the assembled A before returning.  The grid models share
+_grid and _sampled; config text names their profile through config.parse_profile.
 """
 
 from dataclasses import dataclass, field
@@ -105,14 +106,32 @@ def make_finite_dim(A, B, k=1.0):
                               S_choice=dmp.U_EUCLIDEAN, name="finite_dim")
 
 
-def _profile_values(a_profile, x):
-    a = np.asarray([a_profile(xi) for xi in x], dtype=float) \
-        if callable(a_profile) else np.asarray(a_profile, dtype=float)
+def _grid(N, L, a_profile):
+    """Spacing h = L/(N+1) of the N interior nodes of (0, L), and a_profile
+    (a callable of x or an array) sampled there: finite and nonnegative."""
+    if N < 16:
+        raise ValueError("N must be >= 16")
+    if not 0 < L < np.inf:
+        raise ValueError("L must be positive and finite")
+    h = L / (N + 1)
+    x = h * np.arange(1, N + 1)
+    a = np.asarray([a_profile(xi) for xi in x] if callable(a_profile) else a_profile, dtype=float)
     if a.shape != x.shape:
         raise ValueError("a_profile length does not match the grid")
     if not np.all(np.isfinite(a)) or np.any(a < -1e-14):
         raise ValueError("a_profile must be finite and nonnegative")
-    return np.maximum(a, 0.0)
+    return h, np.maximum(a, 0.0)
+
+
+def _sampled(name, A, W, B, L, N, h, a, k):
+    """The grid model with drift A, energy weight W and input map B, once A
+    passes the dissipativity gate; the control space is l2 with weight h."""
+    ip = InnerProduct(W)
+    require_dissipative(A, ip, NotDissipativeDiscretization)
+    return SemiDiscreteSystem(A=A, B=B, k=float(k), H_ip=ip,
+                              U_weights=h * np.ones(N), S_choice=dmp.S_SUP,
+                              name=name, grid={"L": L, "N": N, "spacing": h},
+                              a_profile=a)
 
 
 def discretize_kdv(L, N, a_profile, k=1.0):
@@ -124,27 +143,12 @@ def discretize_kdv(L, N, a_profile, k=1.0):
     derivative: biased 4-point product D+ D+ D-.  Both choices make the
     assembled quadratic form nonpositive, which is verified after assembly.
     """
-    if N < 16:
-        raise ValueError("N must be >= 16")
-    if not 0 < L < np.inf:
-        raise ValueError("L must be positive and finite")
-    h = L / (N + 1)
-    x = h * np.arange(1, N + 1)
-    a = _profile_values(a_profile, x)
-
+    h, a = _grid(N, L, a_profile)
     e = np.ones(N)
     Dm = (np.diag(e) - np.diag(e[1:], -1)) / h          # backward difference
     Dp = (np.diag(e[1:], 1) - np.diag(e)) / h           # forward difference
     A = -Dm - Dp @ Dp @ Dm
-
-    ip = InnerProduct(h * np.eye(N))
-    require_dissipative(A, ip, NotDissipativeDiscretization)
-
-    B = np.diag(np.sqrt(a))
-    return SemiDiscreteSystem(A=A, B=B, k=float(k), H_ip=ip,
-                              U_weights=h * np.ones(N), S_choice=dmp.S_SUP,
-                              name="kdv", grid={"L": L, "N": N, "spacing": h},
-                              a_profile=a)
+    return _sampled("kdv", A, h * np.eye(N), np.diag(np.sqrt(a)), L, N, h, a, k)
 
 
 def discretize_wave(N, a_profile, k=1.0):
@@ -154,27 +158,14 @@ def discretize_wave(N, a_profile, k=1.0):
     inner product weights the displacement block by the stiffness matrix, which
     makes the undamped operator exactly skew (margin 0).
     """
-    if N < 16:
-        raise ValueError("N must be >= 16")
-    h = 1.0 / (N + 1)
-    x = h * np.arange(1, N + 1)
-    a = _profile_values(a_profile, x)
-
+    h, a = _grid(N, 1.0, a_profile)
     lap = (np.diag(-2.0 * np.ones(N)) + np.diag(np.ones(N - 1), 1)
            + np.diag(np.ones(N - 1), -1)) / h**2
     Z = np.zeros((N, N))
     A = np.block([[Z, np.eye(N)], [lap, Z]])
-
     stiffness = -h * lap                                  # discrete H^1_0 weight
     W = np.block([[stiffness, Z], [Z, h * np.eye(N)]])
-    ip = InnerProduct(W)
-    require_dissipative(A, ip, NotDissipativeDiscretization)
-
-    B = np.vstack([Z, np.diag(np.sqrt(a))])
-    return SemiDiscreteSystem(A=A, B=B, k=float(k), H_ip=ip,
-                              U_weights=h * np.ones(N), S_choice=dmp.S_SUP,
-                              name="wave", grid={"L": 1.0, "N": N, "spacing": h},
-                              a_profile=a)
+    return _sampled("wave", A, W, np.vstack([Z, np.diag(np.sqrt(a))]), 1.0, N, h, a, k)
 
 
 def leading_eigvec(M, index=0):

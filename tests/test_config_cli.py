@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lyapcert import cli, lyapunov, models
+from lyapcert import cli, damping, lyapunov, models
 from lyapcert import io as lio
 from lyapcert.cli import TRAJECTORY_COLUMNS, main
 from lyapcert.config import parse_config, serialize
@@ -969,3 +969,141 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+
+KDV16_INDICATOR = """
+[system]
+name = kdv
+N = 16
+L = 6.283185307179586
+a_profile = indicator 1.0 3.0 2.0
+
+[damping]
+kind = clamp
+
+[sim]
+dt = 1e-2
+t_end = 2.0
+error_control = off
+
+[analysis]
+certificate = semiglobal
+r = 5.0
+c_S = 1.5
+radii = 1, 5
+"""
+
+
+def line_of(text, key):
+    """The line number at which `key = ...` is set in a config text."""
+    return 1 + next(i for i, ln in enumerate(text.splitlines())
+                    if ln.split("=", 1)[0].strip() == key)
+
+
+class TestBuildersFromConfig:
+    """The config-to-object paths: damping kinds and overrides, the a_profile
+    grammar, and the per-key checks."""
+
+    @pytest.mark.parametrize("kind, keys, expected", [
+        ("linear", "", damping.linear()),
+        ("norm_saturation", "s0 = 2.0", damping.norm_saturation(2.0)),
+        ("clamp", "s0 = 0.5", damping.clamp(0.5)),
+        ("tanh", "s0 = 3.0", damping.tanh_saturation(3.0)),
+        ("arctan", "s0 = 0.25", damping.arctan_saturation(0.25)),
+        ("weak", "c = 2.0\nq = 0.25", damping.weak_damping(2.0, 0.25))])
+    def test_each_kind_builds_its_constructor(self, kind, keys, expected):
+        cfg = parse_config(MINIMAL.replace("kind = clamp", f"kind = {kind}\n{keys}"))
+        assert cli.build_damping(cfg) == expected
+
+    def test_C2_override_scales_M(self, tmp_path):
+        cfg = MINIMAL + "\n[analysis]\ncertificate = exp\n"
+        override = cfg.replace("kind = clamp", "kind = clamp\nC2 = 2.0")
+        assert run(tmp_path, "certify", cfg, name="a.cfg", out=tmp_path / "a") == 0
+        assert run(tmp_path, "certify", override, name="b.cfg", out=tmp_path / "b") == 0
+        base = (tmp_path / "a" / "certificate.txt").read_text().splitlines()
+        doubled = (tmp_path / "b" / "certificate.txt").read_text().splitlines()
+        assert "M = 1.8090169943749475" in base and "damping_C2 = 1.0" in base
+        assert "M = 3.618033988749895" in doubled and "damping_C2 = 2.0" in doubled
+        assert "damping_C1 = 1.0" in doubled
+
+    def test_indicator_profile_through_the_cli(self, tmp_path):
+        for sub in ("certify", "simulate", "sweep"):
+            assert run(tmp_path, sub, KDV16_INDICATOR) == 0
+        h = 2 * np.pi / 17
+        x = h * np.arange(1, 17)
+        a = np.where((1.0 <= x) & (x <= 3.0), 2.0, 0.0)
+        assert np.array_equal(load_matrix(tmp_path / "system_B.mat"), np.diag(np.sqrt(a)))
+        system = models.discretize_kdv(2 * np.pi, 16, lambda x: 2.0 if 1.0 <= x <= 3.0 else 0.0)
+        cert = lyapunov.build_semiglobal_certificate(system, damping.clamp(1.0), 5.0, c_S=1.5)
+        assert (tmp_path / "certificate.txt").read_text().startswith(lyapunov.export_text(cert))
+        _, rows = read_csv(tmp_path / "trajectory.csv")
+        assert len(rows) == 201 and all(np.isfinite(float(r[3])) for r in rows)
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert [float(r[0]) for r in rows] == [1.0, 5.0]
+
+    @pytest.mark.parametrize("text, key, message", [
+        (KDV_SWEEP.replace("L = 6.283185307179586", "L = -1.0"), "L", "[system] L: must be positive"),
+        (KDV_SWEEP.replace("constant 1.0", "constant 1.0 2.0"), "a_profile",
+         "[system] a_profile: constant profile takes one amplitude"),
+        (KDV_SWEEP.replace("constant 1.0", "indicator 0.2 0.8"), "a_profile",
+         "[system] a_profile: indicator profile takes lo hi amplitude"),
+        (KDV_SWEEP.replace("constant 1.0", "gaussian 1.0"), "a_profile",
+         "[system] a_profile: expected 'constant c' or 'indicator lo hi amplitude'"),
+        (KDV_SWEEP.replace("kind = clamp", "kind = weak\nq = 1.5"), "q",
+         "[damping] q: must lie in (0, 1), got 1.5"),
+        (KDV_SWEEP + "fits = exponential, cubic\n", "fits", "[analysis] fits: unknown fit 'cubic'")])
+    def test_validation_messages(self, text, key, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        [violation] = exc.value.violations
+        assert violation.startswith(message)
+        assert violation.endswith(f"(line {line_of(text, key)})")
+
+    @pytest.mark.parametrize("profile", ["constant -1", "indicator 0.2 0.8 -1",
+                                         "indicator 0.5 0.5 1", "indicator 0.8 0.2 1"])
+    def test_profile_without_damping_refused(self, tmp_path, capsys, profile):
+        text = KDV_SWEEP.replace("a_profile = constant 1.0", f"a_profile = {profile}")
+        assert run(tmp_path, "simulate", text) == 3
+        line = last_line(capsys)
+        assert line.startswith("ERROR ValidationError: [system] a_profile:")
+        assert line.endswith(f"(line {line_of(text, 'a_profile')})")
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("profile", ["constant 0", "indicator 7.0 9.0 1.0",
+                                         "indicator -2 -1 1"])
+    def test_profile_without_damping_on_the_grid_accepted(self, profile):
+        cfg = parse_config(KDV_SWEEP.replace("constant 1.0", profile))
+        assert not np.any(cli.build_system(cfg).B)
+
+
+class TestOtherCliPaths:
+    def test_fit_window_bounds_the_rows(self, tmp_path):
+        text = SCALAR_SAT.replace("fits = exponential", "fits = exponential, polynomial\n"
+                                  "window_lo = 1.0\nwindow_hi = 3.0")
+        assert run(tmp_path, "simulate", text) == 0
+        assert run(tmp_path, "fit-decay", text) == 0
+        _, rows = read_csv(tmp_path / "decay_fit.csv")
+        assert [r[0] for r in rows] == ["exponential", "polynomial"]
+        for r in rows:
+            assert 1.0 <= float(r[3]) < float(r[4]) <= 3.0
+
+    def test_sweep_without_radii(self, tmp_path, capsys):
+        text = KDV_SWEEP.replace("radii = 1, 5", "")
+        assert run(tmp_path, "sweep", text) == 3
+        assert last_line(capsys).startswith("ERROR ValidationError: [analysis] radii:")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_verify_without_V_column(self, tmp_path, capsys):
+        text = SCALAR_SAT.replace("certificate = exp", "")
+        assert run(tmp_path, "simulate", text) == 0
+        assert run(tmp_path, "verify", text) == 4
+        line = last_line(capsys)
+        assert line.startswith("ERROR MissingInput:") and "V column" in line
+
+    def test_report_quotes_certificate(self, tmp_path):
+        assert run(tmp_path, "certify", SCALAR_SAT) == 0
+        assert run(tmp_path, "report", SCALAR_SAT) == 0
+        cert = (tmp_path / "certificate.txt").read_text().splitlines()
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        start = report.index("== certificate.txt") + 1
+        assert report[start:start + len(cert) + 1] == cert + [""]

@@ -166,6 +166,22 @@ class TestCatalogueValidation:
         with pytest.raises(ValueError):
             damping.clamp(0.0)
 
+    @pytest.mark.parametrize("build", [damping.norm_saturation, damping.clamp,
+                                       damping.tanh_saturation, damping.arctan_saturation])
+    def test_zero_level_checked_before_C2(self, build):
+        with pytest.raises(ValueError, match="s0 must be positive and finite"):
+            build(0.0)
+
+    def test_config_kinds_are_the_table(self):
+        from lyapcert.config import DAMPING_KINDS
+        assert DAMPING_KINDS == tuple(damping.BY_NAME) == (
+            "linear", "norm_saturation", "clamp", "tanh", "arctan", "weak")
+        for kind, (make, keys) in damping.BY_NAME.items():
+            assert damping.from_name(kind, **{key: 0.5 for key in keys}) == make(
+                **{key: 0.5 for key in keys})
+        with pytest.raises(ValueError, match="unknown damping name"):
+            damping.from_name("weak_damping")
+
     def test_bad_weak_exponent(self):
         with pytest.raises(ValueError):
             damping.weak_damping(1.0, 1.5)

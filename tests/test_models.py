@@ -29,6 +29,18 @@ class TestMakeFiniteDim:
         with pytest.raises(NotDissipative):
             models.make_finite_dim(np.eye(2), np.eye(2), k=1.0)
 
+    def test_one_dimensional_B_is_a_column(self):
+        system = models.make_finite_dim(np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                        np.array([1.0, 0.0]), k=2.0)
+        assert system.B.shape == (2, 1) and system.m == 1 and system.k == 2.0
+        assert np.array_equal(system.closed_loop(), [[-2.0, 1.0], [-1.0, 0.0]])
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.inf, np.nan])
+    def test_gain_not_positive_and_finite(self, k):
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            models.make_finite_dim(np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                   np.array([[1.0], [0.0]]), k=k)
+
     def test_kalman_agrees_with_pbh(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -62,6 +74,21 @@ class TestKdV:
         with pytest.raises(ValueError):
             models.discretize_kdv(1.0, 8, lambda x: 1.0)
 
+    def test_grid_checked_before_length(self):
+        with pytest.raises(ValueError, match="N must be >= 16"):
+            models.discretize_kdv(-1.0, 8, lambda x: 1.0)
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            models.discretize_kdv(-1.0, 16, lambda x: 1.0)
+
+    def test_profile_array_of_grid_length(self):
+        a = np.linspace(0.0, 1.0, 16)
+        system = models.discretize_kdv(2.0, 16, a, k=0.5)
+        assert np.array_equal(system.a_profile, a) and system.k == 0.5
+        assert system.grid == {"L": 2.0, "N": 16, "spacing": 2.0 / 17}
+        assert system.S_choice == damping.S_SUP and system.name == "kdv"
+        with pytest.raises(ValueError, match="length does not match"):
+            models.discretize_kdv(2.0, 16, a[:-1])
+
     def test_dissipativity_gate_enforced(self, monkeypatch):
         # tighten the gate beyond what the scheme delivers: the builder must
         # reject rather than hand back a non-certified operator
@@ -94,6 +121,19 @@ class TestWave:
 
     def test_uniform_damping_hurwitz(self, wave32):
         assert spectral_abscissa(wave32.closed_loop()) < 0
+
+    @pytest.mark.parametrize("N", [15, 8, 0])
+    def test_small_grid_rejected(self, N):
+        with pytest.raises(ValueError, match="N must be >= 16"):
+            models.discretize_wave(N, lambda x: 1.0)
+
+    def test_grid_record_and_profile(self):
+        system = models.discretize_wave(16, lambda x: 2.0 if x <= 0.5 else 0.0, k=3.0)
+        h = 1.0 / 17
+        assert system.grid == {"L": 1.0, "N": 16, "spacing": h}
+        assert np.array_equal(system.a_profile, np.where(h * np.arange(1, 17) <= 0.5, 2.0, 0.0))
+        assert system.S_choice == damping.S_SUP and system.name == "wave" and system.k == 3.0
+        assert np.array_equal(system.U_weights, h * np.ones(16))
 
     def test_localized_damping_hurwitz(self):
         sysloc = models.discretize_wave(
