@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .damping import (DampingSpec, arctan_saturation, clamp, linear,
                       norm_saturation, tanh_saturation, verify_definition,
                       weak_damping)
-from .linalg import (InnerProduct, dissipativity_margin, gramian_quadrature,
-                     matrix_exponential, solve_lyapunov)
+from .linalg import (InnerProduct, dissipativity_margin, matrix_exponential,
+                     solve_lyapunov)
 from .lyapunov import (LyapunovCertificate, build_exp_certificate,
                        build_poly_certificate, build_semiglobal_certificate,
                        eval_V, sandwich_bounds)
@@ -25,7 +25,7 @@ __all__ = [
     "DampingSpec", "linear", "norm_saturation", "clamp", "tanh_saturation",
     "arctan_saturation", "weak_damping", "verify_definition",
     "InnerProduct", "solve_lyapunov", "matrix_exponential",
-    "gramian_quadrature", "dissipativity_margin",
+    "dissipativity_margin",
     "SemiDiscreteSystem", "make_finite_dim", "discretize_kdv",
     "discretize_wave", "estimate_cS",
     "LyapunovCertificate", "build_exp_certificate",

@@ -115,7 +115,21 @@ def integrator_config(cfg):
     )
 
 
+def _damping_report(cfg, damping, seed):
+    """check-damping's sampled three-item check, at the config's sample sizes."""
+    return dmp.verify_definition(damping, dim=int(cfg.get("damping", "verify_dim")),
+                                 trials=int(cfg.get("damping", "verify_trials")), seed=seed)
+
+
 def build_certificate(cfg, system, damping, seed=0):
+    """The configured certificate.  Sector constants set in the config must first
+    pass the sampled sector inequality (item 3): the certificate's M rests on them."""
+    if cfg.get("damping", "C1") is not None or cfg.get("damping", "C2") is not None:
+        report = _damping_report(cfg, damping, seed)
+        if not report.item3_pass:
+            raise ValidationError([
+                f"[damping] C1 = {damping.C1!r}, C2 = {damping.C2!r}: the sector "
+                f"inequality fails on samples, min margin {report.sector_margin!r}"])
     kind = cfg.get("analysis", "certificate", "exp")
     if kind == "exp":
         return lyapunov.build_exp_certificate(system, damping)
@@ -182,11 +196,7 @@ def cmd_certify(cfg, out_dir, seed):
 
 
 def cmd_check_damping(cfg, out_dir, seed):
-    damping = build_damping(cfg)
-    report = dmp.verify_definition(damping,
-                                   dim=int(cfg.get("damping", "verify_dim")),
-                                   trials=int(cfg.get("damping", "verify_trials")),
-                                   seed=seed)
+    report = _damping_report(cfg, build_damping(cfg), seed)
     write_csv(os.path.join(out_dir, "damping_report.csv"),
               ["item", "margin", "pass"], report.rows())
     print(report.text_block())

@@ -144,13 +144,6 @@ BY_NAME = {"linear": (linear, ()), "norm_saturation": (norm_saturation, ("s0",))
            "arctan": (arctan_saturation, ("s0",)), "weak": (weak_damping, ("c", "q"))}
 
 
-def from_name(name, **kw):
-    """The damping of config kind `name`, by its constructor in BY_NAME."""
-    if name not in BY_NAME:
-        raise ValueError(f"unknown damping name {name!r}")
-    return BY_NAME[name][0](**kw)
-
-
 # --- definition compliance checker ---
 
 @dataclass
@@ -190,7 +183,7 @@ class DampingReport:
         return "\n".join(lines)
 
 
-def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None):
+def verify_definition(spec, dim, trials=1000, seed=0):
     """Sampled check of the three definition items; failures land in the report.
 
     trials >= 100.  For weak damping the sector inequality is evaluated only on
@@ -199,20 +192,16 @@ def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None):
     if trials < 100:
         raise ValueError("trials must be >= 100")
     rng = np.random.default_rng(seed)
-    w = np.ones(dim) if u_weights is None else np.asarray(u_weights, dtype=float)
     report = DampingReport(kind=spec.kind if spec.kind != "componentwise_saturation"
                            else f"{spec.kind}:{spec.scalar_rule}")
     report.samples = trials
-
-    def u_norms(V):
-        return np.sqrt(np.sum(w * V * V, axis=1))
 
     # item 1: local Lipschitz ratio inside balls of increasing radius
     for radius in (0.1, 1.0, 10.0):
         S1 = rng.uniform(-radius, radius, size=(trials // 3 + 1, dim))
         S2 = S1 + rng.uniform(-0.1 * radius, 0.1 * radius, size=S1.shape)
-        d = u_norms(S1 - S2)
-        num = u_norms(spec.apply(S1, w) - spec.apply(S2, w))
+        d = np.linalg.norm(S1 - S2, axis=1)
+        num = np.linalg.norm(spec.apply(S1) - spec.apply(S2), axis=1)
         ok = d > 1e-14
         report.lipschitz_ratios[radius] = float(np.max(num[ok] / d[ok])) if np.any(ok) else 0.0
     report.item1_pass = all(np.isfinite(v) and v < 1e8
@@ -222,8 +211,7 @@ def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None):
     scales = 10.0 ** rng.uniform(-3, 2, size=(trials, 1))
     S1 = scales * rng.standard_normal((trials, dim))
     S2 = scales * rng.standard_normal((trials, dim))
-    pair = np.sum(w * (spec.apply(S1, w) - spec.apply(S2, w))
-                  * (S1 - S2), axis=1)
+    pair = np.sum((spec.apply(S1) - spec.apply(S2)) * (S1 - S2), axis=1)
     report.monotonicity_min = float(np.min(pair))
     report.item2_pass = report.monotonicity_min >= -1e-12
 
@@ -233,17 +221,17 @@ def verify_definition(spec, dim, trials=1000, seed=0, u_weights=None):
     if spec.kind in ("componentwise_saturation", "weak_damping"):
         s_norms = np.max(np.abs(S), axis=1)
     else:
-        s_norms = u_norms(S)
+        s_norms = np.linalg.norm(S, axis=1)
     keep = s_norms > (S_NORM_FLOOR if spec.kind == "weak_damping" else 0.0)
     skipped = int(trials - np.sum(keep))
     S, s_norms = S[keep], s_norms[keep]
-    sig = spec.apply(S, w)
-    pairing = np.sum(w * sig * S, axis=1)
+    sig = spec.apply(S)
+    pairing = np.sum(sig * S, axis=1)
     diff = sig - spec.C1 * S
     if spec.kind in ("componentwise_saturation", "weak_damping"):
-        lhs = np.sum(w * np.abs(diff), axis=1)
+        lhs = np.sum(np.abs(diff), axis=1)
     else:
-        lhs = u_norms(diff)
+        lhs = np.linalg.norm(diff, axis=1)
     h_vals = np.array([spec.h_eval(x) for x in s_norms])
     report.sector_margin = float(np.min(spec.C2 * h_vals * pairing - lhs))
     report.item3_pass = report.sector_margin >= -1e-12

@@ -19,10 +19,6 @@ class Overflow(LyapcertError):
     """Matrix exponential entries exceeded the representable range."""
 
 
-class TailNotConvergent(LyapcertError):
-    """The Gramian integrand norm failed to decrease while doubling the horizon."""
-
-
 # --- damping catalogue ---
 
 class DomainError(LyapcertError):

@@ -1,13 +1,13 @@
 """Dense linear-algebra kernel: Lyapunov solves, matrix exponentials,
-Gramian quadrature, dissipativity margins and weighted operator norms.
+dissipativity margins and weighted operator norms.
 
 All matrices are plain numpy arrays.  Inner products other than the
 Euclidean one are carried by :class:`InnerProduct`.  Every constant is a
 closed form: the Lyapunov equation by Bartels-Stewart with one residual
-correction, the dissipativity margin and the operator norms as extreme
-eigenvalues of one generalized symmetric eigenproblem K z = lam W z.
-``gramian_quadrature`` keeps the Gramian's integral form as an independent
-check of the algebraic solve.
+correction, the dissipativity margin and the operator norm as extreme
+eigenvalues of one generalized symmetric eigenproblem K z = lam W z.  The
+Gramian's integral form, the independent check of the algebraic solve, is a
+test oracle and lives with the tests.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NotHurwitz, Overflow, SingularSystem, TailNotConvergent
+from .errors import NotHurwitz, Overflow, SingularSystem
 
 HURWITZ_MARGIN = -1e-12
 
@@ -130,38 +130,6 @@ def matrix_exponential(A, t=1.0):
     return E
 
 
-def gramian_quadrature(A, alpha=0.0, tol=1e-8, t_max=1e6):
-    """P = int_0^T exp(sA)^T exp(sA) ds + alpha*I with T set by a tail bound.
-
-    T doubles from 1 until ||exp(TA)||^2 / (2 |max Re lambda|) <= tol.  Raises
-    TailNotConvergent when the integrand norm stops decreasing before the bound
-    is met.  For Hurwitz A the result agrees with solve_lyapunov(A, I) + alpha*I
-    up to the quadrature tolerance.
-    """
-    from scipy.integrate import quad_vec     # deferred: slow to import, used only here
-
-    A = np.asarray(A, dtype=float)
-    abscissa = require_hurwitz(A, "Gramian matrix")
-    decay = abs(abscissa)
-
-    T = 1.0
-    prev = np.linalg.norm(matrix_exponential(A, T), 2)
-    while prev**2 / (2.0 * decay) > tol:
-        if T > t_max:
-            raise TailNotConvergent(
-                f"tail bound not met by T={T:.3e} (||exp(TA)|| = {prev:.3e})")
-        T *= 2.0
-        prev = np.linalg.norm(matrix_exponential(A, T), 2)
-
-    def integrand(s):
-        E = matrix_exponential(A, s)
-        return E.T @ E
-
-    G, _ = quad_vec(integrand, 0.0, T, epsabs=0.25 * tol, epsrel=1e-12)
-    G = 0.5 * (G + G.T)
-    return G + alpha * np.eye(A.shape[0])
-
-
 def _generalized_eigvalsh(K, W):
     """Ascending eigenvalues of K z = lam W z for symmetric K and SPD W."""
     return sla.eigh(0.5 * (K + K.T), W, eigvals_only=True)
@@ -177,13 +145,6 @@ def dissipativity_margin(A, ip=None):
         ip = InnerProduct.euclidean(A.shape[0])
     W = ip.weight
     return float(_generalized_eigvalsh(A.T @ W + W @ A, W)[-1])
-
-
-def operator_norm(P, ip):
-    """Operator norm of a matrix P self-adjoint w.r.t. ip: the largest |lam| of
-    (W P) z = lam W z."""
-    lam = _generalized_eigvalsh(ip.weight @ P, ip.weight)
-    return float(max(-lam[0], lam[-1]))
 
 
 def operator_norm_nonsym(M, ip_dom, ip_codom=None):

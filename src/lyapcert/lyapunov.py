@@ -20,8 +20,8 @@ import scipy.linalg as sla
 
 from . import damping as dmp
 from .errors import CalibrationFailed, MissingCS, WrongNormChoice
-from .linalg import (InnerProduct, matrix_exponential, operator_norm,
-                     operator_norm_nonsym, row_norms, solve_lyapunov)
+from .linalg import (InnerProduct, matrix_exponential, operator_norm_nonsym,
+                     row_norms, solve_lyapunov)
 
 KINDS = ("global_exp_SU", "semiglobal_exp_SneqU", "semiglobal_poly", "finite_dim")
 GRAMIAN_SHIFT = 0.1                               # coercivity shift of the poly form
@@ -65,19 +65,13 @@ class LyapunovCertificate:
 
 
 def _operator_and_norms(system, G):
-    """P = W^-1 G, ||P||_H and ||B*||_{L(H,U)}."""
-    P = np.linalg.solve(system.H_ip.weight, G)
-    U_ip = InnerProduct(np.diag(system.U_weights))
-    return (P, operator_norm(P, system.H_ip),
-            operator_norm_nonsym(system.Bstar, system.H_ip, U_ip))
-
-
-def _norms_and_form(system, gain):
+    """P = W^-1 G; alpha and ||P||_H, the least lam and the largest |lam| of the
+    pencil G z = lam W z (P is self-adjoint in H); and ||B*||_{L(H,U)}."""
     W = system.H_ip.weight
-    G = solve_lyapunov(system.closed_loop(gain), W)
-    alpha = float(sla.eigh(G, W, eigvals_only=True)[0])
-    P, P_norm_H, B_norm = _operator_and_norms(system, G)
-    return G, P, alpha, P_norm_H, B_norm
+    lam = sla.eigh(G, W, eigvals_only=True)
+    U_ip = InnerProduct(np.diag(system.U_weights))
+    return (np.linalg.solve(W, G), float(lam[0]), float(max(-lam[0], lam[-1])),
+            operator_norm_nonsym(system.Bstar, system.H_ip, U_ip))
 
 
 def _p_norm_DA(system, P):
@@ -98,7 +92,8 @@ def build_exp_certificate(system, damping):
     if damping.kind == "componentwise_saturation" and system.S_choice == dmp.S_SUP:
         raise WrongNormChoice(
             "componentwise damping on a sup-norm system needs the semiglobal builder")
-    G, P, alpha, P_norm_H, B_norm = _norms_and_form(system, damping.C1)
+    G = solve_lyapunov(system.closed_loop(damping.C1), system.H_ip.weight)
+    P, alpha, P_norm_H, B_norm = _operator_and_norms(system, G)
     M = damping.C2 * B_norm * P_norm_H
     kind = "finite_dim" if system.H_ip.is_identity() else "global_exp_SU"
     return LyapunovCertificate(kind=kind, P=P, G=G, C=1.0, alpha=alpha, M=M,
@@ -118,7 +113,8 @@ def build_semiglobal_certificate(system, damping, r, c_S=None):
         raise ValueError(f"c_S must be finite and >= 0, got {c_S!r}")
     if not 0 < r < np.inf:
         raise ValueError(f"radius r must be positive and finite, got {r!r}")
-    G, P, alpha, P_norm_H, B_norm = _norms_and_form(system, damping.C1)
+    G = solve_lyapunov(system.closed_loop(damping.C1), system.H_ip.weight)
+    P, alpha, P_norm_H, B_norm = _operator_and_norms(system, G)
     P_norm_DA = _p_norm_DA(system, P)
     M = c_S * damping.C2 * damping.h_eval(B_norm * r) * r * P_norm_DA
     C = 1.0
@@ -186,7 +182,7 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
 
     alpha = 0.5 * float(sla.eigh(G1, system.graph_weight, eigvals_only=True)[0])
 
-    P1, P_norm_H, B_norm = _operator_and_norms(system, G1)
+    P1, _, P_norm_H, B_norm = _operator_and_norms(system, G1)
     M = damping.C2 * C_theta * damping.h_eval(B_norm * r) * B_norm * r
 
     flags = ()

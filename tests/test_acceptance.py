@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from lyapcert import analysis, damping, lyapunov, models, sim
-from lyapcert.linalg import InnerProduct, gramian_quadrature, solve_lyapunov
+from lyapcert.linalg import InnerProduct, solve_lyapunov
 from lyapcert.models import SemiDiscreteSystem
 
-from conftest import random_dissipative_hurwitz, random_hurwitz, random_spd
+from conftest import (gramian_quadrature, random_dissipative_hurwitz, random_hurwitz,
+                      random_spd)
 
 
 def report(num, ok, detail):

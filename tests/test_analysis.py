@@ -5,10 +5,11 @@ from scipy.optimize import brentq
 
 from lyapcert import analysis, damping, lyapunov, models, sim
 from lyapcert.errors import InsufficientData, NoLinearPhase, NotHurwitz
-from lyapcert.linalg import InnerProduct, gramian_quadrature, matrix_exponential
+from lyapcert.linalg import InnerProduct, matrix_exponential
 from lyapcert.models import SemiDiscreteSystem
 
-from conftest import random_dissipative_hurwitz, random_hurwitz, random_spd
+from conftest import (gramian_quadrature, random_dissipative_hurwitz, random_hurwitz,
+                      random_spd)
 
 
 def synthetic(times, norms):
@@ -356,7 +357,7 @@ class TestBehaviorProfile:
     def test_C4_is_the_grid_maximum(self, oscillator, scalar_system, rule):
         # F_up/F is monotone in sqrt(X), so its two ends give what 64 grid
         # points give; C4 depends on the run through ||z(0)||_H alone
-        spec = damping.from_name(rule, s0=1.0)
+        spec = damping.BY_NAME[rule][0](s0=1.0)
         t = np.linspace(0.0, 10.0, 101)
         for system in (oscillator, scalar_system):
             cert = lyapunov.build_exp_certificate(system, spec)

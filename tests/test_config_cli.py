@@ -960,7 +960,8 @@ class TestDeterminism:
 
 class TestImports:
     def test_cli_import_does_not_load_scipy_integrate(self):
-        # scipy.integrate is imported inside gramian_quadrature, the only user
+        # nothing the CLI runs integrates numerically, so the slow
+        # scipy.integrate import stays out of every subcommand's start-up
         import lyapcert
         src = os.path.dirname(os.path.dirname(os.path.abspath(lyapcert.__file__)))
         code = ("import sys, lyapcert.cli; print(sorted(m for m in sys.modules "
@@ -1014,6 +1015,26 @@ class TestBuildersFromConfig:
     def test_each_kind_builds_its_constructor(self, kind, keys, expected):
         cfg = parse_config(MINIMAL.replace("kind = clamp", f"kind = {kind}\n{keys}"))
         assert cli.build_damping(cfg) == expected
+
+    def test_unknown_kind_refused(self, tmp_path, capsys):
+        # the catalogue's type name is not a config kind
+        text = MINIMAL.replace("kind = clamp", "kind = weak_damping")
+        assert run(tmp_path, "certify", text) == 3
+        assert last_line(capsys) == (
+            "ERROR ValidationError: [damping] kind: unknown kind 'weak_damping'; "
+            "one of linear|norm_saturation|clamp|tanh|arctan|weak (line 8)")
+
+    def test_override_failing_the_sector_inequality_refused(self, tmp_path, capsys):
+        # the clamp with C1 = 0.5, C2 = 2 fails item 3 by the margin that
+        # check-damping reports at seed 0, so no certificate is written
+        text = (MINIMAL + "\n[analysis]\ncertificate = exp\n").replace(
+            "kind = clamp", "kind = clamp\nC1 = 0.5\nC2 = 2")
+        assert run(tmp_path, "certify", text) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("ERROR")] == out[-1:]
+        assert out[-1].startswith("ERROR ValidationError: [damping] C1 = 0.5, C2 = 2.0:")
+        assert "-0.11741217206058996" in out[-1]
+        assert not (tmp_path / "certificate.txt").exists()
 
     def test_C2_override_scales_M(self, tmp_path):
         cfg = MINIMAL + "\n[analysis]\ncertificate = exp\n"

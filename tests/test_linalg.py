@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from lyapcert.errors import (NotHurwitz, Overflow, SingularSystem,
-                             TailNotConvergent)
+from lyapcert.errors import NotHurwitz, Overflow, SingularSystem
 from lyapcert.linalg import (InnerProduct, dissipativity_margin,
-                             gramian_quadrature, matrix_exponential,
-                             operator_norm, operator_norm_nonsym,
+                             matrix_exponential, operator_norm_nonsym,
                              solve_lyapunov)
+from lyapcert.lyapunov import _operator_and_norms
+from lyapcert.models import SemiDiscreteSystem
 
-from conftest import kron_lyapunov_oracle, random_hurwitz, random_spd
+from conftest import (TailNotConvergent, gramian_quadrature, kron_lyapunov_oracle,
+                      random_hurwitz, random_spd)
 
 # frozen by the Kronecker oracle ahead of the build
 ORACLE_P_OSC = np.array([[1.0, -0.5], [-0.5, 1.5]])
@@ -153,15 +154,17 @@ class TestDissipativityMargin:
 
 class TestOperatorNorms:
     def test_matches_cholesky_spectral_norm(self):
-        # ||P||_W = ||L^T P L^{-T}||_2 with W = L L^T
+        # ||P||_W = ||L^T P L^{-T}||_2 with W = L L^T, for the certificate
+        # layer's P = W^-1 G
         rng = np.random.default_rng(21)
         W = random_spd(rng, 8)
         G = random_spd(rng, 8)
-        ip = InnerProduct(W)
-        P = np.linalg.solve(W, G)
+        system = SemiDiscreteSystem(A=-np.eye(8), B=np.zeros((8, 1)), k=1.0,
+                                    H_ip=InnerProduct(W), U_weights=np.ones(1))
+        P, _, P_norm_H, _ = _operator_and_norms(system, G)
         L = np.linalg.cholesky(W)
         expected = np.linalg.norm(L.T @ P @ np.linalg.inv(L.T), 2)
-        assert abs(operator_norm(P, ip) - expected) < 1e-7 * expected
+        assert abs(P_norm_H - expected) < 1e-7 * expected
 
     def test_nonsym_matches_svd(self):
         rng = np.random.default_rng(22)
