@@ -22,7 +22,7 @@ from .config import parse_config, parse_profile, serialize
 from .errors import (LyapcertError, MissingInput, NotDissipative, ParseError,
                      StaleCertificate, ValidationError)
 from .io import (load_float_copy, load_matrix, read_csv_floats, read_csv_lines,
-                 save_float_copy, save_matrix, write_csv)
+                 save_float_copy, save_matrix, write_csv, write_text)
 from .linalg import InnerProduct
 
 TRAJECTORY_COLUMNS = ["t", "norm_H", "norm_DA", "V", "damping_power"]
@@ -157,8 +157,7 @@ def _trajectory_table(traj):
 
 
 def cmd_simulate(cfg, out_dir, seed):
-    system = build_system(cfg)
-    damping = build_damping(cfg)
+    system, damping = build_system(cfg), build_damping(cfg)
     z0 = initial_state(cfg, system)
     cert = None
     if cfg.get("analysis", "certificate") is not None:
@@ -166,11 +165,10 @@ def cmd_simulate(cfg, out_dir, seed):
                 or build_certificate(cfg, system, damping, seed=seed))
     traj = sim.integrate(system, damping, z0, integrator_config(cfg), cert=cert)
     table = _trajectory_table(traj)
-    path = os.path.join(out_dir, "trajectory.csv")
-    write_csv(path, TRAJECTORY_COLUMNS, table)
-    save_float_copy(os.path.join(out_dir, "trajectory.f64"), path, table)
+    key = write_csv(os.path.join(out_dir, "trajectory.csv"), TRAJECTORY_COLUMNS, table)
+    copy = save_float_copy(os.path.join(out_dir, "trajectory.f64"), key, table)
     print(f"simulate: {len(traj.times)} samples, t_star={traj.t_star!r}")
-    return ["trajectory.csv", "trajectory.f64"]
+    return {"trajectory.csv": key, "trajectory.f64": copy}
 
 
 def config_hash(cfg):
@@ -181,26 +179,24 @@ def config_hash(cfg):
 
 
 def cmd_certify(cfg, out_dir, seed):
-    system = build_system(cfg)
-    damping = build_damping(cfg)
+    system, damping = build_system(cfg), build_damping(cfg)
     cert = build_certificate(cfg, system, damping, seed=seed)
-    with open(os.path.join(out_dir, "certificate.txt"), "w") as fh:
-        fh.write(lyapunov.export_text(cert))
-        fh.write(f"config_hash = {config_hash(cfg)}\n")
-        fh.write(f"seed = {seed}\ntool_version = {__version__}\n")
-    save_matrix(os.path.join(out_dir, "certificate_P.mat"), cert.P)
-    save_matrix(os.path.join(out_dir, "system_A.mat"), system.A)
-    save_matrix(os.path.join(out_dir, "system_B.mat"), system.B)
+    text = (lyapunov.export_text(cert) + f"config_hash = {config_hash(cfg)}\n"
+            f"seed = {seed}\ntool_version = {__version__}\n")
+    produced = {"certificate.txt": write_text(os.path.join(out_dir, "certificate.txt"), text)}
+    for name, M in (("certificate_P.mat", cert.P), ("system_A.mat", system.A),
+                    ("system_B.mat", system.B)):
+        produced[name] = save_matrix(os.path.join(out_dir, name), M)
     print(f"certify: kind={cert.kind} C={cert.C!r} M={cert.M!r}")
-    return ["certificate.txt", "certificate_P.mat", "system_A.mat", "system_B.mat"]
+    return produced
 
 
 def cmd_check_damping(cfg, out_dir, seed):
     report = _damping_report(cfg, build_damping(cfg), seed)
-    write_csv(os.path.join(out_dir, "damping_report.csv"),
-              ["item", "margin", "pass"], report.rows())
+    key = write_csv(os.path.join(out_dir, "damping_report.csv"),
+                    ["item", "margin", "pass"], report.rows())
     print(report.text_block())
-    return ["damping_report.csv"]
+    return {"damping_report.csv": key}
 
 
 def _load_trajectory(out_dir):
@@ -237,22 +233,20 @@ def cmd_fit_decay(cfg, out_dir, seed):
                else analysis.fit_polynomial(traj, window))
         rows.append(est.row())
         print(f"fit-decay: {fit} rate={est.rate!r} r2={est.r_squared!r}")
-    write_csv(os.path.join(out_dir, "decay_fit.csv"),
-              ["model", "rate", "prefactor", "t_lo", "t_hi", "r_squared"], rows)
-    return ["decay_fit.csv"]
+    key = write_csv(os.path.join(out_dir, "decay_fit.csv"),
+                    ["model", "rate", "prefactor", "t_lo", "t_hi", "r_squared"], rows)
+    return {"decay_fit.csv": key}
 
 
 def cmd_sweep(cfg, out_dir, seed):
-    system = build_system(cfg)
-    damping = build_damping(cfg)
+    system, damping = build_system(cfg), build_damping(cfg)
     radii = cfg.get("analysis", "radii")
     if radii is None:
         raise ValidationError(["[analysis] radii: required for sweep"])
     result = analysis.sweep_semiglobal(system, damping, radii, integrator_config(cfg))
-    write_csv(os.path.join(out_dir, "sweep.csv"),
-              ["r", "mu", "K", "r_squared"], result.rows)
+    key = write_csv(os.path.join(out_dir, "sweep.csv"), ["r", "mu", "K", "r_squared"], result.rows)
     print(f"sweep: mu trend nonincreasing within slack: {result.mu_trend_ok}")
-    return ["sweep.csv"]
+    return {"sweep.csv": key}
 
 
 def load_certificate(out_dir, cfg):
@@ -324,19 +318,17 @@ def cmd_verify(cfg, out_dir, seed):
                            "simulate with a certificate configured")
     cert, _ = load_certificate(out_dir, cfg)
     if cert is None:
-        system = build_system(cfg)
-        damping = build_damping(cfg)
-        cert = build_certificate(cfg, system, damping, seed=seed)
+        cert = build_certificate(cfg, build_system(cfg), build_damping(cfg), seed=seed)
     reports = [analysis.verify_lyapunov_decrease(traj, cert)]
     if cert.r is not None:                  # semiglobal and poly hold for ||z0||_{D(A)} <= r
         reports.append(analysis.verify_validity_domain(traj, cert.r))
-    write_csv(os.path.join(out_dir, "verification.csv"),
-              ["check", "max_violation", "tolerance", "pass", "samples"],
-              [report.row() for report in reports])
+    key = write_csv(os.path.join(out_dir, "verification.csv"),
+                    ["check", "max_violation", "tolerance", "pass", "samples"],
+                    [report.row() for report in reports])
     for report in reports:
         print(f"verify: {report.check} pass={report.passed} "
               f"max_violation={report.max_violation!r}")
-    return ["verification.csv"]
+    return {"verification.csv": key}
 
 
 PLOT_HINTS = {
@@ -365,28 +357,22 @@ def cmd_report(cfg, out_dir, seed):
             with open(path) as fh:
                 lines.extend(ln.rstrip("\n") for ln in fh)
         lines.append("")
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
+    produced = {"report.txt": write_text(os.path.join(out_dir, "report.txt"),
+                                         "\n".join(lines) + "\n")}
     plot = ["# line plots of the run CSVs; render with: gnuplot plots.gp",
             "set datafile separator ','",
             "set key autotitle columnhead",
             "set term pngcairo size 900,600"]
-    for name in names:
-        hint = PLOT_HINTS.get(name)
-        if hint is None:
-            continue
-        xlab, cols, scale = hint
-        stem = name[:-4]
-        plot.append(f"set output '{stem}.png'")
+    for name in sorted(PLOT_HINTS.keys() & names):
+        _, cols, scale = PLOT_HINTS[name]
+        plot.append(f"set output '{name[:-4]}.png'")
         plot.append("set logscale y" if scale == "logscale" else "unset logscale")
         parts = [f"'{name}' using 1:{idx} with lines title '{lab}'"
                  for lab, idx in cols]
         plot.append("plot " + ", ".join(parts))
-    with open(os.path.join(out_dir, "plots.gp"), "w") as fh:
-        fh.write("\n".join(plot) + "\n")
+    produced["plots.gp"] = write_text(os.path.join(out_dir, "plots.gp"), "\n".join(plot) + "\n")
     print(f"report: collated {len(names)} artifacts")
-    return ["report.txt", "plots.gp"]
+    return produced
 
 
 SUBCOMMANDS = {
@@ -400,23 +386,17 @@ SUBCOMMANDS = {
 }
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
 def write_manifest(out_dir, config_path, seed, produced):
-    lines = [f"tool_version = {__version__}",
-             f"config_hash = {_sha256(config_path)}",
-             f"seed = {seed}",
-             f"timestamp = {datetime.now(timezone.utc).isoformat()}"]
-    for name in sorted(produced):
-        path = os.path.join(out_dir, name)
-        lines.append(f"file = {name} bytes={os.path.getsize(path)} sha256={_sha256(path)}")
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """manifest.txt for the files a subcommand produced: name -> the SHA-256
+    digest of the bytes it wrote."""
+    with open(config_path, "rb") as fh:
+        config_digest = hashlib.sha256(fh.read()).hexdigest()
+    lines = [f"tool_version = {__version__}", f"config_hash = {config_digest}",
+             f"seed = {seed}", f"timestamp = {datetime.now(timezone.utc).isoformat()}"]
+    for name, digest in sorted(produced.items()):
+        size = os.path.getsize(os.path.join(out_dir, name))
+        lines.append(f"file = {name} bytes={size} sha256={digest.hex()}")
+    write_text(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def run_subcommand(name, cfg, out_dir, seed, config_path=None):

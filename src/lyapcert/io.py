@@ -18,11 +18,12 @@ checked against the header and parsed by numpy's text reader.
 `save_float_copy` writes a table just written by `write_csv` again as the
 CSV's SHA-256 (its key) and little-endian float64 rows; `load_float_copy`
 returns it only while the key matches the CSV, bit for bit what parsing the
-CSV would give, and None otherwise.
+CSV would give, and None otherwise.  Every writer here returns the SHA-256
+digest of the bytes it wrote.
 """
 
 import hashlib
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -42,14 +43,24 @@ def format_value(v):
     return str(v)
 
 
+def _write_hashed(path, chunks):
+    """Write the byte chunks to `path`; the SHA-256 digest of what was written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for data in chunks:
+            digest.update(data)
+            fh.write(data)
+    return digest.digest()
+
+
+def write_text(path, text):
+    return _write_hashed(path, [text.encode()])
+
+
 def save_matrix(path, M):
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    rows, cols = M.shape
-    lines = [f"{rows} {cols}"]
-    for r in range(rows):
-        lines.append(" ".join(repr(float(x)) for x in M[r]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (" ".join(map(float.__repr__, row)) for row in M.tolist())
+    return write_text(path, "\n".join([f"{M.shape[0]} {M.shape[1]}", *rows, ""]))
 
 
 def load_matrix(path):
@@ -90,10 +101,9 @@ def _formatted_columns(rows):
 def write_csv(path, header, rows):
     """Write `header` and `rows`: a 2-D float array, or an iterable of
     equally long rows of mixed values."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for cols in _formatted_columns(rows):
-            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+    lines = chain([",".join(header)], ("\n".join(map(",".join, zip(*cols)))
+                                        for cols in _formatted_columns(rows)))
+    return _write_hashed(path, (text.encode() + b"\n" for text in lines))
 
 
 def read_csv_lines(path):
@@ -133,16 +143,13 @@ def read_csv_floats(path, columns):
     return data
 
 
-def save_float_copy(path, csv_path, table):
-    """Write `table`, just written to `csv_path` by `write_csv`, to `path`:
-    the SHA-256 of `csv_path`'s bytes, then the rows as little-endian float64
+def save_float_copy(path, key, table):
+    """Write `table`, just written to a CSV by `write_csv`, to `path`: `key`,
+    the digest `write_csv` returned, then the rows as little-endian float64
     with every NaN the one that parsing "nan" gives."""
-    with open(csv_path, "rb") as fh:
-        key = hashlib.sha256(fh.read()).digest()
     table = np.asarray(table, dtype=float)
-    with open(path, "wb") as fh:
-        fh.write(key)
-        fh.write(np.where(np.isnan(table), np.nan, table).astype("<f8", copy=False))
+    rows = np.where(np.isnan(table), np.nan, table).astype("<f8", copy=False)
+    return _write_hashed(path, [key, rows])
 
 
 def load_float_copy(path, csv_path, columns):

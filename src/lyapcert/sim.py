@@ -29,8 +29,10 @@ s0 / sqrt(w) with one input; with more, only |s_j| <= s0 / sqrt(m w_j) counts
 as linear), the subflow is affine over a step in which each input component
 stays in one zone: linear, |s_j| <= s0, with J_j = gain_j s_j, or saturated,
 |s_j| >= s0 (1 + g_j dt), with J_j = s0 dt sign(s_j).  For a zone pattern p in
-{-1, 0, +1}^m the step is linear in (y, 1) (Van Loan, IEEE TAC 23, 1978), and
-an affine pass forms its steps in the record itself by products with the
+{-1, 0, +1}^m the step is linear in (y, 1) (Van Loan, IEEE TAC 23, 1978); the
+zone bounds and the parts of that augmented step are tables of each dt's _Maps
+(`_Steps.zone_tables`), so a pattern's step costs one product.  An affine
+pass forms its steps in the record itself by products with the
 squarings K, K^2, K^4, ... of the augmented step (q products for 2^q steps),
 tests every step's input with one product (none under linear damping) and
 accepts the prefix that keeps p (where p is all linear, the leading steps
@@ -67,8 +69,8 @@ MAX_PASS = 512          # the most steps any affine pass takes; bounds its probe
 TINY = np.finfo(float).tiny  # floor of the norm the saturation impulse divides by
 
 # one step's maps: stacked = [C | C^2 T | C^2] takes b to the next y, s and a, first y to s and a
-# ball: the radius rho of `_Steps.ball`, within which every input is linear
-_Maps = namedtuple("_Maps", "C2 impulse stacked first CT PC ball")
+# ball: the radius rho of `_Steps.ball`; sat, box, template, PC, lin, push: `_Steps.zone_tables`
+_Maps = namedtuple("_Maps", "impulse stacked first CT ball sat box template PC lin push")
 
 
 @dataclass(frozen=True)
@@ -132,9 +134,10 @@ def integrate(system, damping, z0, config, cert=None):
     past the configured value and the halvings per step are capped.
     `Trajectory.stats` records the accepted steps, the rejected trial steps,
     the most halvings within one step, the steps taken by affine passes
-    (module docstring) and by the per-step loop, the passes, the distinct
-    step sizes, the rows integrated together and the largest per-step growth
-    of the energy norm against GROWTH_TOL.
+    (module docstring) and by the per-step loop, the passes, the pass maps
+    built for them (`pattern_maps`, one per zone pattern and dt a run
+    switches to), the distinct step sizes, the rows integrated together and
+    the largest per-step growth of the energy norm against GROWTH_TOL.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim != 1:
@@ -208,7 +211,7 @@ class _Steps:
         self.AL = self.ip.conjugate(self.A.T)                    # ||A z||_H = |y AL|
         self.subflow, self.zoned = _subflow(system, damping)
         self.cache = {}                                          # dt -> _Maps
-        self.last_pass = (None, None)                            # (key, pass_maps(*key))
+        self.last_pass, self.builds = (None, None), 0            # (key, pass_maps(*key)), builds
 
     def __call__(self, dt):
         """The _Maps of a step of length dt, made once per dt."""
@@ -217,9 +220,26 @@ class _Steps:
             lu = sla.lu_factor(eye - 0.25 * dt * self.A)
             C = self.ip.conjugate(sla.lu_solve(lu, eye + 0.25 * dt * self.A).T)
             C2, CT = C @ C, C @ self.T
-            self.cache[dt] = _Maps(C2, self.subflow(dt), np.hstack([C, C2 @ self.T, C2]),
-                                   np.hstack([CT, C]), CT, self.P @ C, self.ball(CT))
+            self.cache[dt] = _Maps(self.subflow(dt), np.hstack([C, C2 @ self.T, C2]),
+                                   np.hstack([CT, C]), CT, self.ball(CT),
+                                   *self.zone_tables(dt, C2, CT, self.P @ C))
         return self.cache[dt]
+
+    def zone_tables(self, dt, C2, CT, PC):
+        """The per-dt tables of `zones`, `box` and `affine` (None without zones):
+        sat = level (1 + g dt); box[p + 1] = (lo, hi), the bounds of an input in zone
+        p = -1, 0, +1 (None under linear damping); template = [[C^2, 0], [0, 1]] and
+        PC = [P C | 0]; lin = (CT gain(dt), 0) and push = level dt (0 where level =
+        inf), so that the impulse J = lin where p = 0 and the push row p elsewhere."""
+        if self.zoned is None:
+            return (None,) * 6
+        (level, g, gain), (n, m) = self.zoned, CT.shape
+        sat, lvl = np.broadcast_to(level * (1.0 + g * dt), m), np.broadcast_to(level, m)
+        box = None if np.isinf(lvl).all() else np.array(
+            [[np.full(m, -np.inf), -sat], [-lvl, lvl], [sat, np.full(m, np.inf)]])
+        template, PC1, lin = np.eye(n + 1), np.zeros((m, n + 1)), np.zeros((n + 1, m))
+        template[:-1, :-1], PC1[:, :-1], lin[:-1] = C2, PC, CT * gain(dt)
+        return sat, box, template, PC1, lin, np.where(np.isinf(lvl), 0.0, lvl * dt)
 
     def ball(self, CT):
         """rho = (1 - 1e-12) min_j level_j / |CT_j| over the inputs with CT_j != 0,
@@ -247,32 +267,22 @@ class _Steps:
     def zones(self, s, dt):
         """The zone of each input component over a step of length dt: 0
         linear, +-1 saturated (the sign of s_j), 2 crossing."""
-        level, g, _ = self.zoned
         u = np.abs(s)
-        return np.where(u <= level, 0, np.where(u >= level * (1.0 + g * dt), np.sign(s), 2))
+        return np.where(u <= self.zoned[0], 0, np.where(u >= self(dt).sat, np.sign(s), 2))
 
     def box(self, dt, p):
-        """The inputs lo <= s <= hi that keep the zones p over a step of
-        length dt; None for every input (linear damping)."""
-        level, g, _ = self.zoned
-        if np.all(np.isinf(level)):
-            return None
-        sat = level * (1.0 + g * dt)
-        return (np.where(p == 0, -level, np.where(p > 0, sat, -np.inf)),
-                np.where(p == 0, level, np.where(p < 0, -sat, np.inf)))
+        """The (2, m) bounds lo <= s <= hi that keep the zones p over a step
+        of length dt; None for every input (linear damping)."""
+        return None if self(dt).box is None else np.choose(p.astype(int) + 1, self(dt).box)
 
     def affine(self, dt, p):
         """The Strang step of length dt in the zones p as an augmented map
         acting from the right: (y, 1) -> ((a - J P) C, 1), a = y C, with the
-        impulse J = (a T) lin + push."""
-        level, _, gain = self.zoned
+        impulse J = (a T) lin + push (`zone_tables`)."""
         maps = self(dt)
-        J = np.vstack([maps.CT * np.where(p == 0, gain(dt), 0.0),        # lin; push
-                       np.where(p == 0, 0.0, level) * (p * dt)])
-        K = np.eye(len(J))
-        K[:-1, :-1] = maps.C2
-        K[:, :-1] -= J @ maps.PC
-        return K
+        J = maps.lin * (p == 0)
+        J[-1] = maps.push * p
+        return maps.template - J @ maps.PC
 
     def pass_maps(self, dt, p, trial):
         """The squarings of K so far, the probe and the box of an affine pass,
@@ -280,16 +290,16 @@ class _Steps:
         probe gives a state's input; under step halving K = F and the probe
         gives the three inputs of a trial and (y, 1) E."""
         if self.last_pass[0] != (dt, p.tobytes(), trial):
-            m, box = len(p), self.box(dt, p)
-            K, probe = self.affine(dt, p), self(dt).CT
+            K, probe, box = self.affine(dt, p), self(dt).CT, self.box(dt, p)
             if trial:
                 HT, half = self(0.5 * dt).CT, self.affine(0.5 * dt, p)
                 F = half @ half
-                probe = np.vstack([np.hstack([probe, HT]), np.zeros(2 * m)])
+                probe = np.vstack([np.hstack([probe, HT]), np.zeros(2 * len(p))])
                 K, probe = F, np.hstack([probe, half[:, :-1] @ HT, (K - F)[:, :-1]])
                 if box is not None:                 # the coarse step and both half-steps
-                    box = tuple(np.r_[c, h, h] for c, h in zip(box, self.box(0.5 * dt, p)))
+                    box = np.hstack([box] + 2 * [self.box(0.5 * dt, p)])
             self.last_pass = (dt, p.tobytes(), trial), ([K], probe, box)
+            self.builds += 1
         return self.last_pass[1]
 
 
@@ -328,22 +338,23 @@ def _fixed_step(steps, Y0, config):
     rec[:, 0, :n], rec[:, :, n] = Y0, 1.0
     # the rows of a block share each pass, so under a saturating rule each runs alone
     alone = steps.zoned is not None and np.isfinite(steps.zoned[0]).any()
-    affine = np.zeros((b, 2), dtype=int)                     # affine steps and passes
+    affine = np.zeros((b, 3), dtype=int)                     # affine steps, passes, pass maps
     for r in [slice(i, i + 1) for i in range(b)] if alone else [slice(None)]:
         affine[r] = _advance(steps, rec[r, :fused + 1], dt) if fused else 0
     if fused < count:
         rec[:, count, :n] = steps.run(rec[:, fused, :n], last)
     return times, rec[..., :n], [
         {"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0, "affine_steps": int(a),
-         "per_step_steps": count - int(a), "affine_passes": int(passes)} for a, passes in affine]
+         "per_step_steps": count - int(a), "affine_passes": int(passes),
+         "pattern_maps": int(built)} for a, passes, built in affine]
 
 
 def _advance(steps, rec, dt):
     """Fill the states of the (rows, 1 + steps, n + 1) record from its first
     column by steps of dt.  A pass writes its candidate states into the
     record, and the per-step loop overwrites those it did not accept.
-    Returns the steps that affine passes took and the passes."""
-    maps = steps(dt)
+    Returns the steps that affine passes took, the passes and the pass maps built."""
+    maps, builds = steps(dt), steps.builds
     last, n, m = rec.shape[1] - 1, rec.shape[2] - 1, steps.T.shape[1]
     k, affine, passes, limit = 0, 0, 0, CHECK_EVERY
     resume = 0 if steps.zoned is not None else last
@@ -368,7 +379,7 @@ def _advance(steps, rec, dt):
             out, i = steps.step(sa, dt), 1
             rec[:, k + 1, :n], sa = out[:, :n], out[:, n:]
         k += i
-    return affine, passes
+    return affine, passes, steps.builds - builds
 
 
 def _check_growth(norms, times):
@@ -392,10 +403,10 @@ def _step_halving(steps, y0, config):
     """One row under Richardson step-halving error control, as a block of one.
     Where the damping has zones, `_affine_trials` takes the accepted steps at
     the current dt in passes of run-sized length (module docstring)."""
-    t_end = config.t_end
+    t_end, builds = config.t_end, steps.builds
     y, t = y0[None], 0.0
     norm = norm0 = row_norms(y)[0]
-    times, states = [t], [y0]
+    times, states = [t], [y]
     dt = min(config.dt, t_end)
     rejected, most_halvings, affine, passes, limit = 0, 0, 0, 0, CHECK_EVERY
     while t < t_end - 1e-12 * t_end:
@@ -420,14 +431,15 @@ def _step_halving(steps, y0, config):
             most_halvings = max(most_halvings, halvings)
             ts, ns, grow = [t + dt], row_norms(Y), err <= 0.125 * tol
         times.extend(ts)
-        states.extend(Y)
+        states.append(Y)
         t, y, norm = float(ts[-1]), Y[-1:], float(ns[-1])
         if grow:
             dt = min(2.0 * dt, config.dt)
     stats = {"accepted_steps": len(times) - 1, "rejected_trials": rejected,
              "max_halvings": most_halvings, "affine_steps": affine,
-             "per_step_steps": len(times) - 1 - affine, "affine_passes": passes}
-    return np.array(times), np.array(states)[None], [stats]
+             "per_step_steps": len(times) - 1 - affine, "affine_passes": passes,
+             "pattern_maps": steps.builds - builds}
+    return np.array(times), np.concatenate(states)[None], [stats]
 
 
 def _affine_trials(steps, y, t, dt, norm, norm0, config, limit):
@@ -510,13 +522,13 @@ def _subflow(system, damping):
                 return -np.expm1(-g * dt) * ginv
 
             def saturating(dt):
-                linear = gain(dt)
+                linear, constants = gain(dt), (ginv, ginv / s0, -g)
 
                 def impulse(S):
                     a = np.sqrt((S * S) @ w)[:, None] if on_norm else np.abs(S)
                     if a.max() <= s0:                       # the linear flow
                         return S * linear
-                    J = _clamp_impulse(a, g, ginv, s0, dt)
+                    J = _clamp_impulse(a, s0, dt, *constants)
                     if on_norm:
                         return S * (J / np.maximum(a, TINY))
                     return np.copysign(J, S)
@@ -536,11 +548,12 @@ def _subflow(system, damping):
     return (lambda dt: lambda S: _implicit_midpoint(rule, damping, G, w, S, dt)), None
 
 
-def _clamp_impulse(a, g, ginv, s0, dt):
+def _clamp_impulse(a, s0, dt, ginv, ginv_s0, neg_g):
     """int_0^dt min(|s(t)|, s0) dt under d|s|/dt = -g min(|s|, s0) from |s| = a:
-    saturated until |s| falls to s0, exponential decay after; 0 where g = 0."""
-    rest = np.minimum(np.maximum(dt - (a - s0) * (ginv / s0), 0.0), dt)   # time below s0
-    return s0 * (dt - rest) - np.minimum(a, s0) * np.expm1(-g * rest) * ginv
+    saturated until |s| falls to s0, exponential decay after; 0 where g = 0.
+    The constants are ginv = 1/g (0 where g = 0), ginv / s0 and -g."""
+    rest = np.minimum(np.maximum(dt - (a - s0) * ginv_s0, 0.0), dt)      # time below s0
+    return s0 * (dt - rest) - np.minimum(a, s0) * np.expm1(neg_g * rest) * ginv
 
 
 def _tanh_drop(u, decay):

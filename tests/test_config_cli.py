@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -131,13 +132,27 @@ class TestMatrixFormat:
         assert first_line == "2 2"
         assert np.array_equal(load_matrix(path), M)
 
+    @pytest.mark.parametrize("M", [
+        np.array([[-0.0, 5e-324, 1e16, 0.1], [np.pi, -2.5e-300, 1.0, 7.0]]),
+        np.array([3.0, -1.0]), np.float64(2.0)])
+    def test_bytes_are_each_float_repr(self, tmp_path, M):
+        path = tmp_path / "m.mat"
+        digest = save_matrix(path, M)
+        M2 = np.atleast_2d(M)
+        expected = "\n".join([f"{M2.shape[0]} {M2.shape[1]}"] + [
+            " ".join(repr(float(x)) for x in M2[r]) for r in range(len(M2))]) + "\n"
+        assert path.read_bytes() == expected.encode()
+        assert digest == hashlib.sha256(expected.encode()).digest()
+
 
 class TestCsvWriter:
     def test_mixed_rows_formatted_per_column(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["item", "margin", "pass", "n"],
-                  [("a", 0.1, True, 3), ("b", np.float64(-0.0), np.bool_(False), np.int64(7))])
+        digest = write_csv(path, ["item", "margin", "pass", "n"],
+                           [("a", 0.1, True, 3),
+                            ("b", np.float64(-0.0), np.bool_(False), np.int64(7))])
         assert path.read_bytes() == b"item,margin,pass,n\na,0.1,True,3\nb,-0.0,False,7\n"
+        assert digest == hashlib.sha256(path.read_bytes()).digest()
 
     def test_ragged_rows_refused(self, tmp_path):
         with pytest.raises(ValueError):
@@ -285,6 +300,23 @@ certificate = exp
         text = (tmp_path / "manifest.txt").read_text()
         assert "config_hash = " in text and "seed = 0" in text
         assert "file = trajectory.csv" in text
+
+    @pytest.mark.parametrize("subs", [["certify"], ["check-damping"], ["sweep"],
+                                      ["simulate", "verify"], ["simulate", "fit-decay"],
+                                      ["simulate", "report"]])
+    def test_manifest_digests_are_the_files(self, tmp_path, subs):
+        # the writers hash what they write; the manifest must name the bytes on disk
+        for sub in subs:
+            assert run(tmp_path, sub, SCALAR_SAT + "radii = 1.0, 2.0\n") == 0
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        config = (tmp_path / "run.cfg").read_bytes()
+        assert f"config_hash = {hashlib.sha256(config).hexdigest()}" in lines
+        files = [ln.split() for ln in lines if ln.startswith("file = ")]
+        assert files
+        for _, _, name, size, digest in files:
+            data = (tmp_path / name).read_bytes()
+            assert size == f"bytes={len(data)}"
+            assert digest == f"sha256={hashlib.sha256(data).hexdigest()}"
 
     def test_certify_exports_system_matrices(self, tmp_path):
         assert run(tmp_path, "certify", SCALAR_SAT) == 0
@@ -899,8 +931,8 @@ class TestFloatCopy:
     def test_nan_written_as_parsed(self, tmp_path):
         table = np.array([[0.0, -0.0, np.inf, np.nan, -np.inf]])
         table[0, 3] = np.inf - np.inf           # the sign-set NaN of x86 arithmetic
-        write_csv(tmp_path / "x.csv", TRAJECTORY_COLUMNS, table)
-        lio.save_float_copy(tmp_path / "x.f64", tmp_path / "x.csv", table)
+        key = write_csv(tmp_path / "x.csv", TRAJECTORY_COLUMNS, table)
+        lio.save_float_copy(tmp_path / "x.f64", key, table)
         copy = lio.load_float_copy(tmp_path / "x.f64", tmp_path / "x.csv", TRAJECTORY_COLUMNS)
         parsed = read_csv_floats(tmp_path / "x.csv", TRAJECTORY_COLUMNS)
         assert np.array_equal(copy.view(np.uint64), parsed.view(np.uint64))
@@ -937,6 +969,22 @@ class TestFloatCopy:
             assert self.outputs(tmp_path, run_dir, capsys) == expected, name
             assert len(parses) == 2, name       # verify and fit-decay parsed the CSV
             parses.clear()
+
+    def test_simulate_hashes_each_output_once(self, tmp_path, monkeypatch):
+        # write_csv and save_float_copy hash the bytes they write; neither the
+        # copy's key nor the manifest reads trajectory.csv or trajectory.f64 back
+        made, sha256 = [], hashlib.sha256
+
+        def counted(*data):
+            made.append(sha256(*data))
+            return made[-1]
+
+        monkeypatch.setattr(hashlib, "sha256", counted)
+        assert run(tmp_path, "simulate", SCALAR_SAT) == 0
+        monkeypatch.undo()
+        digests = [h.digest() for h in made]
+        for name in ("trajectory.csv", "trajectory.f64"):
+            assert digests.count(sha256((tmp_path / name).read_bytes()).digest()) == 1, name
 
     def test_manifest_lists_copy_and_report_skips_it(self, tmp_path):
         assert run(tmp_path, "simulate", SCALAR_SAT) == 0

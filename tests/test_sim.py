@@ -717,6 +717,7 @@ class TestLinearRegime:
         for st in (traj.stats, per_step.stats):
             counts = st["accepted_steps"], st["rejected_trials"], st["max_halvings"]
             assert counts == (6300, 24, 2)
+        assert (traj.stats["pattern_maps"], per_step.stats["pattern_maps"]) == (39, 0)
         assert np.array_equal(traj.times, per_step.times)
         np.testing.assert_allclose(traj.norm_H, per_step.norm_H, rtol=1e-12, atol=0)
 
@@ -808,6 +809,83 @@ class TestAffineEngine:
             assert (traj.stats["affine_steps"], traj.stats["affine_passes"]) == (affine, passes)
 
 
+def oracle_zones(steps, s, dt):
+    """`_Steps.zones` as computed before the per-dt zone tables."""
+    level, g, _ = steps.zoned
+    u = np.abs(s)
+    return np.where(u <= level, 0, np.where(u >= level * (1.0 + g * dt), np.sign(s), 2))
+
+
+def oracle_box(steps, dt, p):
+    """`_Steps.box` as computed before the per-dt zone tables, as (lo, hi)."""
+    level, g, _ = steps.zoned
+    if np.all(np.isinf(level)):
+        return None
+    sat = level * (1.0 + g * dt)
+    return np.array([np.where(p == 0, -level, np.where(p > 0, sat, -np.inf)),
+                     np.where(p == 0, level, np.where(p < 0, -sat, np.inf))])
+
+
+def oracle_affine(steps, dt, p):
+    """`_Steps.affine` as computed before the per-dt zone tables, from its own
+    Cayley half-step C."""
+    level, _, gain = steps.zoned
+    eye = np.eye(len(steps.A))
+    lu = sla.lu_factor(eye - 0.25 * dt * steps.A)
+    C = steps.ip.conjugate(sla.lu_solve(lu, eye + 0.25 * dt * steps.A).T)
+    J = np.vstack([(C @ steps.T) * np.where(p == 0, gain(dt), 0.0),
+                   np.where(p == 0, 0.0, level) * (p * dt)])
+    K = np.eye(len(J))
+    K[:-1, :-1] = C @ C
+    K[:, :-1] -= J @ (steps.P @ C)
+    return K
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestZoneTables:
+    """`zones`, `box` and `affine` read tables made once per dt; on every zone
+    pattern they give, bit for bit, the formulas above."""
+
+    @pytest.mark.parametrize("case", ["kdv16_clamp", "wave32_two_inputs_norm_saturation",
+                                      "kdv16_linear"])
+    def test_tables_match_the_formulas(self, case):
+        kdv16 = models.discretize_kdv(2 * np.pi, 16, lambda x: 1.0)
+        system, spec = {
+            "kdv16_clamp": (kdv16, damping.clamp(1.0)),
+            # damped at the two grid points 16/33 and 17/33: two inputs with
+            # equal gains, the other 30 with gain 0
+            "wave32_two_inputs_norm_saturation": (
+                models.discretize_wave(32, lambda x: 1.0 if 0.47 <= x <= 0.52 else 0.0),
+                damping.norm_saturation(1.0)),
+            "kdv16_linear": (kdv16, damping.linear()),
+        }[case]
+        steps, rng = sim_mod._Steps(system, spec), np.random.default_rng(3)
+        m, linear = system.m, spec.kind == "linear"
+        assert np.count_nonzero(np.diag(system.Bstar @ system.B)) == (2 if "two" in case else m)
+        for dt in (2e-3, 1e-3, 0.3):
+            patterns = [np.zeros(m)]
+            if not linear:                  # mixed -1/0/+1 patterns, and all saturated
+                patterns += [rng.choice([-1.0, 0.0, 1.0], m) for _ in range(6)]
+                patterns += [np.ones(m), -np.ones(m)]
+            for p in patterns:
+                assert same_bits(steps.affine(dt, p), oracle_affine(steps, dt, p))
+                box, expected = steps.box(dt, p), oracle_box(steps, dt, p)
+                assert (box is None) == (expected is None) == linear
+                assert box is None or same_bits(box, expected)
+            level, g, _ = steps.zoned
+            edges = np.array([np.broadcast_to(u, m) for u in (level, level * (1.0 + g * dt))])
+            S = np.vstack([rng.normal(scale=2.0, size=(40, m)), edges, -edges,
+                           np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+            S[:, 0] = 0.0
+            assert same_bits(steps.zones(S, dt), oracle_zones(steps, S, dt))
+            if linear:                      # no zones: the push row is 0, not inf * dt
+                assert np.all(steps(dt).push == 0.0) and not steps.zones(S, dt).any()
+                assert np.all(np.isfinite(steps.affine(dt, np.zeros(m))))
+
+
 class TestStats:
     def test_fixed_step_block_factors_once(self, kdv64, clamp1):
         zhat = models.leading_eigvec(kdv64.closed_loop())
@@ -820,6 +898,19 @@ class TestStats:
             assert traj.stats["accepted_steps"] == 1000 == len(traj.times) - 1
             assert traj.stats["rejected_trials"] == traj.stats["max_halvings"] == 0
             assert traj.stats["max_growth"] <= 1.0 + traj.stats["growth_tol"]
+
+    def test_sweep_block_decisions_and_pattern_maps(self, kdv64, clamp1):
+        # the benchmark's clamp sweep block: each row runs alone and builds its
+        # pass maps once per switch of zone pattern; the linear block shares one
+        zhat = models.leading_eigvec(kdv64.closed_loop())
+        Z0 = np.outer([1.0, 5.0, 25.0], zhat / kdv64.norm_DA(zhat))
+        config = sim.IntegratorConfig(dt=2e-3, t_end=16.0, error_control="none")
+        block = sim.integrate_batch(kdv64, clamp1, Z0, config)
+        assert [traj.stats["pattern_maps"] for traj in block] == [1, 22, 54]
+        st = block[2].stats
+        assert (st["affine_steps"], st["per_step_steps"], st["affine_passes"]) == (7640, 360, 73)
+        linear = sim.integrate_batch(kdv64, damping.linear(), Z0, config)
+        assert [traj.stats["pattern_maps"] for traj in linear] == [1, 1, 1]
 
     def test_shortened_last_step_factors_twice(self, oscillator, clamp1):
         traj = sim.integrate(oscillator, clamp1, np.array([2.0, 0.0]),
