@@ -111,7 +111,7 @@ def integrator_config(cfg):
         dt=float(cfg.get("sim", "dt")),
         t_end=float(cfg.get("sim", "t_end")),
         error_control="step-halving" if cfg.get("sim", "error_control") == "on" else "none",
-        local_error_target=float(cfg.get("sim", "local_error_target", 1e-8)),
+        local_error_target=float(cfg.get("sim", "local_error_target")),
     )
 
 
@@ -216,9 +216,7 @@ def _load_trajectory(out_dir):
             raise MissingInput(f"{path} has non-finite {name} values")
     if np.any(np.diff(t) <= 0):
         raise MissingInput(f"{path} has times that are not strictly increasing")
-    traj = sim.Trajectory.from_norms(t, norm_H, V_values=V)
-    traj.norm_DA = data[:, 2]
-    return traj
+    return sim.Trajectory.from_norms(t, norm_H, V_values=V, norm_DA=data[:, 2])
 
 
 def cmd_fit_decay(cfg, out_dir, seed):
@@ -399,14 +397,6 @@ def write_manifest(out_dir, config_path, seed, produced):
     write_text(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
-def run_subcommand(name, cfg, out_dir, seed, config_path=None):
-    os.makedirs(out_dir, exist_ok=True)
-    produced = SUBCOMMANDS[name](cfg, out_dir, seed)
-    if config_path is not None:
-        write_manifest(out_dir, config_path, seed, produced)
-    return produced
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="lyapcert",
@@ -423,8 +413,9 @@ def main(argv=None):
         cfg.base_dir = os.path.dirname(os.path.abspath(args.config))
         out_dir = (args.out or os.environ.get("LYAPCERT_OUT_DIR")
                    or cfg.get("output", "directory"))
-        run_subcommand(args.subcommand, cfg, out_dir, args.seed,
-                       config_path=args.config)
+        os.makedirs(out_dir, exist_ok=True)
+        produced = SUBCOMMANDS[args.subcommand](cfg, out_dir, args.seed)
+        write_manifest(out_dir, args.config, args.seed, produced)
         return 0
     except FileNotFoundError as exc:
         print(f"ERROR MissingInput: {exc}")

@@ -9,11 +9,11 @@ and every line ended by "\n" (the last one too).  Floats are written as
 their shortest round-tripping `repr` ("nan" for a missing value, "-0.0",
 "5e-324"), so identical runs produce identical bytes and reading a cell back
 with `float` gives the same float.  `write_csv` takes a float array or an
-iterable of rows of mixed values; it formats CSV_CHUNK_ROWS rows at a time,
-one column at a time, so no Python code runs per float cell.  Reading skips
-blank and whitespace-only lines; `read_csv_lines` returns the remaining lines
-unsplit, `read_csv` every cell as a string, `read_csv_floats` a float array
-checked against the header and parsed by numpy's text reader.
+iterable of rows of mixed values; it formats an array CSV_CHUNK_ROWS rows at
+a time, one column at a time, so no Python code runs per float cell.
+Reading skips blank and whitespace-only lines; `read_csv_lines` returns the
+remaining lines unsplit, `read_csv` every cell as a string, `read_csv_floats`
+a float array checked against the header and parsed by numpy's text reader.
 
 `save_float_copy` writes a table just written by `write_csv` again as the
 CSV's SHA-256 (its key) and little-endian float64 rows; `load_float_copy`
@@ -23,7 +23,7 @@ digest of the bytes it wrote.
 """
 
 import hashlib
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -86,16 +86,14 @@ def load_matrix(path):
 
 
 def _formatted_columns(rows):
-    """The rows in chunks of at most CSV_CHUNK_ROWS, each chunk as a list of
-    columns of formatted cells."""
+    """The rows in chunks, each as a list of columns of formatted cells: an
+    array in chunks of at most CSV_CHUNK_ROWS, mixed rows (a few) in one."""
     if isinstance(rows, np.ndarray):
         for lo in range(0, len(rows), CSV_CHUNK_ROWS):
             yield [list(map(float.__repr__, col))
                    for col in rows[lo:lo + CSV_CHUNK_ROWS].T.tolist()]
-        return
-    rows = iter(rows)
-    while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-        yield [list(map(format_value, col)) for col in zip(*chunk, strict=True)]
+    elif rows := list(rows):
+        yield [list(map(format_value, col)) for col in zip(*rows, strict=True)]
 
 
 def write_csv(path, header, rows):

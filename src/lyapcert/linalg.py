@@ -104,12 +104,13 @@ def solve_lyapunov(Atilde, Q):
         P = sla.solve_continuous_lyapunov(Atilde.T, -Q)
         P = 0.5 * (P + P.T)
         R = Atilde.T @ P + P @ Atilde + Q
-        if np.linalg.norm(R, "fro") > tol:
+        res = np.linalg.norm(R, "fro")
+        if res > tol:
             dP = sla.solve_continuous_lyapunov(Atilde.T, -R)
             P = P + 0.5 * (dP + dP.T)
+            res = np.linalg.norm(Atilde.T @ P + P @ Atilde + Q, "fro")
     except (sla.LinAlgError, ValueError) as exc:
         raise SingularSystem(f"Lyapunov solve failed: {exc}") from exc
-    res = np.linalg.norm(Atilde.T @ P + P @ Atilde + Q, "fro")
     if not np.all(np.isfinite(P)) or res > tol:
         raise SingularSystem(
             f"Lyapunov solve numerically rank-deficient (residual {res:.3e}, "

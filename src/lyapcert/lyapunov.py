@@ -125,17 +125,15 @@ def build_semiglobal_certificate(system, damping, r, c_S=None):
                                P_norm_DA=P_norm_DA, mu=mu, r=r, c_S=c_S)
 
 
-def calibrate_C_theta(system, gain, G1, gamma, seed=0):
+def calibrate_C_theta(system, Atilde, G1, gamma, at_zero, seed=0):
     """Smallest constant making the weighted-decay bound hold on probes and at t = 0.
 
     Probes are D(A)-normalized random states evolved through the linear closed
-    loop to the times of CALIBRATION_T_GRID; the t = 0 requirement over all
-    states reduces to a generalized eigenvalue against the quadratic graph
-    weight.
+    loop Atilde to the times of CALIBRATION_T_GRID; the t = 0 requirement over
+    all states, at_zero, is the largest eigenvalue of G1 z = lam W_G z against
+    the quadratic graph weight W_G.
     """
-    needed = float(sla.eigh(0.5 * (G1 + G1.T), system.graph_weight, eigvals_only=True)[-1])
-
-    Atilde = system.closed_loop(gain)
+    needed = at_zero
     rng = np.random.default_rng(seed)
     probes = rng.standard_normal((CALIBRATION_PROBES, system.n))
     probes /= system.norm_DA(probes)[:, None]
@@ -169,7 +167,8 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
     W = system.H_ip.weight
     G1 = solve_lyapunov(Atilde, W) + GRAMIAN_SHIFT * W
 
-    needed = calibrate_C_theta(system, damping.C1, G1, gamma, seed=seed)
+    lam = sla.eigh(G1, system.graph_weight, eigvals_only=True)   # G1 is exactly symmetric
+    needed = calibrate_C_theta(system, Atilde, G1, gamma, float(lam[-1]), seed=seed)
     if C_theta is None:
         C_theta = 1.05 * needed
     elif C_theta < needed * (1.0 - 1e-12):
@@ -180,8 +179,7 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
     D = -(Atilde.T @ G1 + G1 @ Atilde)
     C = float(min(1.0, sla.eigh(0.5 * (D + D.T), W, eigvals_only=True)[0]))
 
-    alpha = 0.5 * float(sla.eigh(G1, system.graph_weight, eigvals_only=True)[0])
-
+    alpha = 0.5 * float(lam[0])
     P1, _, P_norm_H, B_norm = _operator_and_norms(system, G1)
     M = damping.C2 * C_theta * damping.h_eval(B_norm * r) * B_norm * r
 

@@ -43,7 +43,7 @@ class SemiDiscreteSystem:
     def m(self):
         return self.B.shape[1]
 
-    @property
+    @cached_property
     def Bstar(self):
         """H-to-U adjoint of B: <Bu, z>_H = <u, B* z>_U."""
         return np.diag(1.0 / self.U_weights) @ self.B.T @ self.H_ip.weight
@@ -126,6 +126,8 @@ def _grid(N, L, a_profile):
 def _sampled(name, A, W, B, L, N, h, a, k):
     """The grid model with drift A, energy weight W and input map B, once A
     passes the dissipativity gate; the control space is l2 with weight h."""
+    if not 0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     ip = InnerProduct(W)
     require_dissipative(A, ip, NotDissipativeDiscretization)
     return SemiDiscreteSystem(A=A, B=B, k=float(k), H_ip=ip,

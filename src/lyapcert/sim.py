@@ -81,8 +81,8 @@ class IntegratorConfig:
     local_error_target: float = 1e-8          # relative local-error target
 
     def __post_init__(self):
-        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
-            raise ValueError("dt and t_end must be positive and finite")
+        if not all(0 < v < np.inf for v in (self.dt, self.t_end, self.local_error_target)):
+            raise ValueError("dt, t_end and local_error_target must be positive and finite")
         if self.error_control not in ("none", "step-halving"):
             raise ValueError("error_control must be 'none' or 'step-halving'")
 
@@ -92,7 +92,8 @@ class Trajectory:
     """A recorded run.  Where not given, the (len(times), n) states, norm_DA and
     damping_power are computed on first read by the `derive(traj, name)` that
     integrate attaches, from the energy coordinates y = z L it records, and
-    kept; an error of `DampingSpec.apply` surfaces at the damping_power read."""
+    kept; an error of `DampingSpec.apply` surfaces at the damping_power read.
+    Without it (`from_norms`), reading a column not given raises AttributeError."""
     times: np.ndarray
     norm_H: np.ndarray
     states: np.ndarray = cached_property(lambda traj: traj.derive(traj, "states"))
@@ -101,7 +102,10 @@ class Trajectory:
     V_values: np.ndarray = None
     t_star: float = None
     stats: dict = None                       # integrator record, see integrate
-    derive = None                            # (traj, name) -> column; not a field
+
+    @staticmethod
+    def derive(traj, name):                  # integrate attaches its own; not a field
+        raise AttributeError(f"this trajectory recorded no {name} column")
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -112,13 +116,11 @@ class Trajectory:
                 del self.__dict__[name]
 
     @classmethod
-    def from_norms(cls, times, norm_H, V_values=None):
-        """Norm-only trajectory (fits and CSV round trips)."""
-        times = np.asarray(times, dtype=float)
-        norm_H = np.asarray(norm_H, dtype=float)
-        n = len(times)
-        traj = cls(times=times, states=np.zeros((n, 1)), norm_H=norm_H,
-                   norm_DA=np.full(n, np.nan), damping_power=np.zeros(n),
+    def from_norms(cls, times, norm_H, V_values=None, norm_DA=None):
+        """Norm-only trajectory (fits and CSV round trips): no states or
+        damping_power, and V_values and norm_DA only where given (else None)."""
+        traj = cls(times=times, norm_H=np.asarray(norm_H, dtype=float),
+                   norm_DA=None if norm_DA is None else np.asarray(norm_DA, float),
                    V_values=None if V_values is None else np.asarray(V_values, float))
         traj.t_star = detect_unit_ball_entry(traj)
         return traj
@@ -482,7 +484,7 @@ def _next_limit(limit, accepted, formed):     # run-sized passes, module docstri
 
 def _leading(mask):
     """The length of the leading run of True in the 1-d mask."""
-    return int(np.argmin(np.append(mask, False)))
+    return len(mask) if mask.all() else int(np.argmin(mask))
 
 
 # --- the damping subflow ------------------------------------------------------

@@ -928,6 +928,15 @@ class TestFloatCopy:
         assert copy.flags.writeable and parsed.flags.writeable
         assert np.all(np.isnan(copy[:, 3])) == (cfg is NO_CERTIFICATE)
 
+    def test_loaded_trajectory_holds_the_csv_columns(self, tmp_path):
+        assert run(tmp_path, "simulate", SCALAR_SAT) == 0
+        traj = cli._load_trajectory(str(tmp_path))
+        parsed = read_csv_floats(tmp_path / "trajectory.csv", TRAJECTORY_COLUMNS)
+        for col, name in enumerate(("times", "norm_H", "norm_DA", "V_values")):
+            assert np.array_equal(getattr(traj, name), parsed[:, col]), name
+        with pytest.raises(AttributeError, match="states"):
+            traj.states
+
     def test_nan_written_as_parsed(self, tmp_path):
         table = np.array([[0.0, -0.0, np.inf, np.nan, -np.inf]])
         table[0, 3] = np.inf - np.inf           # the sign-set NaN of x86 arithmetic
@@ -1083,6 +1092,20 @@ class TestBuildersFromConfig:
         assert out[-1].startswith("ERROR ValidationError: [damping] C1 = 0.5, C2 = 2.0:")
         assert "-0.11741217206058996" in out[-1]
         assert not (tmp_path / "certificate.txt").exists()
+
+    def test_sweep_reads_no_sector_constant(self, tmp_path, capsys):
+        # sweep integrates the configured damping and fits the observed rates;
+        # it builds no certificate, so the override certify refuses changes nothing
+        text = KDV16_INDICATOR.replace("indicator 1.0 3.0 2.0", "constant 1.0").replace(
+            "t_end = 2.0", "t_end = 16.0")
+        override = text.replace("kind = clamp", "kind = clamp\nC1 = 0.5\nC2 = 2")
+        assert run(tmp_path, "sweep", text, name="a.cfg", out=tmp_path / "a") == 0
+        assert run(tmp_path, "sweep", override, name="b.cfg", out=tmp_path / "b") == 0
+        sweeps = [(tmp_path / d / "sweep.csv").read_bytes() for d in ("a", "b")]
+        assert sweeps[0] == sweeps[1] and len(sweeps[0].splitlines()) == 3
+        assert run(tmp_path, "certify", override, name="b.cfg", out=tmp_path / "b") == 3
+        assert last_line(capsys).startswith(
+            "ERROR ValidationError: [damping] C1 = 0.5, C2 = 2.0: the sector inequality")
 
     def test_C2_override_scales_M(self, tmp_path):
         cfg = MINIMAL + "\n[analysis]\ncertificate = exp\n"

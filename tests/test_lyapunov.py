@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from lyapcert import damping, lyapunov, models
 from lyapcert.errors import (CalibrationFailed, MissingCS, NotHurwitz,
@@ -140,6 +141,19 @@ class TestPolyCertificate:
             G = cert.G - (0.1 * W if cert is poly else 0.0)
             res = np.linalg.norm(At.T @ G + G @ At + W)
             assert res <= 1e-10 * np.linalg.norm(W)
+
+    def test_pencil_solved_once(self, wave32, monkeypatch):
+        # the t = 0 calibration and alpha read the two ends of the spectrum of
+        # G1 z = lam W_G z; G1 is exactly symmetric, so one eigh serves both
+        calls, eigh = [], sla.eigh
+        monkeypatch.setattr(sla, "eigh", lambda *a, **kw: calls.append(a) or eigh(*a, **kw))
+        cert = lyapunov.build_poly_certificate(wave32, damping.tanh_saturation(1.0),
+                                               r=2.0, gamma=1.0, seed=0)
+        monkeypatch.undo()
+        assert len(calls) == 5
+        assert np.array_equal(cert.G, cert.G.T)
+        lam = sla.eigh(cert.G, wave32.graph_weight, eigvals_only=True)
+        assert cert.alpha == 0.5 * lam[0] and cert.C_theta >= 1.05 * lam[-1]
 
     def test_calibration_rejects_small_constant(self, oscillator):
         with pytest.raises(CalibrationFailed):

@@ -114,6 +114,17 @@ class TestKdV:
         assert spectral_abscissa(sysloc.closed_loop()) < 0
 
 
+@pytest.mark.parametrize("build", [
+    lambda k: models.discretize_kdv(2 * np.pi, 16, lambda x: 1.0, k=k),
+    lambda k: models.discretize_wave(16, lambda x: 1.0, k=k)], ids=["kdv", "wave"])
+@pytest.mark.parametrize("k", [0.0, -1.0, np.inf, np.nan])
+def test_grid_gain_not_positive_and_finite(build, k):
+    # as make_finite_dim: a negative k would certify, then the integrator
+    # would take the square root of it
+    with pytest.raises(ValueError, match="k must be positive and finite"):
+        build(k)
+
+
 class TestWave:
     def test_undamped_energy_skew(self, wave32_undamped):
         margin = dissipativity_margin(wave32_undamped.A, wave32_undamped.H_ip)
@@ -155,6 +166,7 @@ class TestWave:
         z = rng.standard_normal(64)
         assert np.allclose(wave32.Bstar @ z, np.sqrt(wave32.a_profile) * z[32:],
                            atol=1e-12)
+        assert wave32.Bstar is wave32.Bstar         # built once per system
 
     def test_graph_weight_is_the_quadratic_graph_norm(self, wave32):
         # z^T (W + A^T W A) z = ||z||_H^2 + ||Az||_H^2, built once per system

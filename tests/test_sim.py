@@ -970,8 +970,32 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             sim.IntegratorConfig(dt=1e-3, t_end=1.0, error_control="rk45")
 
+    @pytest.mark.parametrize("target", [0.0, -1.0, np.nan, np.inf])
+    def test_local_error_target_positive_and_finite(self, target):
+        # at 0 a step-halving run crawls, below 0 or at NaN it hits the
+        # halving limit, and at inf error control is silently off
+        with pytest.raises(ValueError, match="local_error_target must be positive and finite"):
+            sim.IntegratorConfig(dt=1e-2, t_end=1.0, local_error_target=target)
+
     def test_times_strictly_increasing(self):
         with pytest.raises(ValueError):
             sim.Trajectory.from_norms([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="strictly increasing"):
             sim.Trajectory.from_norms([0.0, np.nan, 1.0], [1.0, 1.0, 1.0])
+
+
+class TestNormOnlyTrajectory:
+    def test_holds_only_the_given_columns(self):
+        traj = sim.Trajectory.from_norms([0.0, 1.0], [2.0, 1.0])
+        assert traj.norm_DA is None and traj.V_values is None
+        for name in ("states", "damping_power"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(traj, name)
+        given = sim.Trajectory.from_norms([0.0, 1.0], [2.0, 1.0], norm_DA=[3.0, 1.5])
+        assert np.array_equal(given.norm_DA, [3.0, 1.5])
+
+
+@pytest.mark.parametrize("mask, run", [([], 0), ([True] * 3, 3), ([False, True], 0),
+                                       ([True, True, False, True], 2)])
+def test_leading_run_of_true(mask, run):
+    assert sim_mod._leading(np.array(mask, dtype=bool)) == run
