@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__, analysis, damping as dmp, lyapunov, models, sim
 from .config import parse_config, parse_profile, serialize
-from .errors import (LyapcertError, MissingInput, NotDissipative, ParseError,
-                     StaleCertificate, ValidationError)
+from .errors import LyapcertError, MissingInput, NotDissipative, StaleCertificate, ValidationError
 from .io import (load_float_copy, load_matrix, read_csv_floats, read_csv_lines,
                  save_float_copy, save_matrix, write_csv, write_text)
 from .linalg import InnerProduct
@@ -32,15 +31,15 @@ EXIT_CODES = {"ParseError": 2, "ValidationError": 3, "MissingInput": 4}
 
 # --- builders from config ---
 
+def _sector_override(cfg):
+    """The sector constants C1 and C2 that [damping] sets, as floats."""
+    return {key: float(cfg.damping[key]) for key in ("C1", "C2") if key in cfg.damping}
+
+
 def build_damping(cfg):
     make, keys = dmp.BY_NAME[cfg.get("damping", "kind")]
     spec = make(**{key: float(cfg.get("damping", key)) for key in keys})
-    c1 = cfg.get("damping", "C1")
-    c2 = cfg.get("damping", "C2")
-    if c1 is not None or c2 is not None:
-        spec = replace(spec, C1=float(c1 if c1 is not None else spec.C1),
-                       C2=float(c2 if c2 is not None else spec.C2))
-    return spec
+    return replace(spec, **_sector_override(cfg))
 
 
 def _matrix_from_config(cfg, key):
@@ -124,7 +123,7 @@ def _damping_report(cfg, damping, seed):
 def build_certificate(cfg, system, damping, seed=0):
     """The configured certificate.  Sector constants set in the config must first
     pass the sampled sector inequality (item 3): the certificate's M rests on them."""
-    if cfg.get("damping", "C1") is not None or cfg.get("damping", "C2") is not None:
+    if _sector_override(cfg):
         report = _damping_report(cfg, damping, seed)
         if not report.item3_pass:
             raise ValidationError([

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 
 KINDS = ("linear", "norm_saturation", "componentwise_saturation", "weak_damping")
 SCALAR_RULES = ("clamp", "tanh", "arctan")
@@ -40,14 +40,13 @@ class DampingSpec:
         if self.kind == "componentwise_saturation" and self.scalar_rule not in SCALAR_RULES:
             raise ValueError(f"unknown scalar rule {self.scalar_rule!r}")
         if self.kind in ("norm_saturation", "componentwise_saturation"):
-            _check_level(self.s0)
+            require_positive(s0=self.s0)
         if self.kind == "weak_damping":
             if not (0.0 < self.q < 1.0):
                 raise ValueError("weak damping exponent q must lie in (0, 1)")
             if not 0.0 <= self.c < np.inf:
                 raise ValueError("weak damping gain c must be finite and >= 0")
-        if not (0.0 < self.C1 < np.inf and 0.0 < self.C2 < np.inf):
-            raise ValueError("C1 and C2 must be positive and finite")
+        require_positive(C1=self.C1, C2=self.C2)
 
     # --- evaluation ---
 
@@ -107,14 +106,9 @@ def linear():
     return DampingSpec(kind="linear", C1=1.0, C2=1.0)
 
 
-def _check_level(s0):
-    if not 0.0 < s0 < np.inf:
-        raise ValueError("saturation level s0 must be positive and finite")
-    return s0
-
-
 def _saturation(kind, rule, s0):
-    return DampingSpec(kind=kind, scalar_rule=rule, s0=_check_level(s0), C1=1.0, C2=1.0 / s0)
+    require_positive(s0=s0)                 # before C2 = 1/s0 is formed
+    return DampingSpec(kind=kind, scalar_rule=rule, s0=s0, C1=1.0, C2=1.0 / s0)
 
 
 def norm_saturation(s0=1.0):

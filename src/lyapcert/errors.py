@@ -1,4 +1,11 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and its positive-and-finite check."""
+
+
+def require_positive(**values):
+    """ValueError naming the first value that is not positive and finite (NaN too)."""
+    for name, value in values.items():
+        if not 0 < value < float("inf"):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 class LyapcertError(Exception):
@@ -47,10 +54,6 @@ class NotDissipativeDiscretization(LyapcertError):
 
 class WrongNormChoice(LyapcertError):
     """Damping/norm combination incompatible with the requested certificate kind."""
-
-
-class MissingCS(LyapcertError):
-    """The embedding constant estimate is required but was not supplied."""
 
 
 class CalibrationFailed(LyapcertError):

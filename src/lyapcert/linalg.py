@@ -80,10 +80,10 @@ def spectral_abscissa(A):
     return float(np.max(np.linalg.eigvals(A).real))
 
 
-def require_hurwitz(A, what="matrix"):
+def require_hurwitz(A, what="matrix", error=NotHurwitz):
     a = spectral_abscissa(A)
     if a >= HURWITZ_MARGIN:
-        raise NotHurwitz(f"{what} has spectral abscissa {a:.6e} >= {HURWITZ_MARGIN}")
+        raise error(f"{what} has spectral abscissa {a:.6e} >= {HURWITZ_MARGIN}")
     return a
 
 

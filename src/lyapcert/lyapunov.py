@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import damping as dmp
-from .errors import CalibrationFailed, MissingCS, WrongNormChoice
+from .errors import CalibrationFailed, WrongNormChoice, require_positive
 from .linalg import (InnerProduct, matrix_exponential, operator_norm_nonsym,
                      row_norms, solve_lyapunov)
 
@@ -101,24 +101,21 @@ def build_exp_certificate(system, damping):
                                P_norm_H=P_norm_H, system=system)
 
 
-def build_semiglobal_certificate(system, damping, r, c_S=None):
+def build_semiglobal_certificate(system, damping, r, c_S):
     """Quadratic certificate valid on ||z0||_{D(A)} <= r for sup-norm damping."""
     if damping.kind not in ("componentwise_saturation", "weak_damping"):
         raise WrongNormChoice("semiglobal certificate expects componentwise damping")
     if system.S_choice != dmp.S_SUP:
         raise WrongNormChoice("system does not use the sup-norm choice")
-    if c_S is None:
-        raise MissingCS("pass c_S from estimate_cS(system)")
     if not 0 <= c_S < np.inf:
         raise ValueError(f"c_S must be finite and >= 0, got {c_S!r}")
-    if not 0 < r < np.inf:
-        raise ValueError(f"radius r must be positive and finite, got {r!r}")
+    require_positive(r=r)
     G = solve_lyapunov(system.closed_loop(damping.C1), system.H_ip.weight)
     P, alpha, P_norm_H, B_norm = _operator_and_norms(system, G)
     P_norm_DA = _p_norm_DA(system, P)
     M = c_S * damping.C2 * damping.h_eval(B_norm * r) * r * P_norm_DA
     C = 1.0
-    mu = C / (2.0 * P_norm_H) if M == 0.0 else min(C / (2.0 * P_norm_H), C / (2.0 * M))
+    mu = C / (2.0 * max(P_norm_H, M))
     return LyapunovCertificate(kind="semiglobal_exp_SneqU", P=P, G=G, C=C,
                                alpha=alpha, M=M, damping_ref=damping,
                                B_norm=B_norm, P_norm_H=P_norm_H, system=system,
@@ -157,12 +154,9 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
     """
     if damping.kind == "weak_damping":
         raise ValueError("weak damping has decreasing h; certificate formulas do not apply")
-    if not 0 < r < np.inf:
-        raise ValueError(f"radius r must be positive and finite, got {r!r}")
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-    if C_theta is not None and not 0 < C_theta < np.inf:
-        raise ValueError(f"C_theta must be positive and finite, got {C_theta!r}")
+    require_positive(r=r, gamma=gamma)
+    if C_theta is not None:
+        require_positive(C_theta=C_theta)
     Atilde = system.closed_loop(damping.C1)
     W = system.H_ip.weight
     G1 = solve_lyapunov(Atilde, W) + GRAMIAN_SHIFT * W

@@ -14,9 +14,9 @@ from functools import cached_property
 import numpy as np
 
 from . import damping as dmp
-from .errors import (NotControllable, NotDissipative,
-                     NotDissipativeDiscretization, NotStabilized)
-from .linalg import InnerProduct, dissipativity_margin, spectral_abscissa
+from .errors import (NotControllable, NotDissipative, NotDissipativeDiscretization,
+                     NotStabilized, require_positive)
+from .linalg import InnerProduct, dissipativity_margin, require_hurwitz
 
 DISSIPATIVITY_TOL = 1e-10
 
@@ -84,8 +84,8 @@ def require_dissipative(A, ip, error):
 def make_finite_dim(A, B, k=1.0):
     """Validated finite-dimensional system with the Euclidean inner product.
 
-    Requires A dissipative, (A, B) controllable (Kalman rank), and checks that
-    A - k B B^T is Hurwitz.
+    Requires A dissipative, (A, B) controllable (Kalman rank), and A - k B B^T
+    Hurwitz with the margin the certificate builders' Lyapunov solves require.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -96,11 +96,8 @@ def make_finite_dim(A, B, k=1.0):
     require_dissipative(A, ip, NotDissipative)
     if kalman_rank(A, B) < n:
         raise NotControllable(f"Kalman rank {kalman_rank(A, B)} < {n}")
-    if not 0 < k < np.inf:
-        raise ValueError("k must be positive and finite")
-    Atilde = A - k * B @ B.T
-    if spectral_abscissa(Atilde) >= 0:
-        raise NotStabilized("A - k B B^T is not Hurwitz")
+    require_positive(k=k)
+    require_hurwitz(A - k * B @ B.T, "A - k B B^T", NotStabilized)
     return SemiDiscreteSystem(A=A, B=B, k=float(k), H_ip=ip,
                               U_weights=np.ones(B.shape[1]),
                               S_choice=dmp.U_EUCLIDEAN, name="finite_dim")
@@ -111,8 +108,7 @@ def _grid(N, L, a_profile):
     (a callable of x or an array) sampled there: finite and nonnegative."""
     if N < 16:
         raise ValueError("N must be >= 16")
-    if not 0 < L < np.inf:
-        raise ValueError("L must be positive and finite")
+    require_positive(L=L)
     h = L / (N + 1)
     x = h * np.arange(1, N + 1)
     a = np.asarray([a_profile(xi) for xi in x] if callable(a_profile) else a_profile, dtype=float)
@@ -126,8 +122,7 @@ def _grid(N, L, a_profile):
 def _sampled(name, A, W, B, L, N, h, a, k):
     """The grid model with drift A, energy weight W and input map B, once A
     passes the dissipativity gate; the control space is l2 with weight h."""
-    if not 0 < k < np.inf:
-        raise ValueError("k must be positive and finite")
+    require_positive(k=k)
     ip = InnerProduct(W)
     require_dissipative(A, ip, NotDissipativeDiscretization)
     return SemiDiscreteSystem(A=A, B=B, k=float(k), H_ip=ip,

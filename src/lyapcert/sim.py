@@ -57,7 +57,8 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ContractionViolation, StepRejectionLimit, SubflowNotConverged
+from .errors import (ContractionViolation, StepRejectionLimit, SubflowNotConverged,
+                     require_positive)
 from .linalg import row_norms
 
 GROWTH_TOL = 1e-10      # per-step admissible relative growth of the state norm
@@ -81,8 +82,7 @@ class IntegratorConfig:
     local_error_target: float = 1e-8          # relative local-error target
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.dt, self.t_end, self.local_error_target)):
-            raise ValueError("dt, t_end and local_error_target must be positive and finite")
+        require_positive(dt=self.dt, t_end=self.t_end, local_error_target=self.local_error_target)
         if self.error_control not in ("none", "step-halving"):
             raise ValueError("error_control must be 'none' or 'step-halving'")
 
@@ -185,15 +185,19 @@ def _integrate(system, damping, Z0, config, cert):
         return _by_chunks(power, Y)
 
     trajs = []
-    for times, block, row_stats in blocks:
+    for times, block, row_counts in blocks:
         norms = np.array([row_norms(Y) for Y in block])    # block: (rows, steps + 1, n) of y
         growth = _check_growth(norms, times)
-        for Y, norm_H, stats, max_growth in zip(block, norms, row_stats, growth):
-            traj = Trajectory(times=times, norm_H=norm_H,
+        for Y, norm_H, counts, max_growth in zip(block, norms, row_counts, growth):
+            accepted, rejected, halvings, affine, passes, built = counts
+            stats = {"accepted_steps": accepted, "rejected_trials": rejected,
+                     "max_halvings": halvings, "affine_steps": affine,
+                     "per_step_steps": accepted - affine, "affine_passes": passes,
+                     "pattern_maps": built, "rows": len(Z0), "distinct_dt": len(steps.cache),
+                     "max_growth": float(max_growth), "growth_tol": GROWTH_TOL}
+            traj = Trajectory(times=times, norm_H=norm_H, stats=stats,
                               V_values=None if cert is None else _by_chunks(
-                                  lambda X, nX: eval_V(cert, y=X, norm_H=nX), Y, norm_H),
-                              stats={**stats, "rows": len(Z0), "distinct_dt": len(steps.cache),
-                                     "max_growth": float(max_growth), "growth_tol": GROWTH_TOL})
+                                  lambda X, nX: eval_V(cert, y=X, norm_H=nX), Y, norm_H))
             traj.t_star, traj.derive = detect_unit_ball_entry(traj), partial(derive, Y)
             trajs.append(traj)
     return trajs
@@ -345,10 +349,7 @@ def _fixed_step(steps, Y0, config):
         affine[r] = _advance(steps, rec[r, :fused + 1], dt) if fused else 0
     if fused < count:
         rec[:, count, :n] = steps.run(rec[:, fused, :n], last)
-    return times, rec[..., :n], [
-        {"accepted_steps": count, "rejected_trials": 0, "max_halvings": 0, "affine_steps": int(a),
-         "per_step_steps": count - int(a), "affine_passes": int(passes),
-         "pattern_maps": int(built)} for a, passes, built in affine]
+    return times, rec[..., :n], [(count, 0, 0, *row) for row in affine.tolist()]
 
 
 def _advance(steps, rec, dt):
@@ -437,11 +438,8 @@ def _step_halving(steps, y0, config):
         t, y, norm = float(ts[-1]), Y[-1:], float(ns[-1])
         if grow:
             dt = min(2.0 * dt, config.dt)
-    stats = {"accepted_steps": len(times) - 1, "rejected_trials": rejected,
-             "max_halvings": most_halvings, "affine_steps": affine,
-             "per_step_steps": len(times) - 1 - affine, "affine_passes": passes,
-             "pattern_maps": steps.builds - builds}
-    return np.array(times), np.concatenate(states)[None], [stats]
+    counts = (len(times) - 1, rejected, most_halvings, affine, passes, steps.builds - builds)
+    return np.array(times), np.concatenate(states)[None], [counts]
 
 
 def _affine_trials(steps, y, t, dt, norm, norm0, config, limit):

@@ -611,6 +611,18 @@ class TestExportedCertificate:
         assert run(tmp_path, "simulate", text) == 0
         assert calls == ["estimate_cS", "build_semiglobal_certificate"]
 
+    def test_simulate_rebuilds_for_P_of_wrong_shape(self, tmp_path, monkeypatch):
+        text = KDV_DOMAIN.format(scale=5.0)
+        fresh, certified = tmp_path / "fresh", tmp_path / "certified"
+        assert run(tmp_path, "simulate", text, out=fresh) == 0
+        assert run(tmp_path, "certify", text, out=certified) == 0
+        save_matrix(certified / "certificate_P.mat", np.eye(33))       # the state has 32
+        calls = self.count_builders(monkeypatch)
+        assert run(tmp_path, "simulate", text, out=certified) == 0
+        assert calls == ["estimate_cS", "build_semiglobal_certificate"]
+        assert ((fresh / "trajectory.csv").read_bytes()
+                == (certified / "trajectory.csv").read_bytes())
+
     @pytest.mark.parametrize("kind", ['"finite_dim"', "finite_dim", "'finite'", "''"])
     def test_verify_refuses_unknown_kind(self, tmp_path, capsys, kind):
         assert run(tmp_path, "simulate", OSCILLATOR_EXP) == 0
@@ -1191,6 +1203,45 @@ class TestOtherCliPaths:
         assert run(tmp_path, "verify", text) == 4
         line = last_line(capsys)
         assert line.startswith("ERROR MissingInput:") and "V column" in line
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])
+        assert rc == 4
+        assert last_line(capsys).startswith("ERROR MissingInput: [Errno 2] ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("directory", [None, "elsewhere"])
+    def test_output_directory_from_config(self, tmp_path, monkeypatch, directory):
+        # without --out or LYAPCERT_OUT_DIR: [output] directory (default out),
+        # relative to the working directory, not to the config file
+        monkeypatch.delenv("LYAPCERT_OUT_DIR", raising=False)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        cfgpath = tmp_path / "run.cfg"
+        extra = "" if directory is None else f"\n[output]\ndirectory = {directory}\n"
+        cfgpath.write_text(SCALAR_SAT + extra)
+        assert main(["simulate", "--config", str(cfgpath)]) == 0
+        assert (cwd / (directory or "out") / "trajectory.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cwd", "run.cfg"]
+
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL.replace("A = 0, 1; -1, 0", "A = foo"),
+         "ERROR ValidationError: [system] A: not a numeric matrix: 'foo'"),
+        (MINIMAL.replace("A = 0, 1; -1, 0", ""),
+         "ERROR ValidationError: [system] A: required for finite_dim")])
+    def test_finite_dim_matrix_refused(self, tmp_path, capsys, text, message):
+        assert run(tmp_path, "simulate", text) == 3
+        assert last_line(capsys) == message
+
+    def test_fit_decay_refuses_other_header(self, tmp_path, capsys):
+        body = [",".join(row.split(",")[:3]) for row in TRAJECTORY_BODY]
+        (tmp_path / "trajectory.csv").write_text("\n".join(["t,norm_H,V"] + body) + "\n")
+        assert run(tmp_path, "fit-decay", SCALAR_SAT) == 4
+        line = last_line(capsys)
+        assert line.startswith("ERROR MissingInput: ") and line.endswith(
+            "trajectory.csv has unexpected columns ['t', 'norm_H', 'V']")
+        assert not (tmp_path / "decay_fit.csv").exists()
 
     def test_report_quotes_certificate(self, tmp_path):
         assert run(tmp_path, "certify", SCALAR_SAT) == 0

@@ -62,6 +62,16 @@ class TestParameters:
         with pytest.raises(ValueError):
             build(x)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"C1": 0.0}, "C1 must be positive and finite, got 0.0"),
+        ({"C2": np.inf}, "C2 must be positive and finite, got inf"),
+        ({"C1": -1.0, "C2": np.nan}, "C1 must be positive and finite, got -1.0"),
+        ({"kind": "norm_saturation", "s0": np.nan}, "s0 must be positive and finite, got nan")])
+    def test_message_names_the_constant(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            damping.DampingSpec(**{"kind": "linear", **kwargs})
+        assert str(exc.value) == message
+
 
 class TestH:
     def test_saturations_have_unit_h(self):

@@ -5,8 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from lyapcert import damping, lyapunov, models
-from lyapcert.errors import (CalibrationFailed, MissingCS, NotHurwitz,
-                             WrongNormChoice)
+from lyapcert.errors import CalibrationFailed, NotHurwitz, WrongNormChoice
 from lyapcert.linalg import InnerProduct
 from lyapcert.models import SemiDiscreteSystem
 
@@ -93,15 +92,22 @@ class TestSemiglobalCertificate:
         assert c1.M <= c2.M and c1.mu >= c2.mu
 
     def test_missing_embedding_constant(self, kdv64, clamp1):
-        with pytest.raises(MissingCS):
+        with pytest.raises(TypeError, match="c_S"):
             lyapunov.build_semiglobal_certificate(kdv64, clamp1, r=1.0)
 
     @pytest.mark.parametrize("kwargs", [{"c_S": np.nan}, {"c_S": np.inf}, {"c_S": -0.3},
                                         {"r": np.nan}, {"r": np.inf}, {"r": 0.0}])
     def test_non_finite_inputs_rejected(self, kdv64, clamp1, kwargs):
         args = {"r": 5.0, "c_S": 0.3, **kwargs}
-        with pytest.raises(ValueError):
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be .+, got {value!r}$"):
             lyapunov.build_semiglobal_certificate(kdv64, clamp1, **args)
+
+    def test_mu_is_one_expression(self, kdv64, clamp1):
+        # mu = C / (2 max(|P|_H, M)) bit for bit: M = 0, M < |P|_H and M > |P|_H
+        for r, c_S in ((1.0, 0.0), (1e-3, 1.0), (25.0, 1.0)):
+            cert = lyapunov.build_semiglobal_certificate(kdv64, clamp1, r=r, c_S=c_S)
+            assert cert.mu == cert.C / (2.0 * max(cert.P_norm_H, cert.M))
 
     def test_control_norm_damping_rejected(self, kdv64):
         with pytest.raises(WrongNormChoice):
@@ -164,7 +170,8 @@ class TestPolyCertificate:
                                         {"C_theta": np.nan}, {"C_theta": np.inf}])
     def test_non_finite_inputs_rejected(self, oscillator, kwargs):
         args = {"r": 1.0, "gamma": 1.0, **kwargs}
-        with pytest.raises(ValueError):
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value!r}$"):
             lyapunov.build_poly_certificate(oscillator, damping.linear(), **args)
 
     def test_gamma_below_half_flagged(self, oscillator):
@@ -246,6 +253,19 @@ class TestFunctionalEvaluation:
             v = lyapunov.eval_V(cert, z)
             assert lo <= v * (1 + 1e-9) + 1e-300
             assert v <= up * (1 + 1e-9) + 1e-300
+
+    def test_semiglobal_sandwich(self, clamp1):
+        # (alpha + M) |z|_H^2 <= V(z) <= (|P|_H + M) |z|_H^2
+        kdv16 = models.discretize_kdv(2 * np.pi, 16, lambda x: 1.0)
+        cert = lyapunov.build_semiglobal_certificate(kdv16, clamp1, r=5.0, c_S=1.5)
+        assert cert.kind == "semiglobal_exp_SneqU" and cert.M > 0.0
+        Z = np.random.default_rng(11).standard_normal((50, 16))
+        nH = kdv16.norm_H(Z)
+        lo, up = lyapunov.sandwich_bounds(cert, Z)
+        np.testing.assert_array_equal(lo, (cert.alpha + cert.M) * nH**2)
+        np.testing.assert_array_equal(up, (cert.P_norm_H + cert.M) * nH**2)
+        V = lyapunov.eval_V(cert, Z)
+        assert np.all(lo <= V * (1 + 1e-12)) and np.all(V <= up * (1 + 1e-12))
 
     def test_poly_sandwich(self, wave32):
         th = damping.tanh_saturation(1.0)

@@ -3,7 +3,7 @@ import pytest
 
 from lyapcert import damping, models
 from lyapcert.errors import (NotControllable, NotDissipative,
-                             NotDissipativeDiscretization)
+                             NotDissipativeDiscretization, NotStabilized)
 from lyapcert.linalg import (dissipativity_margin, matrix_exponential,
                              spectral_abscissa)
 
@@ -28,6 +28,15 @@ class TestMakeFiniteDim:
     def test_not_dissipative(self):
         with pytest.raises(NotDissipative):
             models.make_finite_dim(np.eye(2), np.eye(2), k=1.0)
+
+    def test_stabilized_with_the_lyapunov_solver_margin(self):
+        # A - k B B^T must clear linalg.HURWITZ_MARGIN, the margin every
+        # certificate builder's Lyapunov solve requires, not just abscissa 0
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(NotStabilized, match=r"abscissa -(4\.9|5\.0)\d*e-13 >= -1e-12"):
+            models.make_finite_dim(A, np.array([[1e-6], [0.0]]))
+        system = models.make_finite_dim(A, np.array([[1e-5], [0.0]]))
+        assert abs(spectral_abscissa(system.closed_loop()) / -5e-11 - 1.0) < 1e-6
 
     def test_one_dimensional_B_is_a_column(self):
         system = models.make_finite_dim(np.array([[0.0, 1.0], [-1.0, 0.0]]),

@@ -956,14 +956,20 @@ class TestUnitBallEntry:
         expected = 1.0 + np.log(2.0) / (np.log(2.0) - np.log(0.5))
         assert abs(traj.t_star - expected) < 1e-12
 
+    def test_entry_at_an_exact_zero(self):
+        # the time of the zero sample, not an interpolation in log(0) (the
+        # suite makes numpy's RuntimeWarnings errors, so none is raised)
+        traj = sim.Trajectory.from_norms([0.0, 1.0, 2.0], [4.0, 2.0, 0.0])
+        assert traj.t_star == 2.0 and sim.detect_unit_ball_entry(traj) == 2.0
+
 
 class TestConfigValidation:
     def test_bad_dt(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dt must be positive and finite, got 0\.0$"):
             sim.IntegratorConfig(dt=0.0, t_end=1.0)
 
     def test_infinite_horizon_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^t_end must be positive and finite, got inf$"):
             sim.IntegratorConfig(dt=1e-3, t_end=np.inf)
 
     def test_bad_scheme(self):
