@@ -15,7 +15,14 @@ import numpy as np
 from .damping import BY_NAME
 from .errors import ParseError, ValidationError
 
-SECTIONS = ("system", "damping", "sim", "analysis", "output")
+KEYS = {   # section -> the keys it takes; validate refuses any other
+    "system": ("name", "A", "B", "A_file", "B_file", "k", "N", "L", "a_profile"),
+    "damping": ("kind", "s0", "c", "q", "C1", "C2", "verify_dim", "verify_trials"),
+    "sim": ("dt", "t_end", "error_control", "local_error_target", "z0"),
+    "analysis": ("certificate", "r", "c_S", "gamma", "C_theta", "fits", "radii",
+                 "window_lo", "window_hi"),
+    "output": ("directory", "formats")}
+SECTIONS = tuple(KEYS)
 SUBCOMMAND_DEFAULTS = {
     "sim": {"dt": 1e-3, "error_control": "on", "local_error_target": 1e-8,
             "t_end": 10.0},
@@ -156,6 +163,8 @@ def validate(cfg):
     def finite(x):
         return isinstance(x, (int, float)) and bool(np.isfinite(x))
 
+    for sect, key in [(s, k) for s, k in cfg.lines if k not in KEYS[s]]:
+        bad(sect, key, "unknown key; one of " + "|".join(KEYS[sect]))
     name = choice("system", "name")
     if name is None:
         bad("system", "name", "required; one of " + "|".join(SYSTEM_NAMES))

@@ -4,7 +4,8 @@ A damping function sigma comes with constants C1, C2 and a comparison
 function h such that  ||sigma(s) - C1*s||_{S'} <= C2 * h(||s||_S) * <sigma(s), s>_U.
 The catalogue covers the identity, norm-level saturation, componentwise
 saturations (clamp / tanh / arctan) and the sublinear weak damping
-sigma(s) = c * sign(s) * |s|^q with q < 1.
+sigma(s) = c * sign(s) * |s|^q with q < 1; every rule but weak damping also
+gives its derivative sigma' (`DampingSpec.jacobian`).
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +15,11 @@ import numpy as np
 from .errors import DomainError, require_positive
 
 KINDS = ("linear", "norm_saturation", "componentwise_saturation", "weak_damping")
-SCALAR_RULES = ("clamp", "tanh", "arctan")
+SCALAR_RULES = {        # rule -> (sigma, sigma') at level s0, entrywise
+    "clamp": (lambda x, s0: np.clip(x, -s0, s0), lambda x, s0: (np.abs(x) < s0).astype(float)),
+    "tanh": (lambda x, s0: s0 * np.tanh(x / s0), lambda x, s0: 1.0 - np.tanh(x / s0) ** 2),
+    "arctan": (lambda x, s0: (2.0 * s0 / np.pi) * np.arctan(np.pi * x / (2.0 * s0)),
+               lambda x, s0: 1.0 / (1.0 + (0.5 * np.pi * x / s0) ** 2))}
 
 # Norm tags: U is the weighted l2 control norm; S the discrete sup norm
 # (only meaningful when the damping acts componentwise).
@@ -37,15 +42,15 @@ class DampingSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown damping kind {self.kind!r}")
-        if self.kind == "componentwise_saturation" and self.scalar_rule not in SCALAR_RULES:
-            raise ValueError(f"unknown scalar rule {self.scalar_rule!r}")
+        rules = SCALAR_RULES if self.kind == "componentwise_saturation" else ("",)
+        if self.scalar_rule not in rules:
+            raise ValueError(f"unknown scalar rule {self.scalar_rule!r} for kind {self.kind!r}")
         if self.kind in ("norm_saturation", "componentwise_saturation"):
             require_positive(s0=self.s0)
         if self.kind == "weak_damping":
             if not (0.0 < self.q < 1.0):
                 raise ValueError("weak damping exponent q must lie in (0, 1)")
-            if not 0.0 <= self.c < np.inf:
-                raise ValueError("weak damping gain c must be finite and >= 0")
+            require_positive(c=self.c)          # before C1, which weak_damping pins to c
         require_positive(C1=self.C1, C2=self.C2)
 
     # --- evaluation ---
@@ -61,9 +66,24 @@ class DampingSpec:
             ns = np.sqrt(np.sum(w * s * s, axis=-1, keepdims=True))
             return s * (self.s0 / np.maximum(ns, self.s0))
         if self.kind == "componentwise_saturation":
-            return _scalar_sat(self.scalar_rule, self.s0, s)
+            return SCALAR_RULES[self.scalar_rule][0](s, self.s0)
         # weak damping: c * sign(s) * |s|^q entrywise
         return self.c * np.sign(s) * np.abs(s) ** self.q
+
+    def jacobian(self, s, u_weights=None):
+        """d sigma / ds at s as apply lays it out: the diagonal, or for norm saturation
+        the matrix (one more axis).  Weak damping has none at 0 (DomainError)."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        if self.kind == "weak_damping":
+            raise DomainError("weak damping sigma = c sign(s) |s|^q has no derivative at 0")
+        if self.kind == "norm_saturation":
+            w, s0 = (1.0 if u_weights is None else np.asarray(u_weights)), self.s0
+            r = np.sqrt(np.sum(w * s * s, axis=-1))[..., None, None]
+            outer = s[..., :, None] * (w * s)[..., None, :] / np.maximum(r, s0) ** 2
+            return (s0 / np.maximum(r, s0)) * (np.eye(s.shape[-1]) - np.where(r > s0, outer, 0.0))
+        if self.kind == "componentwise_saturation":
+            return SCALAR_RULES[self.scalar_rule][1](s, self.s0)
+        return np.ones_like(s)
 
     def h_eval(self, x):
         """h(x) for x >= 0: 1 for every kind but weak damping, whose
@@ -89,14 +109,6 @@ class DampingSpec:
         else:
             K = (2.0 / 3.0) * X**1.5
         return float(K) if K.ndim == 0 else K
-
-
-def _scalar_sat(rule, s0, x):
-    if rule == "clamp":
-        return np.clip(x, -s0, s0)
-    if rule == "tanh":
-        return s0 * np.tanh(x / s0)
-    return (2.0 * s0 / np.pi) * np.arctan(np.pi * x / (2.0 * s0))
 
 
 # --- catalogue constructors (defaults satisfy the three-item definition with

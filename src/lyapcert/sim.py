@@ -507,9 +507,10 @@ def _subflow(system, damping):
     w = system.U_weights
     rule = damping.scalar_rule or damping.kind
     s0, q, c = damping.s0, damping.q, damping.c
-    if active.size == 0 or (rule == "weak_damping" and c == 0.0):
+    if active.size == 0:
         return (lambda dt: np.zeros_like), None         # sigma never moves z
-    if not np.any(G - np.diag(g)):
+    decoupled = not np.any(G - np.diag(g))
+    if decoupled:
         on_norm = rule == "norm_saturation" and np.all(active == active[0])
         if rule in ("linear", "clamp") or on_norm:
             if on_norm:
@@ -545,7 +546,7 @@ def _subflow(system, damping):
         if rule in drops:
             drop = drops[rule]
             return (lambda dt: lambda S: np.copysign(drop(np.abs(S), dt) * ginv, S)), None
-    return (lambda dt: lambda S: _implicit_midpoint(rule, damping, G, w, S, dt)), None
+    return (lambda dt: lambda S: _implicit_midpoint(damping, G, w, S, dt, decoupled)), None
 
 
 def _clamp_impulse(a, s0, dt, ginv, ginv_s0, neg_g):
@@ -567,14 +568,13 @@ def _tanh_drop(u, decay):
     return u - np.where(u > 20.0, high, low)
 
 
-def _implicit_midpoint(rule, damping, G, w, S, dt):
+def _implicit_midpoint(damping, G, w, S, dt, decoupled):
     """dt sigma(x) at the implicit midpoint x = s - dt/2 G sigma(x), per row of
-    S, by Newton.  Weak damping is not Lipschitz at 0, so there the unknown is
-    u = sigma(x), whose inverse is C^1.  Raises SubflowNotConverged rather than
-    return an iterate."""
+    S, by Newton; decoupled says that G is diagonal.  Weak damping is not
+    Lipschitz at 0, so there the unknown is u = sigma(x), whose inverse is C^1.
+    Raises SubflowNotConverged rather than return an iterate."""
     h = 0.5 * dt
-    weak = rule == "weak_damping"
-    decoupled = not np.any(G - np.diag(np.diag(G)))
+    weak = damping.kind == "weak_damping"
     eye = np.eye(len(G))
     U = damping.apply(S, w) if weak else S.copy()
     for _ in range(NEWTON_MAXITER):
@@ -584,7 +584,7 @@ def _implicit_midpoint(rule, damping, G, w, S, dt):
             jac = eye * ((p / c) * (np.abs(U) / c) ** (p - 1.0))[..., None, :] + h * G
         else:                           # F(x) = x - s + h G sigma(x)
             F = U - S + h * damping.apply(U, w) @ G.T
-            D = _sigma_derivative(rule, damping.s0, w, U)
+            D = damping.jacobian(U, w)
             if D.ndim > U.ndim:
                 jac = eye + h * G @ D
             elif decoupled:
@@ -600,22 +600,6 @@ def _implicit_midpoint(rule, damping, G, w, S, dt):
     raise SubflowNotConverged(
         f"implicit-midpoint damping step did not converge in {NEWTON_MAXITER} "
         f"Newton iterations (dt={dt!r}, last update {np.max(np.abs(update)):.3e})")
-
-
-def _sigma_derivative(rule, s0, w, U):
-    """d sigma / ds at each row of U: the diagonal for the componentwise
-    rules, the full Jacobian matrix for norm saturation."""
-    if rule == "norm_saturation":
-        r = np.sqrt(np.sum(w * U * U, axis=-1))[..., None, None]
-        outer = U[..., :, None] * (w * U)[..., None, :] / np.maximum(r, s0) ** 2
-        return (s0 / np.maximum(r, s0)) * (np.eye(U.shape[-1]) - np.where(r > s0, outer, 0.0))
-    if rule == "clamp":
-        return (np.abs(U) < s0).astype(float)
-    if rule == "tanh":
-        return 1.0 - np.tanh(U / s0) ** 2
-    if rule == "arctan":
-        return 1.0 / (1.0 + (0.5 * np.pi * U / s0) ** 2)
-    return np.ones_like(U)
 
 
 def _by_chunks(f, *columns, rows=1024):

@@ -261,6 +261,11 @@ class TestLinearPhase:
         with pytest.raises(NoLinearPhase):
             analysis.fit_linear_phase(traj, C_sigma=1.0, B_norm=1.0)
 
+    def test_too_few_samples_before_entry(self):
+        traj = sim.Trajectory.from_norms([0.0, 1.0, 2.0, 3.0], [3.0, 0.5, 0.2, 0.1])
+        with pytest.raises(NoLinearPhase, match="^fewer than 3 samples before unit-ball entry$"):
+            analysis.fit_linear_phase(traj, C_sigma=1.0, B_norm=1.0)
+
     def test_oscillator_slope_bounded(self, oscillator, clamp1):
         z0 = 30.0 * np.array([1.0, 1.0]) / np.sqrt(2.0)
         traj = sim.integrate(oscillator, clamp1, z0,

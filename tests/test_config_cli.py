@@ -105,6 +105,32 @@ class TestGrammar:
             parse_config("[system]\nname = finite_dim\nA = 0, x; 1, 0")
         assert "line 3" in str(exc.value)
 
+    def test_unknown_keys_refused(self):
+        # a misspelled key was once stored and never read: dt fell back to its
+        # default and the V column to NaN
+        text = MINIMAL + "\n[sim]\ndtt = 0.5\n\n[analysis]\ncertficate = exp\n"
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        assert exc.value.violations == [
+            "[sim] dtt: unknown key; one of dt|t_end|error_control|local_error_target|z0 "
+            "(line 11)",
+            "[analysis] certficate: unknown key; one of certificate|r|c_S|gamma|C_theta|"
+            "fits|radii|window_lo|window_hi (line 14)"]
+
+    def test_key_table_is_the_documented_one(self):
+        # config.KEYS against the first column of each [section] table of docs/formats.md
+        import pathlib
+        import re
+
+        from lyapcert.config import KEYS, SECTIONS
+        docs = (pathlib.Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+        documented = {}
+        for sect, table in re.findall(r"^### \[(\w+)\]\n\n((?:\|.*\n)+)", docs, re.M):
+            rows = table.splitlines()[2:]
+            documented[sect] = {k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])}
+        assert documented == {sect: set(keys) for sect, keys in KEYS.items()}
+        assert SECTIONS == tuple(KEYS)
+
     def test_comments_and_blanks(self):
         cfg = parse_config(MINIMAL + "\n# trailing comment\n\n")
         assert cfg.get("system", "name") == "finite_dim"
@@ -775,6 +801,13 @@ class TestMalformedInputs:
         assert run(files, "simulate", text) == 3
         line = last_line(capsys)
         assert line.startswith("ERROR ValidationError:") and f"[{section}] {key}:" in line
+
+    def test_misspelled_key(self, files, capsys):
+        text = FILES_CFG + "\n[sim]\ndtt = 0.5\n"
+        assert run(files, "simulate", text) == 3
+        line = last_line(capsys)
+        assert line.startswith("ERROR ValidationError:") and "[sim] dtt: unknown key" in line
+        assert not (files / "trajectory.csv").exists()
 
     def test_empty_fit_window(self, files, capsys):
         text = FILES_CFG + "\n[analysis]\nwindow_lo = 2.0\nwindow_hi = 1.0\n"

@@ -48,6 +48,49 @@ class TestApply:
             np.testing.assert_allclose(spec.apply(S, w), rows, rtol=1e-15, atol=0)
 
 
+class TestJacobian:
+    @staticmethod
+    def central_differences(spec, s, w, eps=1e-6):
+        """J[i, j] = d sigma_i / d s_j by central differences of apply."""
+        E = eps * np.eye(len(s))
+        return np.stack([(spec.apply(s + e, w) - spec.apply(s - e, w)) / (2 * eps)
+                         for e in E], axis=-1)
+
+    @pytest.mark.parametrize("spec", [d for d in ALL_BOUNDED if d.kind != "norm_saturation"]
+                             + [damping.clamp(0.7), damping.arctan_saturation(2.5)])
+    def test_diagonal_matches_central_differences(self, spec):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            s = rng.uniform(-3.0, 3.0, 4)
+            if np.min(np.abs(np.abs(s) - spec.s0)) < 1e-3:
+                continue                    # away from the clamp's kinks
+            D = spec.jacobian(s)
+            assert D.shape == s.shape
+            np.testing.assert_allclose(np.diag(D), self.central_differences(spec, s, None),
+                                       rtol=1e-7, atol=1e-8)
+
+    @pytest.mark.parametrize("s", [[0.1, -0.2, 0.3], [2.0, -1.0, 3.0], [-5.0, 0.5, 0.0]])
+    def test_norm_saturation_matrix_matches_central_differences(self, s):
+        spec, w = damping.norm_saturation(1.5), np.array([0.5, 2.0, 1.3])
+        s = np.array(s)
+        J = spec.jacobian(s, w)
+        assert J.shape == (3, 3)
+        np.testing.assert_allclose(J, self.central_differences(spec, s, w),
+                                   rtol=1e-7, atol=1e-8)
+
+    @pytest.mark.parametrize("spec", ALL_BOUNDED)
+    def test_block_matches_rows(self, spec):
+        rng = np.random.default_rng(6)
+        S, w = rng.standard_normal((30, 3)) * 3.0, rng.uniform(0.1, 3.0, 3)
+        rows = np.array([spec.jacobian(s, w) for s in S])
+        assert np.array_equal(spec.jacobian(S, w), rows)
+        assert spec.jacobian(S, w).ndim == S.ndim + (spec.kind == "norm_saturation")
+
+    def test_weak_damping_has_none(self):
+        with pytest.raises(DomainError):
+            damping.weak_damping(1.0, 0.5).jacobian([1.0, -2.0])
+
+
 class TestParameters:
     @pytest.mark.parametrize("build", [
         lambda x: damping.clamp(x), lambda x: damping.norm_saturation(x),
@@ -72,6 +115,24 @@ class TestParameters:
             damping.DampingSpec(**{"kind": "linear", **kwargs})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("kind, rule", [
+        ("linear", "clamp"), ("norm_saturation", "tanh"), ("weak_damping", "arctan"),
+        ("componentwise_saturation", "sine"), ("componentwise_saturation", "")])
+    def test_scalar_rule_only_on_componentwise_saturation(self, kind, rule):
+        # the integrator reads the rule as scalar_rule or kind, apply by kind:
+        # one spec must name one rule to both
+        with pytest.raises(ValueError) as exc:
+            damping.DampingSpec(kind=kind, scalar_rule=rule)
+        assert repr(kind) in str(exc.value) and repr(rule) in str(exc.value)
+
+    @pytest.mark.parametrize("build", [
+        lambda: damping.weak_damping(c=0.0),
+        lambda: damping.DampingSpec(kind="weak_damping", c=0.0, C1=1.0)])
+    def test_weak_damping_gain_positive(self, build):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == "c must be positive and finite, got 0.0"
+
 
 class TestH:
     def test_saturations_have_unit_h(self):
@@ -89,6 +150,10 @@ class TestH:
         with pytest.raises(DomainError):
             damping.weak_damping(1.0, 0.5).h_eval(0.0)
 
+    def test_negative_argument_rejected(self):
+        with pytest.raises(DomainError):
+            damping.clamp(1.0).h_eval(-1.0)
+
     def test_h_nondecreasing_for_bounded_kinds(self):
         grid = np.linspace(0.0, 50.0, 101)
         for spec in ALL_BOUNDED:
@@ -101,6 +166,8 @@ class TestKIntegral:
         cl = damping.clamp(1.0)
         assert abs(cl.k_integral(4.0, 1.0) - 16.0 / 3.0) < 1e-14
         assert cl.k_integral(0.0, 1.0) == 0.0
+        with pytest.raises(DomainError):
+            cl.k_integral(-1.0, 1.0)
 
     def test_weak_damping_quadrature_oracle(self):
         # int_0^1 sqrt(v) (sqrt(v))^(q-1) dv = 1/(q/2 + 1) = 0.8 at q = 1/2,

@@ -37,6 +37,12 @@ class TestSolveLyapunov:
         with pytest.raises(NotHurwitz):
             solve_lyapunov(np.eye(3), np.eye(3))
 
+    def test_non_finite_right_hand_side_rejected(self):
+        Q = np.eye(2)
+        Q[0, 1] = np.nan
+        with pytest.raises(SingularSystem, match="^Lyapunov solve failed: "):
+            solve_lyapunov(-np.eye(2), Q)
+
     def test_near_singular_solve_rejected(self):
         # a near-defective block passes the Hurwitz gate but the solution
         # grows like 1/d^3 and the residual check catches the lost digits
@@ -96,6 +102,10 @@ class TestMatrixExponential:
     def test_overflow(self):
         with pytest.raises(Overflow):
             matrix_exponential(np.array([[1000.0]]), 1000.0)
+
+    def test_infinite_time_rejected(self):
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            matrix_exponential(-np.eye(2), np.inf)
 
 
 class TestGramianQuadrature:
@@ -183,6 +193,13 @@ class TestInnerProduct:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             InnerProduct(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("weight, message", [
+        (np.ones(3), "weight must be a square matrix"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "weight has non-finite entries")])
+    def test_rejects_malformed(self, weight, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            InnerProduct(weight)
 
     def test_conjugate_matches_dense(self):
         # L^{-1} M L by one triangular solve against the dense inverse, and the

@@ -114,6 +114,10 @@ class TestSemiglobalCertificate:
             lyapunov.build_semiglobal_certificate(kdv64, damping.linear(), r=1.0,
                                                   c_S=1.0)
 
+    def test_control_norm_system_rejected(self, oscillator, clamp1):
+        with pytest.raises(WrongNormChoice, match="^system does not use the sup-norm choice$"):
+            lyapunov.build_semiglobal_certificate(oscillator, clamp1, r=1.0, c_S=1.0)
+
 
 class TestPolyCertificate:
     def test_wave_tanh_formula(self, wave32):
@@ -173,6 +177,11 @@ class TestPolyCertificate:
         (name, value), = kwargs.items()
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value!r}$"):
             lyapunov.build_poly_certificate(oscillator, damping.linear(), **args)
+
+    def test_weak_damping_rejected(self, oscillator):
+        with pytest.raises(ValueError, match="weak damping"):
+            lyapunov.build_poly_certificate(oscillator, damping.weak_damping(), r=1.0,
+                                            gamma=1.0)
 
     def test_gamma_below_half_flagged(self, oscillator):
         cert = lyapunov.build_poly_certificate(oscillator, damping.linear(), r=1.0,

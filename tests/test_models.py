@@ -189,6 +189,10 @@ class TestEstimateCS:
     def test_zero_input_map(self, wave32_undamped):
         assert models.estimate_cS(wave32_undamped, n_probes=100) == 0.0
 
+    def test_control_norm_system_rejected(self, oscillator):
+        with pytest.raises(ValueError, match="sup-norm choice only"):
+            models.estimate_cS(oscillator, n_probes=100)
+
     def test_wave_positive_and_probe_monotone(self, wave32):
         small = models.estimate_cS(wave32, n_probes=100, seed=0)
         large = models.estimate_cS(wave32, n_probes=2000, seed=0)

@@ -983,6 +983,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="local_error_target must be positive and finite"):
             sim.IntegratorConfig(dt=1e-2, t_end=1.0, local_error_target=target)
 
+    def test_non_finite_initial_state_rejected(self, oscillator, clamp1):
+        with pytest.raises(ValueError, match="^initial state must be finite$"):
+            sim.integrate(oscillator, clamp1, np.array([1.0, np.nan]),
+                          sim.IntegratorConfig(dt=1e-2, t_end=1.0))
+
+    def test_empty_trajectory_rejected(self):
+        with pytest.raises(ValueError, match="^empty trajectory$"):
+            sim.Trajectory.from_norms([], [])
+
     def test_times_strictly_increasing(self):
         with pytest.raises(ValueError):
             sim.Trajectory.from_norms([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
