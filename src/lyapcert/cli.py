@@ -247,45 +247,22 @@ def cmd_sweep(cfg, out_dir, seed):
 
 
 def load_certificate(out_dir, cfg):
-    """The certificate that certify exported to out_dir, scalars only (P, G,
-    system and damping are None), and its provenance lines (config_hash, seed,
-    tool_version) as a dict; (None, {}) where there is no certificate.txt.
-    Raises StaleCertificate where it records the config_hash of another config
-    than cfg, and MissingInput where a scalar is absent or not a finite number."""
+    """The certificate that certify exported to out_dir, as lyapunov.read_text
+    reads it, and its provenance lines (config_hash, seed, tool_version) as a
+    dict; (None, {}) where there is no certificate.txt.  StaleCertificate
+    where it records the config_hash of another config than cfg."""
     path = os.path.join(out_dir, "certificate.txt")
     if not os.path.exists(path):
         return None, {}
-    fields, flags, provenance = {}, [], {}
     with open(path) as fh:
-        for line in fh:
-            key, _, val = (part.strip() for part in line.partition(" = "))
-            if key == "kind":
-                fields["kind"] = val
-            elif key == "flag":
-                flags.append(val)
-            elif key in ("config_hash", "seed", "tool_version"):
-                provenance[key] = val
-            elif key in lyapunov.SCALARS:
-                try:
-                    fields[key] = float(val)
-                except ValueError:
-                    fields[key] = np.nan
-                if not np.isfinite(fields[key]):
-                    raise MissingInput(f"{path}: {key} = {val!r} is not a finite number")
+        lines = fh.readlines()
+    provenance = {key: val for key, _, val in (map(str.strip, ln.partition(" = ")) for ln in lines)
+                  if key in ("config_hash", "seed", "tool_version")}
     recorded = provenance.get("config_hash")
     if recorded not in (None, config_hash(cfg)):
         raise StaleCertificate(f"{path} was certified for config {recorded}, not this "
                                f"config ({config_hash(cfg)}); run certify again")
-    for key in ("kind",) + lyapunov.REQUIRED_SCALARS:
-        if key not in fields:
-            raise MissingInput(f"{path} has no {key!r} entry")
-    kinds = [repr(kind) for kind in lyapunov.KINDS]     # export_text writes the repr
-    if fields["kind"] not in kinds:
-        raise MissingInput(f"{path}: kind {fields['kind']} is not one of {', '.join(kinds)}")
-    fields["kind"] = fields["kind"][1:-1]
-    cert = lyapunov.LyapunovCertificate(P=None, G=None, damping_ref=None,
-                                        flags=tuple(flags), **fields)
-    return cert, provenance
+    return lyapunov.read_text(lines, path), provenance
 
 
 def _reusable_certificate(out_dir, cfg, system, damping, seed):

@@ -67,9 +67,6 @@ class InnerProduct:
         the coordinates y = x L of the map x -> x M."""
         return sla.solve_triangular(self._chol, M @ self._chol, lower=True)
 
-    def is_identity(self):
-        return bool(np.array_equal(self.weight, np.eye(len(self.weight))))
-
 
 def row_norms(Y):
     """The Euclidean norms along the last axis."""

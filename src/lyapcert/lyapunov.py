@@ -1,7 +1,8 @@
-"""Construction and evaluation of Lyapunov certificates.
+"""Construction, evaluation and text form of Lyapunov certificates.
 
-Three constructions are provided.  With a norm-level (or linear) damping the
-compensated functional
+Three constructions are provided, each an H-form G and a rule for the weight M
+that one assembly, `_certificate`, turns into P, alpha and the norms.  With a
+norm-level (or linear) damping the compensated functional
 
     V(z) = <Pz, z>_H + M K(||z||_H^2),   K(X) = int_0^X sqrt(v) h(||B|| sqrt(v)) dv
 
@@ -12,18 +13,18 @@ certified through the Gramian construction the same quadratic form yields an
 inverse-sqrt decay of the state norm on such balls.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import damping as dmp
-from .errors import CalibrationFailed, WrongNormChoice, require_positive
+from .errors import CalibrationFailed, MissingInput, WrongNormChoice, require_positive
 from .linalg import (InnerProduct, matrix_exponential, operator_norm_nonsym,
                      row_norms, solve_lyapunov)
 
-KINDS = ("global_exp_SU", "semiglobal_exp_SneqU", "semiglobal_poly", "finite_dim")
+KINDS = ("global_exp_SU", "semiglobal_exp_SneqU", "semiglobal_poly")
 GRAMIAN_SHIFT = 0.1                               # coercivity shift of the poly form
 CALIBRATION_T_GRID = np.linspace(0.0, 100.0, 41)  # times at which C_theta is calibrated
 CALIBRATION_PROBES = 32                           # random probe states
@@ -64,20 +65,24 @@ class LyapunovCertificate:
         return {name: v for name, v in values.items() if v is not None}
 
 
-def _operator_and_norms(system, G):
-    """P = W^-1 G; alpha and ||P||_H, the least lam and the largest |lam| of the
-    pencil G z = lam W z (P is self-adjoint in H); and ||B*||_{L(H,U)}."""
+def _certificate(kind, system, damping, G, M_rule, C=1.0, **fields):
+    """The certificate of `kind` on the H-form G: P = W^-1 G; alpha and ||P||_H,
+    the least lam and the largest |lam| of the pencil G z = lam W z (P is
+    self-adjoint in H); ||B*||_{L(H,U)}; for the kinds with a radius r,
+    ||P||_{D(A)}; and M = M_rule(**those norms).  fields are the kind's own
+    (alpha too, where the kind has its own)."""
     W = system.H_ip.weight
     lam = sla.eigh(G, W, eigvals_only=True)
-    U_ip = InnerProduct(np.diag(system.U_weights))
-    return (np.linalg.solve(W, G), float(lam[0]), float(max(-lam[0], lam[-1])),
-            operator_norm_nonsym(system.Bstar, system.H_ip, U_ip))
-
-
-def _p_norm_DA(system, P):
-    # Upper bound for the operator norm in the sum graph norm via the
-    # equivalent quadratic graph norm: ||z||_G <= ||z||_H + ||Az||_H <= sqrt(2) ||z||_G.
-    return float(np.sqrt(2.0) * operator_norm_nonsym(P, InnerProduct(system.graph_weight)))
+    P = np.linalg.solve(W, G)
+    norms = {"B_norm": operator_norm_nonsym(system.Bstar, system.H_ip,
+                                            InnerProduct(np.diag(system.U_weights))),
+             "P_norm_H": float(max(-lam[0], lam[-1]))}
+    if "r" in fields:   # sqrt(2) x the norm in the quadratic graph norm bounds the sum's
+        norms["P_norm_DA"] = float(
+            np.sqrt(2.0) * operator_norm_nonsym(P, InnerProduct(system.graph_weight)))
+    return LyapunovCertificate(kind=kind, P=P, G=G, C=C, M=M_rule(**norms),
+                               damping_ref=damping, system=system, **norms,
+                               **{"alpha": float(lam[0]), **fields})
 
 
 def build_exp_certificate(system, damping):
@@ -93,12 +98,8 @@ def build_exp_certificate(system, damping):
         raise WrongNormChoice(
             "componentwise damping on a sup-norm system needs the semiglobal builder")
     G = solve_lyapunov(system.closed_loop(damping.C1), system.H_ip.weight)
-    P, alpha, P_norm_H, B_norm = _operator_and_norms(system, G)
-    M = damping.C2 * B_norm * P_norm_H
-    kind = "finite_dim" if system.H_ip.is_identity() else "global_exp_SU"
-    return LyapunovCertificate(kind=kind, P=P, G=G, C=1.0, alpha=alpha, M=M,
-                               damping_ref=damping, B_norm=B_norm,
-                               P_norm_H=P_norm_H, system=system)
+    return _certificate("global_exp_SU", system, damping, G,
+                        lambda B_norm, P_norm_H: damping.C2 * B_norm * P_norm_H)
 
 
 def build_semiglobal_certificate(system, damping, r, c_S):
@@ -111,15 +112,11 @@ def build_semiglobal_certificate(system, damping, r, c_S):
         raise ValueError(f"c_S must be finite and >= 0, got {c_S!r}")
     require_positive(r=r)
     G = solve_lyapunov(system.closed_loop(damping.C1), system.H_ip.weight)
-    P, alpha, P_norm_H, B_norm = _operator_and_norms(system, G)
-    P_norm_DA = _p_norm_DA(system, P)
-    M = c_S * damping.C2 * damping.h_eval(B_norm * r) * r * P_norm_DA
-    C = 1.0
-    mu = C / (2.0 * max(P_norm_H, M))
-    return LyapunovCertificate(kind="semiglobal_exp_SneqU", P=P, G=G, C=C,
-                               alpha=alpha, M=M, damping_ref=damping,
-                               B_norm=B_norm, P_norm_H=P_norm_H, system=system,
-                               P_norm_DA=P_norm_DA, mu=mu, r=r, c_S=c_S)
+    cert = _certificate(
+        "semiglobal_exp_SneqU", system, damping, G,
+        lambda B_norm, P_norm_DA, **_:
+            c_S * damping.C2 * damping.h_eval(B_norm * r) * r * P_norm_DA, r=r, c_S=c_S)
+    return replace(cert, mu=cert.C / (2.0 * max(cert.P_norm_H, cert.M)))
 
 
 def calibrate_C_theta(system, Atilde, G1, gamma, at_zero, seed=0):
@@ -131,8 +128,7 @@ def calibrate_C_theta(system, Atilde, G1, gamma, at_zero, seed=0):
     the quadratic graph weight W_G.
     """
     needed = at_zero
-    rng = np.random.default_rng(seed)
-    probes = rng.standard_normal((CALIBRATION_PROBES, system.n))
+    probes = np.random.default_rng(seed).standard_normal((CALIBRATION_PROBES, system.n))
     probes /= system.norm_DA(probes)[:, None]
     for t in CALIBRATION_T_GRID:
         Zt = probes @ matrix_exponential(Atilde, float(t)).T
@@ -173,18 +169,12 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
     D = -(Atilde.T @ G1 + G1 @ Atilde)
     C = float(min(1.0, sla.eigh(0.5 * (D + D.T), W, eigvals_only=True)[0]))
 
-    alpha = 0.5 * float(lam[0])
-    P1, _, P_norm_H, B_norm = _operator_and_norms(system, G1)
-    M = damping.C2 * C_theta * damping.h_eval(B_norm * r) * B_norm * r
-
-    flags = ()
-    if gamma <= 0.5:
-        flags = ("gamma <= 1/2: decay exponent outside the guaranteed range",)
-    return LyapunovCertificate(kind="semiglobal_poly", P=P1, G=G1, C=C,
-                               alpha=alpha, M=M, damping_ref=damping,
-                               B_norm=B_norm, P_norm_H=P_norm_H, system=system,
-                               P_norm_DA=_p_norm_DA(system, P1), r=r,
-                               C_theta=C_theta, gamma=gamma, flags=flags)
+    flags = (("gamma <= 1/2: decay exponent outside the guaranteed range",)
+             if gamma <= 0.5 else ())
+    return _certificate(
+        "semiglobal_poly", system, damping, G1,
+        lambda B_norm, **_: damping.C2 * C_theta * damping.h_eval(B_norm * r) * B_norm * r,
+        C=C, alpha=0.5 * float(lam[0]), r=r, C_theta=C_theta, gamma=gamma, flags=flags)
 
 
 def eval_V(cert, z=None, y=None, norm_H=None):
@@ -195,7 +185,7 @@ def eval_V(cert, z=None, y=None, norm_H=None):
         y = np.asarray(z, dtype=float) @ cert.system.H_ip.factor
         norm_H = row_norms(y)
     quad = np.einsum("...i,...i->...", y @ cert.energy_form, y)
-    if cert.kind in ("global_exp_SU", "finite_dim"):
+    if cert.kind == "global_exp_SU":
         return quad + cert.M * cert.damping_ref.k_integral(norm_H * norm_H, cert.B_norm)
     return quad + cert.M * norm_H * norm_H
 
@@ -204,7 +194,7 @@ def sandwich_bounds(cert, z):
     """Kind-appropriate lower/upper envelopes of the functional at z."""
     z = np.asarray(z, dtype=float)
     nH = cert.system.norm_H(z)
-    if cert.kind in ("global_exp_SU", "finite_dim"):
+    if cert.kind == "global_exp_SU":
         h0 = cert.damping_ref.h_eval(0.0)
         lower = cert.alpha * nH**2 + cert.M * (2.0 * h0 / 3.0) * nH**3
         h_at = cert.damping_ref.h_eval(cert.B_norm * nH)
@@ -222,8 +212,34 @@ def export_text(cert):
     lines = [f"{k} = {v!r}" for k, v in cert.scalars().items()]
     d = cert.damping_ref
     lines.append(f"damping = {d.kind}" + (f":{d.scalar_rule}" if d.scalar_rule else ""))
-    lines.append(f"damping_C1 = {d.C1!r}")
-    lines.append(f"damping_C2 = {d.C2!r}")
-    for f in cert.flags:
-        lines.append(f"flag = {f}")
+    lines += [f"damping_C1 = {d.C1!r}", f"damping_C2 = {d.C2!r}"]
+    lines += [f"flag = {f}" for f in cert.flags]
     return "\n".join(lines) + "\n"
+
+
+def read_text(lines, where):
+    """The certificate in export_text's lines, scalars only (P, G, system and
+    damping are None).  MissingInput, naming where, for a scalar that is not a
+    finite number, a missing kind or required scalar, or a kind not in KINDS."""
+    fields, flags = {}, []
+    for line in lines:
+        key, _, val = (part.strip() for part in line.partition(" = "))
+        if key == "kind":
+            fields["kind"] = val
+        elif key == "flag":
+            flags.append(val)
+        elif key in SCALARS:
+            try:
+                fields[key] = float(val)
+            except ValueError:
+                fields[key] = np.nan
+            if not np.isfinite(fields[key]):
+                raise MissingInput(f"{where}: {key} = {val!r} is not a finite number")
+    missing = [key for key in ("kind",) + REQUIRED_SCALARS if key not in fields]
+    if missing:
+        raise MissingInput(f"{where} has no {missing[0]!r} entry")
+    kinds = [repr(kind) for kind in KINDS]          # export_text writes the repr
+    if fields["kind"] not in kinds:
+        raise MissingInput(f"{where}: kind {fields['kind']} is not one of {', '.join(kinds)}")
+    fields["kind"] = fields["kind"][1:-1]
+    return LyapunovCertificate(P=None, G=None, damping_ref=None, flags=tuple(flags), **fields)

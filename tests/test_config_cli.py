@@ -532,7 +532,7 @@ class TestExportedCertificate:
     certificate_P.mat is there."""
 
     @pytest.mark.parametrize("text, kind", [
-        (OSCILLATOR_EXP, "finite_dim"),
+        (OSCILLATOR_EXP, "global_exp_SU"),
         (KDV_DOMAIN.format(scale=5.0), "semiglobal_exp_SneqU"),
         (WAVE32_POLY, "semiglobal_poly")], ids=["oscillator", "kdv32", "wave32"])
     def test_round_trip(self, tmp_path, text, kind):
@@ -649,7 +649,8 @@ class TestExportedCertificate:
         assert ((fresh / "trajectory.csv").read_bytes()
                 == (certified / "trajectory.csv").read_bytes())
 
-    @pytest.mark.parametrize("kind", ['"finite_dim"', "finite_dim", "'finite'", "''"])
+    @pytest.mark.parametrize("kind", ["'finite_dim'", '"finite_dim"', "finite_dim", "'finite'",
+                                      "''"])
     def test_verify_refuses_unknown_kind(self, tmp_path, capsys, kind):
         assert run(tmp_path, "simulate", OSCILLATOR_EXP) == 0
         assert run(tmp_path, "certify", OSCILLATOR_EXP) == 0
@@ -658,6 +659,19 @@ class TestExportedCertificate:
         assert run(tmp_path, "verify", OSCILLATOR_EXP) == 4
         line = last_line(capsys)
         assert line.startswith("ERROR MissingInput:") and f"kind {kind} is not one of" in line
+        assert not (tmp_path / "verification.csv").exists()
+
+    @pytest.mark.parametrize("entry", ["r = inf", "kind = 'finite_dim'", "M"])
+    def test_verify_checks_the_hash_first(self, tmp_path, capsys, entry):
+        # a certificate of another config is stale whatever its other lines hold
+        text = KDV_DOMAIN.format(scale=5.0)
+        other = text.replace("r = 5", "r = 6")
+        assert run(tmp_path, "certify", text) == 0
+        self.edit_certificate(tmp_path, entry.partition(" = ")[0], entry if "=" in entry else None)
+        assert run(tmp_path, "simulate", other, name="other.cfg") == 0
+        capsys.readouterr()
+        assert run(tmp_path, "verify", other, name="other.cfg") == 5
+        assert last_line(capsys).startswith("ERROR StaleCertificate:")
         assert not (tmp_path / "verification.csv").exists()
 
     @pytest.mark.parametrize("entry", ["r = 5.0x", "r = inf", "r = nan", "M = -inf",

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lyapcert import config
 from lyapcert.cli import TRAJECTORY_COLUMNS, _load_trajectory, _trajectory_table, main
 from lyapcert.config import ExperimentConfig, parse_config
 from lyapcert.errors import MissingInput, ParseError, ValidationError
@@ -173,14 +174,21 @@ BASE_CONFIG = {
     "sim": {"dt": "0.05", "t_end": "1.0", "error_control": "off", "z0": "eigvec 0 2.0"},
     "analysis": {"certificate": "exp", "fits": "exponential", "radii": "1, 2"},
 }
+
+
+def copies(make, n):
+    """n strategies that make() builds apart: st.one_of draws its distinct
+    strategies alike and keeps only one of several that are the same object."""
+    return [make() for _ in range(n)]
+
+
 # well-formed 2-state matrices three times as often as malformed files, so
 # that most examples get past the loaders into the subcommands
-WELL_FORMED = st.sampled_from(["2 2\n0 1\n-1 0\n", "2 2\n-1 0\n0 -2\n", "2 1\n1\n0\n",
-                               "2 1\n0\n0\n", "2 2\n1 0\n0 1\n", "2 1\n2\n0\n",
-                               "2 2\nnan 0\n0 -1\n", "2 2\n1e308 0\n0 -1\n",
-                               "1 2\n1 0\n", "2 1\n1e-300\n-3\n"])
+WELL_FORMED = ["2 2\n0 1\n-1 0\n", "2 2\n-1 0\n0 -2\n", "2 1\n1\n0\n", "2 1\n0\n0\n",
+               "2 2\n1 0\n0 1\n", "2 1\n2\n0\n", "2 2\nnan 0\n0 -1\n",
+               "2 2\n1e308 0\n0 -1\n", "1 2\n1 0\n", "2 1\n1e-300\n-3\n"]
 MATRIX_TEXT = st.one_of(
-    WELL_FORMED, WELL_FORMED, WELL_FORMED,
+    *copies(lambda: st.sampled_from(WELL_FORMED), 3),
     st.sampled_from(["1 1\n-1\n", "3 1\n1\n0\n0\n", "2 3\n0 1 0\n-1 0 0\n",
                      "2 2\n0 1\n-1 x\n", "2 2\n0 1\n", "", "2\n", "0 0\n"]),
     st.lists(MATRIX_TOKENS, max_size=8).map(" ".join))
@@ -197,19 +205,44 @@ SUBCOMMANDS = st.sampled_from(["simulate", "certify", "check-damping", "fit-deca
                                "sweep", "verify", "report"])
 # keys that set the size of a run take values from a bounded set, so that
 # every example stays a short run
-SIZED = st.sampled_from([("sim", "dt", v) for v in ("0", "-1", "x", "nan", "0.1", "1e300")]
-                        + [("sim", "t_end", v) for v in ("0", "x", "inf", "0.5", "1e-300")]
-                        + [("system", "N", v) for v in ("16", "4", "x", "-4", "16.5")]
-                        + [("damping", "verify_dim", v)
-                           for v in ("0", "-1", "x", "3", "2.5", "nan", "inf")]
-                        + [("damping", "verify_trials", v)
-                           for v in ("10", "x", "120", "150.5", "nan", "inf")])
+SIZED = {("sim", "dt"): ("0", "-1", "x", "nan", "0.1", "1e300"),
+         ("sim", "t_end"): ("0", "x", "inf", "0.5", "1e-300"),
+         ("system", "N"): ("16", "4", "x", "-4", "16.5"),
+         ("damping", "verify_dim"): ("0", "-1", "x", "3", "2.5", "nan", "inf"),
+         ("damping", "verify_trials"): ("10", "x", "120", "150.5", "nan", "inf")}
+
+# values that their key takes (a positive number where the key is not named),
+# so that most edits of a known key get past validation
+TAKEN = {"name": ("finite_dim", "kdv", "wave"), "A": ("0, 1; -1, 0",), "B": ("1; 0",),
+         "A_file": ("A.mat",), "B_file": ("B.mat",), "a_profile": ("constant 1.0",),
+         "kind": ("linear", "clamp", "tanh", "arctan", "norm_saturation", "weak"),
+         "error_control": ("on", "off"), "z0": ("eigvec 0 1.0", "file z0.vec"),
+         "certificate": ("exp", "semiglobal", "poly"), "fits": ("exponential", "polynomial"),
+         "radii": ("1, 2",), "c_S": ("auto", "0.5"), "C_theta": ("auto", "2"),
+         "directory": (".",), "formats": ("csv",)}
+
+
+def known_edit(pair):
+    """Sets the key of pair, one of config.KEYS, or removes it (value None): a
+    key of SIZED to one of its values, any other six times in eight to a value
+    that it takes, else to one of VALUES or away."""
+    values = (st.sampled_from(SIZED[pair]) if pair in SIZED else
+              st.one_of(*copies(lambda: st.sampled_from(TAKEN.get(pair[1], ("0.5", "1", "2"))),
+                                6), VALUES, st.none()))
+    return values.map(lambda value: (*pair, value))
+
+
+# nine in ten edits take a (section, key) pair of config.KEYS; the tenth draws
+# a section and a key apart, which the section mostly does not take, so that
+# the unknown-key refusal stays covered
+EDITS = st.lists(st.one_of(
+    *copies(lambda: st.sampled_from([(section, key) for section, keys in config.KEYS.items()
+                                     for key in keys]).flatmap(known_edit), 9),
+    st.tuples(SECTIONS, KEYS, st.one_of(VALUES, st.none()))), max_size=4)
 
 
 @fuzz(200)
-@given(subcommand=SUBCOMMANDS,
-       edits=st.lists(st.one_of(st.tuples(SECTIONS, KEYS, st.one_of(VALUES, st.none())),
-                                SIZED), max_size=4),
+@given(subcommand=SUBCOMMANDS, edits=EDITS,
        a_text=MATRIX_TEXT, b_text=MATRIX_TEXT, z0_text=MATRIX_TEXT,
        trajectory=st.one_of(st.none(), TRAJECTORY_TEXT))
 def test_cli_exits_zero_or_prints_error_line_last(subcommand, edits, a_text, b_text,

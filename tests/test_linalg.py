@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from lyapcert import damping
 from lyapcert.errors import NotHurwitz, Overflow, SingularSystem
 from lyapcert.linalg import (InnerProduct, dissipativity_margin,
                              matrix_exponential, operator_norm_nonsym,
                              solve_lyapunov)
-from lyapcert.lyapunov import _operator_and_norms
+from lyapcert.lyapunov import _certificate
 from lyapcert.models import SemiDiscreteSystem
 
 from conftest import (TailNotConvergent, gramian_quadrature, kron_lyapunov_oracle,
@@ -171,7 +172,8 @@ class TestOperatorNorms:
         G = random_spd(rng, 8)
         system = SemiDiscreteSystem(A=-np.eye(8), B=np.zeros((8, 1)), k=1.0,
                                     H_ip=InnerProduct(W), U_weights=np.ones(1))
-        P, _, P_norm_H, _ = _operator_and_norms(system, G)
+        cert = _certificate("global_exp_SU", system, damping.linear(), G, lambda **_: 0.0)
+        P, P_norm_H = cert.P, cert.P_norm_H
         L = np.linalg.cholesky(W)
         expected = np.linalg.norm(L.T @ P @ np.linalg.inv(L.T), 2)
         assert abs(P_norm_H - expected) < 1e-7 * expected

@@ -32,12 +32,37 @@ def undriven_system(A):
 class TestExpCertificate:
     def test_oscillator_matches_oracle(self, oscillator, clamp1):
         cert = lyapunov.build_exp_certificate(oscillator, clamp1)
-        assert cert.kind == "finite_dim"
+        assert cert.kind == "global_exp_SU"
         P_oracle = kron_lyapunov_oracle(oscillator.closed_loop(1.0), np.eye(2))
         assert np.allclose(cert.P, P_oracle, atol=1e-10)
         assert abs(cert.M - ORACLE_M_OSC) < 1e-7
         assert abs(cert.alpha - ORACLE_ALPHA_OSC) < 1e-10
         assert cert.C == 1.0
+
+    @pytest.mark.parametrize("name", ["kdv32", "wave32"])
+    def test_weighted_inner_product_matches_cholesky(self, name, wave32):
+        # the exp kind on a weighted H (W = h I for kdv, the stiffness block
+        # for wave) against dense oracles through W = L L^T
+        system = (models.discretize_kdv(2 * np.pi, 32, lambda x: 1.0, k=1.0)
+                  if name == "kdv32" else wave32)
+        spec = damping.norm_saturation(1.0)
+        cert = lyapunov.build_exp_certificate(system, spec)
+        assert cert.kind == "global_exp_SU"
+        assert cert.M == spec.C2 * cert.B_norm * cert.P_norm_H
+        W = system.H_ip.weight
+        L = np.linalg.cholesky(W)
+        L_inv = np.linalg.inv(L)
+        P_norm = np.linalg.norm(L.T @ cert.P @ L_inv.T, 2)
+        alpha = np.linalg.eigvalsh(L_inv @ cert.G @ L_inv.T)[0]
+        B_norm = np.linalg.norm(np.sqrt(system.U_weights)[:, None] * system.Bstar @ L_inv.T, 2)
+        assert abs(cert.P_norm_H - P_norm) < 1e-9 * P_norm
+        assert abs(cert.alpha - alpha) < 1e-9 * P_norm
+        assert abs(cert.B_norm - B_norm) < 1e-9 * B_norm
+        Z = np.random.default_rng(5).standard_normal((6, system.n))
+        norm_H = np.sqrt(np.einsum("ij,jk,ik->i", Z, W, Z))
+        expected = (np.einsum("ij,jk,ik->i", Z, cert.G, Z)
+                    + cert.M * (2.0 / 3.0) * norm_H**3)
+        np.testing.assert_allclose(lyapunov.eval_V(cert, Z), expected, rtol=1e-10, atol=0)
 
     def test_no_input_decay(self):
         sys0 = undriven_system(-np.eye(2))
