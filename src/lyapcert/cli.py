@@ -61,7 +61,7 @@ def _matrix_from_config(cfg, key):
 
 def build_system(cfg):
     name = cfg.get("system", "name")
-    k = float(cfg.get("system", "k", 1.0))
+    k = float(cfg.get("system", "k"))
     if name == "finite_dim":
         (A, a_key), (B, b_key) = _matrix_from_config(cfg, "A"), _matrix_from_config(cfg, "B")
         if A.shape[0] != A.shape[1]:
@@ -77,14 +77,14 @@ def build_system(cfg):
                                              U_weights=np.ones(B.shape[1]))
         return models.make_finite_dim(A, B, k)
     N = int(cfg.get("system", "N"))
-    profile = parse_profile(cfg.get("system", "a_profile", "constant 1.0"))
+    profile = parse_profile(cfg.get("system", "a_profile"))
     if name == "kdv":
-        return models.discretize_kdv(float(cfg.get("system", "L", 2 * np.pi)), N, profile, k)
+        return models.discretize_kdv(float(cfg.get("system", "L")), N, profile, k)
     return models.discretize_wave(N, profile, k)
 
 
 def initial_state(cfg, system):
-    spec = cfg.get("sim", "z0", "eigvec 0 1.0")
+    spec = cfg.get("sim", "z0")
     toks = str(spec).split()
     if toks[:1] == ["file"] and len(toks) == 2:
         z0 = load_matrix(os.path.join(cfg.base_dir, toks[1])).ravel()
@@ -132,14 +132,14 @@ def build_certificate(cfg, system, damping, seed=0):
     kind = cfg.get("analysis", "certificate", "exp")
     if kind == "exp":
         return lyapunov.build_exp_certificate(system, damping)
-    r = float(cfg.get("analysis", "r", 1.0))
+    r = float(cfg.get("analysis", "r"))
     if kind == "semiglobal":
-        c_S = cfg.get("analysis", "c_S", "auto")
+        c_S = cfg.get("analysis", "c_S")
         if c_S == "auto":
             c_S = models.estimate_cS(system, seed=seed)
         return lyapunov.build_semiglobal_certificate(system, damping, r, c_S=float(c_S))
-    gamma = float(cfg.get("analysis", "gamma", 1.0))
-    C_theta = cfg.get("analysis", "C_theta", "auto")
+    gamma = float(cfg.get("analysis", "gamma"))
+    C_theta = cfg.get("analysis", "C_theta")
     return lyapunov.build_poly_certificate(
         system, damping, r, gamma,
         C_theta=None if C_theta == "auto" else float(C_theta), seed=seed)
@@ -220,9 +220,10 @@ def _load_trajectory(out_dir):
 
 def cmd_fit_decay(cfg, out_dir, seed):
     traj = _load_trajectory(out_dir)
+    # either bound sets a window; the other is then the run's first or last time
     window = None
-    if cfg.get("analysis", "window_lo") is not None:
-        window = (float(cfg.get("analysis", "window_lo")),
+    if {"window_lo", "window_hi"} & cfg.analysis.keys():
+        window = (float(cfg.get("analysis", "window_lo", traj.times[0])),
                   float(cfg.get("analysis", "window_hi", traj.times[-1])))
     rows = []
     for fit in cfg.get("analysis", "fits"):

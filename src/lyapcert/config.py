@@ -3,9 +3,11 @@
 Grammar: `[section]` headers, `key = value` lines, `#` starts a comment,
 blank lines ignored.  Values parse as int, float, comma-separated list,
 semicolon-separated matrix rows, or fall back to (possibly spaced) strings.
-Every semantic violation is collected and reported together with the line
-number where the key was set.  The damping kinds are damping.BY_NAME's keys;
-the `a_profile` grammar is parse_profile's, which cli.build_system calls too.
+KEYS gives each key its default, which parse_config stores where the config
+leaves the key out, and its rule, which validate applies whatever the system
+or damping kind; all violations are reported together, each with its line.
+The damping kinds are damping.BY_NAME's keys; the `a_profile` grammar is
+parse_profile's, which cli.build_system calls too.
 """
 
 from dataclasses import dataclass, field
@@ -15,24 +17,108 @@ import numpy as np
 from .damping import BY_NAME
 from .errors import ParseError, ValidationError
 
-KEYS = {   # section -> the keys it takes; validate refuses any other
-    "system": ("name", "A", "B", "A_file", "B_file", "k", "N", "L", "a_profile"),
-    "damping": ("kind", "s0", "c", "q", "C1", "C2", "verify_dim", "verify_trials"),
-    "sim": ("dt", "t_end", "error_control", "local_error_target", "z0"),
-    "analysis": ("certificate", "r", "c_S", "gamma", "C_theta", "fits", "radii",
-                 "window_lo", "window_hi"),
-    "output": ("directory", "formats")}
-SECTIONS = tuple(KEYS)
-SUBCOMMAND_DEFAULTS = {
-    "sim": {"dt": 1e-3, "error_control": "on", "local_error_target": 1e-8,
-            "t_end": 10.0},
-    "damping": {"kind": "linear", "s0": 1.0, "q": 0.5, "c": 1.0,
-                "verify_dim": 4, "verify_trials": 1000},
-    "analysis": {"fits": ["exponential"]},
-    "output": {"directory": "out", "formats": ["csv"]},
-}
+
+def parse_profile(text):
+    """The profile a(x) that an `a_profile` value names: `constant c`, or
+    `indicator lo hi amplitude` (the amplitude on [lo, hi], 0 elsewhere) with
+    lo < hi; finite numbers, amplitude >= 0.  ValueError says what fails."""
+    toks = str(text).split()
+    if toks[:1] not in (["constant"], ["indicator"]):
+        raise ValueError("expected 'constant c' or 'indicator lo hi amplitude'")
+    if toks[0] == "constant" and len(toks) != 2:
+        raise ValueError("constant profile takes one amplitude")
+    if toks[0] == "indicator" and len(toks) != 4:
+        raise ValueError("indicator profile takes lo hi amplitude")
+    try:
+        *window, amp = (float(t) for t in toks[1:])
+    except ValueError:
+        window, amp = [], np.nan
+    if not np.all(np.isfinite(window + [amp])):
+        raise ValueError(f"bounds and amplitude must be finite numbers, got {text!r}")
+    if amp < 0:
+        raise ValueError(f"amplitude must be >= 0, got {text!r}")
+    lo, hi = window or (-np.inf, np.inf)         # constant: amplitude everywhere
+    if lo >= hi:
+        raise ValueError(f"indicator needs lo < hi, got {text!r}")
+    return lambda x: amp if lo <= x <= hi else 0.0
+
+
+def _positive(x):
+    return isinstance(x, (int, float)) and 0 < x < np.inf
+
+
+def _finite(x):
+    return isinstance(x, (int, float)) and bool(np.isfinite(x))
+
+
+def _choice(val):
+    """A choice key's value as named: a number, list or matrix names no choice."""
+    return val if val is None or isinstance(val, str) else repr(val)
+
+
+def _rule(test, message):
+    """A key's rule: no problem where test(value) holds, else message with the value."""
+    return lambda val: [] if test(val) else [message.format(val)]
+
+
+def _one_of(names, message):
+    return lambda val: _rule(names.__contains__, message)(_choice(val))
+
+
+def _integer(least):
+    return _rule(lambda x: isinstance(x, int) and x >= least,
+                 f"must be an integer >= {least}, got {{!r}}")
+
+
+def _profile(text):
+    try:
+        parse_profile(text)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
+
+
+def _increasing(radii):
+    vals = [r for r in radii if _positive(r)]
+    return len(vals) == len(radii) and all(a < b for a, b in zip(vals, vals[1:]))
+
+
 DAMPING_KINDS = tuple(BY_NAME)
 SYSTEM_NAMES = ("finite_dim", "kdv", "wave")
+FITS = ("exponential", "polynomial")
+POSITIVE = _rule(_positive, "must be positive and finite, got {!r}")
+POSITIVE_OR_AUTO = _rule(lambda x: _positive(x) or _choice(x) == "auto",
+                         "must be positive and finite or auto, got {!r}")
+FINITE_TIME = _rule(_finite, "must be a finite time, got {!r}")
+# section -> key -> (default, rule).  parse_config stores the default of every
+# key the config leaves out (None: there is none); validate applies the rule to
+# the value a key holds (None: the CLI checks it where it reads it) and refuses
+# any key not listed here.
+KEYS = {
+    "system": {"name": (None, _one_of(SYSTEM_NAMES, "unknown system {!r}")),
+               "A": (None, None), "B": (None, None), "A_file": (None, None),
+               "B_file": (None, None), "k": (1.0, POSITIVE), "N": (None, _integer(16)),
+               "L": (2 * np.pi, POSITIVE), "a_profile": ("constant 1.0", _profile)},
+    "damping": {"kind": ("linear", _one_of(DAMPING_KINDS, "unknown kind {!r}; one of "
+                                           + "|".join(DAMPING_KINDS))),
+                "s0": (1.0, POSITIVE), "c": (1.0, POSITIVE),
+                "q": (0.5, _rule(lambda q: isinstance(q, (int, float)) and 0 < q < 1,
+                                 "must lie in (0, 1), got {!r}")),
+                "C1": (None, POSITIVE), "C2": (None, POSITIVE),
+                "verify_dim": (4, _integer(1)), "verify_trials": (1000, _integer(100))},
+    "sim": {"dt": (1e-3, POSITIVE), "t_end": (10.0, POSITIVE),
+            "error_control": ("on", _one_of(("on", "off"), "must be on|off, got {!r}")),
+            "local_error_target": (1e-8, POSITIVE), "z0": ("eigvec 0 1.0", None)},
+    "analysis": {"certificate": (None, _one_of(("exp", "semiglobal", "poly"),
+                                               "must be exp|semiglobal|poly, got {!r}")),
+                 "r": (1.0, POSITIVE), "c_S": ("auto", POSITIVE_OR_AUTO),
+                 "gamma": (1.0, POSITIVE), "C_theta": ("auto", POSITIVE_OR_AUTO),
+                 "fits": (["exponential"], lambda fits: [
+                     f"unknown fit {f!r}" for f in fits if _choice(f) not in FITS]),
+                 "radii": (None, _rule(_increasing, "must be positive and increasing, got {!r}")),
+                 "window_lo": (None, FINITE_TIME), "window_hi": (None, FINITE_TIME)},
+    "output": {"directory": ("out", None)}}
+SECTIONS = tuple(KEYS)
 
 
 @dataclass
@@ -77,7 +163,8 @@ def _parse_value(text):
 
 def parse_config(text):
     """Parse and validate; raises ParseError (syntax) or ValidationError."""
-    cfg = ExperimentConfig()
+    cfg = ExperimentConfig(**{sect: {key: default for key, (default, _) in keys.items()
+                                     if default is not None} for sect, keys in KEYS.items()})
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,132 +192,41 @@ def parse_config(text):
             raise ParseError(f"line {lineno}: [{section}] {key}: {exc}") from None
         cfg.lines[(section, key)] = lineno
 
-    for sect, defaults in SUBCOMMAND_DEFAULTS.items():
-        for k, v in defaults.items():
-            cfg.section(sect).setdefault(k, v)
-
     problems = validate(cfg)
     if problems:
         raise ValidationError(problems)
     return cfg
 
 
-def parse_profile(text):
-    """The profile a(x) that an `a_profile` value names: `constant c`, or
-    `indicator lo hi amplitude` (the amplitude on [lo, hi], 0 elsewhere) with
-    lo < hi; finite numbers, amplitude >= 0.  ValueError says what fails."""
-    toks = str(text).split()
-    if toks[:1] not in (["constant"], ["indicator"]):
-        raise ValueError("expected 'constant c' or 'indicator lo hi amplitude'")
-    if toks[0] == "constant" and len(toks) != 2:
-        raise ValueError("constant profile takes one amplitude")
-    if toks[0] == "indicator" and len(toks) != 4:
-        raise ValueError("indicator profile takes lo hi amplitude")
-    try:
-        *window, amp = (float(t) for t in toks[1:])
-    except ValueError:
-        window, amp = [], np.nan
-    if not np.all(np.isfinite(window + [amp])):
-        raise ValueError(f"bounds and amplitude must be finite numbers, got {text!r}")
-    if amp < 0:
-        raise ValueError(f"amplitude must be >= 0, got {text!r}")
-    lo, hi = window or (-np.inf, np.inf)         # constant: amplitude everywhere
-    if lo >= hi:
-        raise ValueError(f"indicator needs lo < hi, got {text!r}")
-    return lambda x: amp if lo <= x <= hi else 0.0
-
-
 def validate(cfg):
+    """The problems of cfg, one line each: the rule of every key in KEYS, and
+    the checks that no single key's value decides."""
     problems = []
 
-    def where(sect, key):
-        ln = cfg.lines.get((sect, key))
-        return f" (line {ln})" if ln is not None else ""
-
     def bad(sect, key, msg):
+        ln = cfg.lines.get((sect, key))
+        where = f" (line {ln})" if ln is not None else ""
         # one line: the repr of a matrix value spans several
-        problems.append(" ".join(f"[{sect}] {key}: {msg}{where(sect, key)}".split()))
-
-    def choice(sect, key):
-        # a key that names one of several choices; a number, list or matrix
-        # there names none of them
-        val = cfg.get(sect, key)
-        return val if val is None or isinstance(val, str) else repr(val)
-
-    def positive(x):
-        return isinstance(x, (int, float)) and 0 < x < np.inf
-
-    def finite(x):
-        return isinstance(x, (int, float)) and bool(np.isfinite(x))
+        problems.append(" ".join(f"[{sect}] {key}: {msg}{where}".split()))
 
     for sect, key in [(s, k) for s, k in cfg.lines if k not in KEYS[s]]:
         bad(sect, key, "unknown key; one of " + "|".join(KEYS[sect]))
-    name = choice("system", "name")
+    name = _choice(cfg.get("system", "name"))
     if name is None:
         bad("system", "name", "required; one of " + "|".join(SYSTEM_NAMES))
-    elif name not in SYSTEM_NAMES:
-        bad("system", "name", f"unknown system {name!r}")
-    if name in ("kdv", "wave"):
-        N = cfg.get("system", "N")
-        if not isinstance(N, int) or N < 16:
-            bad("system", "N", f"must be an integer >= 16, got {N!r}")
-        try:
-            parse_profile(cfg.get("system", "a_profile", "constant 1.0"))
-        except ValueError as exc:
-            bad("system", "a_profile", str(exc))
-
-    kind, q = choice("damping", "kind"), cfg.get("damping", "q")
-    if kind not in DAMPING_KINDS:
-        bad("damping", "kind", f"unknown kind {kind!r}; one of " + "|".join(DAMPING_KINDS))
-    elif "q" in BY_NAME[kind][1] and not (isinstance(q, (int, float)) and 0 < q < 1):
-        bad("damping", "q", f"must lie in (0, 1), got {q!r}")
-    for key, least in (("verify_dim", 1), ("verify_trials", 100)):
-        val = cfg.get("damping", key)
-        if not isinstance(val, int) or val < least:
-            bad("damping", key, f"must be an integer >= {least}, got {val!r}")
-    ec = choice("sim", "error_control")
-    if ec not in ("on", "off"):
-        bad("sim", "error_control", f"must be on|off, got {ec!r}")
-
-    # positive and finite: required or defaulted keys, optional keys, auto keys
-    required = [("system", "L", 2 * np.pi)] if name == "kdv" else []
-    required += [("system", "k", 1.0), ("damping", "s0", None), ("sim", "dt", None),
-                 ("sim", "t_end", None), ("sim", "local_error_target", None)]
-    for sect, key, default in required:
-        val = cfg.get(sect, key, default)
-        if not positive(val):
-            bad(sect, key, f"must be positive and finite, got {val!r}")
-    for sect, key in (("damping", "c"), ("damping", "C1"), ("damping", "C2"),
-                      ("analysis", "r"), ("analysis", "gamma")):
-        val = cfg.get(sect, key)
-        if val is not None and not positive(val):
-            bad(sect, key, f"must be positive and finite, got {val!r}")
-    for key in ("c_S", "C_theta"):
-        val = cfg.get("analysis", key)
-        if not (val is None or positive(val) or choice("analysis", key) == "auto"):
-            bad("analysis", key, f"must be positive and finite or auto, got {val!r}")
-
     for key in ("radii", "fits"):               # one value is a list of one
-        if cfg.get("analysis", key) is not None and not isinstance(cfg.analysis[key], list):
+        if not isinstance(cfg.analysis.get(key, []), list):
             cfg.analysis[key] = [cfg.analysis[key]]
-    radii = cfg.get("analysis", "radii")
-    if radii is not None:
-        vals = [r for r in radii if positive(r)]
-        if len(vals) != len(radii) or any(b <= a for a, b in zip(vals, vals[1:])):
-            bad("analysis", "radii", f"must be positive and increasing, got {radii!r}")
-    for f in cfg.get("analysis", "fits") or []:
-        if not isinstance(f, str) or f not in ("exponential", "polynomial"):
-            bad("analysis", "fits", f"unknown fit {f!r}")
+    for sect, keys in KEYS.items():
+        for key, (_, rule) in keys.items():
+            val = cfg.get(sect, key)
+            required = key == "N" and name in ("kdv", "wave")
+            if rule and (val is not None or required):
+                for msg in rule(val):
+                    bad(sect, key, msg)
     lo, hi = cfg.get("analysis", "window_lo"), cfg.get("analysis", "window_hi")
-    for key, val in (("window_lo", lo), ("window_hi", hi)):
-        if val is not None and not finite(val):
-            bad("analysis", key, f"must be a finite time, got {val!r}")
-    if finite(lo) and finite(hi) and lo >= hi:
+    if _finite(lo) and _finite(hi) and lo >= hi:
         bad("analysis", "window_hi", f"must exceed window_lo = {lo!r}, got {hi!r}")
-    certkind = choice("analysis", "certificate")
-    if certkind is not None and certkind not in ("exp", "semiglobal", "poly"):
-        bad("analysis", "certificate", f"must be exp|semiglobal|poly, got {certkind!r}")
-
     return problems
 
 
@@ -238,9 +234,7 @@ def serialize(cfg):
     """Config back to text; parse(serialize(parse(text))) is stable."""
     lines = []
     for sect in SECTIONS:
-        data = cfg.section(sect)
-        if not data:
-            continue
+        data = cfg.section(sect)               # every section holds its defaults
         lines.append(f"[{sect}]")
         for key in sorted(data):
             v = data[key]

@@ -124,12 +124,37 @@ class TestGrammar:
 
         from lyapcert.config import KEYS, SECTIONS
         docs = (pathlib.Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
-        documented = {}
+        documented, written = {}, {}
         for sect, table in re.findall(r"^### \[(\w+)\]\n\n((?:\|.*\n)+)", docs, re.M):
             rows = table.splitlines()[2:]
             documented[sect] = {k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])}
+            # the second column gives the row's default as a config writes
+            # it, in backticks, or none
+            for cells in (row.split("|") for row in rows):
+                value = re.findall(r"`([^`]+)`", cells[2])
+                for key in re.findall(r"`(\w+)`", cells[1]):
+                    written[sect, key] = None if not value else parse_config(
+                        f"[system]\nname = finite_dim\n[{sect}]\n{key} = {value[0]}\n").get(sect, key)
         assert documented == {sect: set(keys) for sect, keys in KEYS.items()}
         assert SECTIONS == tuple(KEYS)
+        assert written == {(sect, key): default for sect, keys in KEYS.items()
+                           for key, (default, _) in keys.items()}
+
+    @pytest.mark.parametrize("text, problem", [
+        (MINIMAL.replace("B = 1; 0", "B = 1; 0\nN = 4"),
+         "[system] N: must be an integer >= 16, got 4 (line 6)"),
+        (MINIMAL + "q = 2\n", "[damping] q: must lie in (0, 1), got 2 (line 9)"),
+        ("[system]\nname = wave\nN = 16\nL = -1\n",
+         "[system] L: must be positive and finite, got -1 (line 4)"),
+        (MINIMAL + "\n[output]\nformats = csv\n",
+         "[output] formats: unknown key; one of directory (line 11)")],
+        ids=["N_on_finite_dim", "q_with_clamp", "L_on_wave", "output_formats"])
+    def test_set_but_unread_values_refused(self, text, problem):
+        # no run reads these values, yet each set value is checked: the first
+        # three were once accepted unchecked, and [output] formats unread
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        assert exc.value.violations == [problem]
 
     def test_comments_and_blanks(self):
         cfg = parse_config(MINIMAL + "\n# trailing comment\n\n")
@@ -1237,6 +1262,43 @@ class TestOtherCliPaths:
         assert [r[0] for r in rows] == ["exponential", "polynomial"]
         for r in rows:
             assert 1.0 <= float(r[3]) < float(r[4]) <= 3.0
+
+    @pytest.mark.parametrize("bound, lo, hi", [("window_hi = 3.0", 0.0, 3.0),
+                                               ("window_lo = 4.0", 4.0, 6.0)])
+    def test_fit_window_with_one_bound(self, tmp_path, bound, lo, hi):
+        # the bound not set is the run's first or last time; window_hi alone
+        # was once ignored, the fit taking the latter half of the run
+        text = SCALAR_SAT.replace("fits = exponential", "fits = exponential\n" + bound)
+        assert run(tmp_path, "simulate", text) == 0
+        assert run(tmp_path, "fit-decay", text) == 0
+        _, [row] = read_csv(tmp_path / "decay_fit.csv")
+        assert float(row[3]) == pytest.approx(lo, abs=1e-3)
+        assert float(row[4]) == pytest.approx(hi, abs=1e-3)
+
+    def test_spelled_out_defaults_hash_the_same(self, tmp_path):
+        # the serialized config holds every default, so writing one out leaves
+        # config_hash as it is; these eight were once defaulted where the CLI
+        # read them, outside the hash
+        base = SCALAR_SAT.replace("z0 = eigvec 0 5.0\n", "")
+        spelled = base + """
+[system]
+k = 1.0
+L = 6.283185307179586
+a_profile = constant 1.0
+
+[sim]
+z0 = eigvec 0 1.0
+
+[analysis]
+r = 1.0
+c_S = auto
+gamma = 1.0
+C_theta = auto
+"""
+        for name, text in (("base", base), ("spelled", spelled)):
+            assert run(tmp_path, "certify", text, name=f"{name}.cfg", out=tmp_path / name) == 0
+        assert ((tmp_path / "base" / "certificate.txt").read_bytes()
+                == (tmp_path / "spelled" / "certificate.txt").read_bytes())
 
     def test_sweep_without_radii(self, tmp_path, capsys):
         text = KDV_SWEEP.replace("radii = 1, 5", "")

@@ -219,7 +219,7 @@ TAKEN = {"name": ("finite_dim", "kdv", "wave"), "A": ("0, 1; -1, 0",), "B": ("1;
          "error_control": ("on", "off"), "z0": ("eigvec 0 1.0", "file z0.vec"),
          "certificate": ("exp", "semiglobal", "poly"), "fits": ("exponential", "polynomial"),
          "radii": ("1, 2",), "c_S": ("auto", "0.5"), "C_theta": ("auto", "2"),
-         "directory": (".",), "formats": ("csv",)}
+         "directory": (".",)}
 
 
 def known_edit(pair):
