@@ -1,8 +1,9 @@
 # Tour of the damping catalogue: every member comes with sector constants
-# (C1, C2) and a comparison function h, and the compliance checker samples
-# the local-Lipschitz, monotonicity and sector-inequality items.  The weak
-# (sublinear) damping is the deliberate edge case: its h blows up at zero
-# and the checker flags it instead of papering over it.
+# (C1, C2) and a comparison function h, and the compliance checker states
+# the local-Lipschitz constant and monotonicity exactly and samples the
+# sector inequality.  The weak (sublinear) damping is the deliberate edge
+# case: it has no Lipschitz constant at zero, its h blows up there, and the
+# checker fails and flags it instead of papering over it.
 
 import numpy as np
 
@@ -16,12 +17,12 @@ catalogue = [
     ("arctan (s0=1)", damping.arctan_saturation(1.0)),
 ]
 
-print(f"{'kind':26s} {'C1':>5s} {'C2':>5s} {'mono min':>12s} {'sector min':>12s} pass")
+print(f"{'kind':26s} {'C1':>5s} {'C2':>5s} {'Lipschitz':>12s} {'sector min':>12s} pass")
 for name, spec in catalogue:
     rep = damping.verify_definition(spec, dim=8, trials=5000, seed=0)
     ok = rep.item1_pass and rep.item2_pass and rep.item3_pass
     print(f"{name:26s} {spec.C1:5.2f} {spec.C2:5.2f} "
-          f"{rep.monotonicity_min:12.3e} {rep.sector_margin:12.3e} {ok}")
+          f"{rep.lipschitz_constant:12.3e} {rep.sector_margin:12.3e} {ok}")
 
 print("\nsaturation behavior on a sample vector:")
 s = np.array([0.3, -0.8, 2.5, -4.0])

@@ -115,7 +115,7 @@ def integrator_config(cfg):
 
 
 def _damping_report(cfg, damping, seed):
-    """check-damping's sampled three-item check, at the config's sample sizes."""
+    """check-damping's three-item check, item 3 at the config's sample sizes."""
     return dmp.verify_definition(damping, dim=int(cfg.get("damping", "verify_dim")),
                                  trials=int(cfg.get("damping", "verify_trials")), seed=seed)
 
@@ -207,15 +207,15 @@ def _load_trajectory(out_dir):
     data = load_float_copy(os.path.join(out_dir, "trajectory.f64"), path, TRAJECTORY_COLUMNS)
     if data is None:
         data = read_csv_floats(path, TRAJECTORY_COLUMNS)
-    t, norm_H, V = data[:, 0], data[:, 1], data[:, 3]
+    t, norm_H, norm_DA, V = data[:, :4].T
     if np.all(np.isnan(V)):
         V = None                            # written without a certificate
-    for name, col in (("t", t), ("norm_H", norm_H), ("V", V)):
+    for name, col in (("t", t), ("norm_H", norm_H), ("norm_DA", norm_DA), ("V", V)):
         if col is not None and not np.all(np.isfinite(col)):
             raise MissingInput(f"{path} has non-finite {name} values")
     if np.any(np.diff(t) <= 0):
         raise MissingInput(f"{path} has times that are not strictly increasing")
-    return sim.Trajectory.from_norms(t, norm_H, V_values=V, norm_DA=data[:, 2])
+    return sim.Trajectory.from_norms(t, norm_H, V_values=V, norm_DA=norm_DA)
 
 
 def cmd_fit_decay(cfg, out_dir, seed):

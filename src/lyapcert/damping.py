@@ -5,7 +5,9 @@ function h such that  ||sigma(s) - C1*s||_{S'} <= C2 * h(||s||_S) * <sigma(s), s
 The catalogue covers the identity, norm-level saturation, componentwise
 saturations (clamp / tanh / arctan) and the sublinear weak damping
 sigma(s) = c * sign(s) * |s|^q with q < 1; every rule but weak damping also
-gives its derivative sigma' (`DampingSpec.jacobian`).
+gives its derivative sigma' (`DampingSpec.jacobian`).  The checker states
+items 1 (locally Lipschitz) and 2 (monotone) exactly from each rule's sigma'
+and samples item 3, the sector inequality.
 """
 
 from dataclasses import dataclass, field
@@ -154,74 +156,61 @@ BY_NAME = {"linear": (linear, ()), "norm_saturation": (norm_saturation, ("s0",))
 
 @dataclass
 class DampingReport:
-    """Outcome of the sampled three-item compliance check."""
+    """Outcome of the three-item compliance check: items 1 and 2 exact,
+    item 3 sampled."""
 
     kind: str
-    lipschitz_ratios: dict = field(default_factory=dict)   # ball radius -> max ratio
-    monotonicity_min: float = np.inf
+    lipschitz_constant: float = np.inf
+    monotonicity_min: float = 0.0       # exact for every rule: each is nondecreasing
     sector_margin: float = np.inf
     item1_pass: bool = False
-    item2_pass: bool = False
+    item2_pass: bool = True
     item3_pass: bool = False
     flags: list = field(default_factory=list)
     samples: int = 0
 
     def rows(self):
         """CSV-ready rows: (item, margin, pass)."""
-        worst_ratio = max(self.lipschitz_ratios.values()) if self.lipschitz_ratios else 0.0
         return [
-            ("lipschitz_max_ratio", worst_ratio, self.item1_pass),
+            ("lipschitz_max_ratio", self.lipschitz_constant, self.item1_pass),
             ("monotonicity_min", self.monotonicity_min, self.item2_pass),
             ("sector_margin_min", self.sector_margin, self.item3_pass),
         ]
 
     def text_block(self):
-        lines = [f"damping kind: {self.kind}", f"samples: {self.samples}"]
-        for r, v in sorted(self.lipschitz_ratios.items()):
-            lines.append(f"lipschitz ratio (ball {r}): {v!r}")
-        lines.append(f"item 1 (locally Lipschitz, sampled): {'pass' if self.item1_pass else 'FAIL'}")
-        lines.append(f"item 2 (monotone) min pairing: {self.monotonicity_min!r} "
-                     f"-> {'pass' if self.item2_pass else 'FAIL'}")
-        lines.append(f"item 3 (sector inequality) min margin: {self.sector_margin!r} "
-                     f"-> {'pass' if self.item3_pass else 'FAIL'}")
-        for f in self.flags:
-            lines.append(f"flag: {f}")
-        return "\n".join(lines)
+        names = ("item 1 (locally Lipschitz) constant", "item 2 (monotone) min pairing",
+                 f"item 3 (sector inequality) min margin over {self.samples} samples")
+        lines = [f"damping kind: {self.kind}"] + [
+            f"{name}: {value!r} -> {'pass' if ok else 'FAIL'}"
+            for name, (_, value, ok) in zip(names, self.rows())]
+        return "\n".join(lines + [f"flag: {f}" for f in self.flags])
 
 
 def verify_definition(spec, dim, trials=1000, seed=0):
-    """Sampled check of the three definition items; failures land in the report.
+    """The three definition items in dim dimensions; failures land in the report.
 
-    trials >= 100.  For weak damping the sector inequality is evaluated only on
-    samples with ||s||_S > S_NORM_FLOOR and the report flags the singular h(0).
+    Items 1 and 2 are exact.  Each rule is the identity, a projection onto a
+    ball (norm saturation) or odd, entrywise and concave on u >= 0, so its
+    Lipschitz constant is ||sigma'(0)||; weak damping has no sigma'(0) and no
+    finite constant (inf).  Each rule is nondecreasing, so the pairing
+    <sigma(a) - sigma(b), a - b> has the exact infimum 0 (at a = b).
+    Item 3 is sampled: trials >= 100 seeded draws.  For weak damping the sector
+    inequality is evaluated only on samples with ||s||_S > S_NORM_FLOOR and the
+    report flags the singular h(0).
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    rng = np.random.default_rng(seed)
     report = DampingReport(kind=spec.kind if spec.kind != "componentwise_saturation"
-                           else f"{spec.kind}:{spec.scalar_rule}")
-    report.samples = trials
-
-    # item 1: local Lipschitz ratio inside balls of increasing radius
-    for radius in (0.1, 1.0, 10.0):
-        S1 = rng.uniform(-radius, radius, size=(trials // 3 + 1, dim))
-        S2 = S1 + rng.uniform(-0.1 * radius, 0.1 * radius, size=S1.shape)
-        d = np.linalg.norm(S1 - S2, axis=1)
-        num = np.linalg.norm(spec.apply(S1) - spec.apply(S2), axis=1)
-        ok = d > 1e-14
-        report.lipschitz_ratios[radius] = float(np.max(num[ok] / d[ok])) if np.any(ok) else 0.0
-    report.item1_pass = all(np.isfinite(v) and v < 1e8
-                            for v in report.lipschitz_ratios.values())
-
-    # item 2: monotone pairing over random pairs
-    scales = 10.0 ** rng.uniform(-3, 2, size=(trials, 1))
-    S1 = scales * rng.standard_normal((trials, dim))
-    S2 = scales * rng.standard_normal((trials, dim))
-    pair = np.sum((spec.apply(S1) - spec.apply(S2)) * (S1 - S2), axis=1)
-    report.monotonicity_min = float(np.min(pair))
-    report.item2_pass = report.monotonicity_min >= -1e-12
+                           else f"{spec.kind}:{spec.scalar_rule}", samples=trials)
+    try:
+        J = spec.jacobian(np.zeros(dim))        # a diagonal, or norm saturation's matrix
+        report.lipschitz_constant = float(np.linalg.norm(J, 2 if J.ndim == 2 else np.inf))
+    except DomainError:
+        report.lipschitz_constant = np.inf
+    report.item1_pass = bool(np.isfinite(report.lipschitz_constant))
 
     # item 3: sector inequality margin
+    rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-3, 2, size=(trials, 1))
     S = scales * rng.standard_normal((trials, dim))
     on_sup = spec.kind in ("componentwise_saturation", "weak_damping")  # sup norm, l1 dual
@@ -241,5 +230,4 @@ def verify_definition(spec, dim, trials=1000, seed=0):
         report.flags.append("h(x) = x^(q-1) is unbounded at x = 0; "
                             f"sector check restricted to ||s||_S >= {S_NORM_FLOOR!r} "
                             f"({skipped} samples skipped)")
-        report.flags.append("sigma is not Lipschitz at 0 (sublinear growth)")
     return report

@@ -219,8 +219,8 @@ def export_text(cert):
 
 def read_text(lines, where):
     """The certificate in export_text's lines, scalars only (P, G, system and
-    damping are None).  MissingInput, naming where, for a scalar that is not a
-    finite number, a missing kind or required scalar, or a kind not in KINDS."""
+    damping are None).  MissingInput, naming where, for a non-finite scalar, a
+    C or r <= 0, a missing kind or required scalar, or a kind not in KINDS."""
     fields, flags = {}, []
     for line in lines:
         key, _, val = (part.strip() for part in line.partition(" = "))
@@ -235,6 +235,8 @@ def read_text(lines, where):
                 fields[key] = np.nan
             if not np.isfinite(fields[key]):
                 raise MissingInput(f"{where}: {key} = {val!r} is not a finite number")
+            if key in ("C", "r") and fields[key] <= 0:
+                raise MissingInput(f"{where}: {key} = {val!r} is not positive")
     missing = [key for key in ("kind",) + REQUIRED_SCALARS if key not in fields]
     if missing:
         raise MissingInput(f"{where} has no {missing[0]!r} entry")

@@ -715,6 +715,21 @@ class TestExportedCertificate:
         assert f"{key} = {value!r} is not a finite number" in line
         assert not (tmp_path / "verification.csv").exists()
 
+    @pytest.mark.parametrize("entry", ["C = -1.0", "C = 0.0", "r = -5.0", "r = 0.0"])
+    def test_verify_refuses_scalar_not_positive(self, tmp_path, capsys, entry):
+        # C = -1 would pass any decrease and r = -5 any launch, this one outside r = 5
+        cfg = KDV_DOMAIN.format(scale=50.0)
+        for sub in ("certify", "simulate"):
+            assert run(tmp_path, sub, cfg) == 0
+        key, _, value = entry.partition(" = ")
+        self.edit_certificate(tmp_path, key, entry)
+        capsys.readouterr()
+        assert run(tmp_path, "verify", cfg) == 4
+        line = last_line(capsys)
+        assert line.startswith("ERROR MissingInput:")
+        assert f"{key} = {value!r} is not positive" in line
+        assert not (tmp_path / "verification.csv").exists()
+
 
 FILES_CFG = """
 [system]
@@ -766,6 +781,8 @@ INVALID_TRAJECTORIES = {
                    "has non-finite norm_H values"),
     "inf_V": (TRAJECTORY_BODY[:5] + ["2.5,0.5,0.5,-inf,0.0"] + TRAJECTORY_BODY[6:],
               "has non-finite V values"),
+    "nan_norm_DA": (["0.0,1.0,nan,1.0,0.0"] + TRAJECTORY_BODY[1:],
+                    "has non-finite norm_DA values"),
     "equal_times": (TRAJECTORY_BODY[:1] + TRAJECTORY_BODY,
                     "has times that are not strictly increasing"),
 }
@@ -1167,14 +1184,17 @@ class TestBuildersFromConfig:
 
     def test_override_failing_the_sector_inequality_refused(self, tmp_path, capsys):
         # the clamp with C1 = 0.5, C2 = 2 fails item 3 by the margin that
-        # check-damping reports at seed 0, so no certificate is written
+        # check-damping reports at seed 0 with the default verify_dim and
+        # verify_trials, so no certificate is written
         text = (MINIMAL + "\n[analysis]\ncertificate = exp\n").replace(
             "kind = clamp", "kind = clamp\nC1 = 0.5\nC2 = 2")
         assert run(tmp_path, "certify", text) == 3
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if line.startswith("ERROR")] == out[-1:]
         assert out[-1].startswith("ERROR ValidationError: [damping] C1 = 0.5, C2 = 2.0:")
-        assert "-0.11741217206058996" in out[-1]
+        spec = DampingSpec(kind="componentwise_saturation", scalar_rule="clamp", C1=0.5, C2=2.0)
+        margin = damping.verify_definition(spec, dim=4, trials=1000, seed=0).sector_margin
+        assert margin < 0.0 and out[-1].endswith(f"min margin {margin!r}")
         assert not (tmp_path / "certificate.txt").exists()
 
     def test_sweep_reads_no_sector_constant(self, tmp_path, capsys):

@@ -6,6 +6,26 @@ from lyapcert.errors import DomainError
 
 ALL_BOUNDED = [damping.linear(), damping.norm_saturation(1.0), damping.clamp(1.0),
                damping.tanh_saturation(1.0), damping.arctan_saturation(1.0)]
+CATALOGUE = ALL_BOUNDED + [damping.weak_damping(1.0, 0.5)]
+
+
+def sampled_items_1_and_2(spec, dim, trials, seed):
+    """Oracle for verify_definition's exact items 1 and 2: the largest sampled
+    Lipschitz ratio on balls of radius 0.1, 1 and 10, and the least sampled
+    pairing <sigma(a) - sigma(b), a - b> over pairs at scales 1e-3 to 1e2."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for radius in (0.1, 1.0, 10.0):
+        S1 = rng.uniform(-radius, radius, size=(trials // 3 + 1, dim))
+        S2 = S1 + rng.uniform(-0.1 * radius, 0.1 * radius, size=S1.shape)
+        d = np.linalg.norm(S1 - S2, axis=1)
+        num = np.linalg.norm(spec.apply(S1) - spec.apply(S2), axis=1)
+        ratios.append(np.max(num[d > 1e-14] / d[d > 1e-14]))
+    scales = 10.0 ** rng.uniform(-3, 2, size=(trials, 1))
+    S1 = scales * rng.standard_normal((trials, dim))
+    S2 = scales * rng.standard_normal((trials, dim))
+    pairing = np.sum((spec.apply(S1) - spec.apply(S2)) * (S1 - S2), axis=1)
+    return float(max(ratios)), float(np.min(pairing))
 
 
 class TestApply:
@@ -201,8 +221,36 @@ class TestVerifyDefinition:
 
     def test_monotonicity_ten_thousand_pairs(self):
         for spec in ALL_BOUNDED:
-            rep = damping.verify_definition(spec, dim=4, trials=10000, seed=2)
-            assert rep.monotonicity_min >= -1e-12
+            _, pairing = sampled_items_1_and_2(spec, dim=4, trials=10000, seed=2)
+            assert pairing >= -1e-12
+
+    @pytest.mark.parametrize("dim", [1, 4, 64])
+    @pytest.mark.parametrize("spec", CATALOGUE, ids=lambda spec: spec.scalar_rule or spec.kind)
+    def test_exact_items_bound_the_sampled_oracle(self, spec, dim):
+        rep = damping.verify_definition(spec, dim=dim, trials=2000, seed=7)
+        ratio, pairing = sampled_items_1_and_2(spec, dim=dim, trials=2000, seed=7)
+        assert ratio <= rep.lipschitz_constant
+        assert pairing >= rep.monotonicity_min - 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 4, 64])
+    def test_every_rule_but_weak_damping_is_1_lipschitz_and_monotone(self, dim):
+        for spec in ALL_BOUNDED + [damping.norm_saturation(0.4), damping.clamp(2.5)]:
+            rep = damping.verify_definition(spec, dim=dim, trials=2000, seed=7)
+            assert rep.rows()[:2] == [("lipschitz_max_ratio", 1.0, True),
+                                      ("monotonicity_min", 0.0, True)]
+
+    def test_weak_damping_has_no_lipschitz_constant(self):
+        rep = damping.verify_definition(damping.weak_damping(1.0, 0.5), dim=4, trials=2000,
+                                        seed=7)
+        assert rep.rows()[:2] == [("lipschitz_max_ratio", np.inf, False),
+                                  ("monotonicity_min", 0.0, True)]
+        assert "item 1 (locally Lipschitz) constant: inf -> FAIL" in rep.text_block()
+
+    @pytest.mark.parametrize("spec", CATALOGUE, ids=lambda spec: spec.scalar_rule or spec.kind)
+    def test_items_1_and_2_draw_no_sample(self, spec):
+        rows = [damping.verify_definition(spec, dim=4, trials=trials, seed=seed).rows()[:2]
+                for seed, trials in ((0, 100), (7, 2000), (3, 10000))]
+        assert rows[0] == rows[1] == rows[2]
 
     def test_weak_damping_flags_singularity(self):
         wd = damping.weak_damping(1.0, 0.5)
