@@ -31,15 +31,12 @@ EXIT_CODES = {"ParseError": 2, "ValidationError": 3, "MissingInput": 4}
 
 # --- builders from config ---
 
-def _sector_override(cfg):
-    """The sector constants C1 and C2 that [damping] sets, as floats."""
-    return {key: float(cfg.damping[key]) for key in ("C1", "C2") if key in cfg.damping}
-
-
 def build_damping(cfg):
+    """The catalogue damping of [damping], with the sector constants it sets."""
     make, keys = dmp.BY_NAME[cfg.get("damping", "kind")]
     spec = make(**{key: float(cfg.get("damping", key)) for key in keys})
-    return replace(spec, **_sector_override(cfg))
+    return replace(spec, **{key: float(cfg.damping[key]) for key in ("C1", "C2")
+                            if key in cfg.damping})
 
 
 def _matrix_from_config(cfg, key):
@@ -114,21 +111,13 @@ def integrator_config(cfg):
     )
 
 
-def _damping_report(cfg, damping, seed):
-    """check-damping's three-item check, item 3 at the config's sample sizes."""
-    return dmp.verify_definition(damping, dim=int(cfg.get("damping", "verify_dim")),
-                                 trials=int(cfg.get("damping", "verify_trials")), seed=seed)
-
-
 def build_certificate(cfg, system, damping, seed=0):
-    """The configured certificate.  Sector constants set in the config must first
-    pass the sampled sector inequality (item 3): the certificate's M rests on them."""
-    if _sector_override(cfg):
-        report = _damping_report(cfg, damping, seed)
-        if not report.item3_pass:
-            raise ValidationError([
-                f"[damping] C1 = {damping.C1!r}, C2 = {damping.C2!r}: the sector "
-                f"inequality fails on samples, min margin {report.sector_margin!r}"])
+    """The configured certificate.  The damping must first pass the exact sector
+    inequality (item 3): the certificate's M rests on C1, C2 and h."""
+    report = dmp.verify_definition(damping)
+    if not report.item3_pass:
+        raise ValidationError([f"[damping] C1 = {damping.C1!r}, C2 = {damping.C2!r}: the sector "
+                               f"inequality fails, min margin {report.sector_margin!r}"])
     kind = cfg.get("analysis", "certificate", "exp")
     if kind == "exp":
         return lyapunov.build_exp_certificate(system, damping)
@@ -191,7 +180,7 @@ def cmd_certify(cfg, out_dir, seed):
 
 
 def cmd_check_damping(cfg, out_dir, seed):
-    report = _damping_report(cfg, build_damping(cfg), seed)
+    report = dmp.verify_definition(build_damping(cfg))
     key = write_csv(os.path.join(out_dir, "damping_report.csv"),
                     ["item", "margin", "pass"], report.rows())
     print(report.text_block())

@@ -105,6 +105,7 @@ KEYS = {
                 "q": (0.5, _rule(lambda q: isinstance(q, (int, float)) and 0 < q < 1,
                                  "must lie in (0, 1), got {!r}")),
                 "C1": (None, POSITIVE), "C2": (None, POSITIVE),
+                # read by nothing since check-damping is exact; accepted while configs set them
                 "verify_dim": (4, _integer(1)), "verify_trials": (1000, _integer(100))},
     "sim": {"dt": (1e-3, POSITIVE), "t_end": (10.0, POSITIVE),
             "error_control": ("on", _one_of(("on", "off"), "must be on|off, got {!r}")),

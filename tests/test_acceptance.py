@@ -162,19 +162,18 @@ def test_criterion_7_damping_definition_compliance():
     }
     ok = True
     worst = np.inf
-    for name, spec in kinds.items():
-        for dim in (1, 4, 64):
-            rep = damping.verify_definition(spec, dim=dim, trials=10000, seed=7)
-            ok = ok and rep.item2_pass and rep.item3_pass
-            worst = min(worst, rep.monotonicity_min, rep.sector_margin)
+    for name, spec in kinds.items():        # exact: the same report in every dimension
+        rep = damping.verify_definition(spec)
+        ok = ok and rep.item2_pass and rep.item3_pass
+        worst = min(worst, rep.monotonicity_min, rep.sector_margin)
 
     wd = damping.weak_damping(1.0, 0.5)
     grid = np.logspace(-6, 2, 200)
     h_ok = all(abs(wd.h_eval(x) - x ** -0.5) <= 1e-12 * x ** -0.5 for x in grid)
-    rep = damping.verify_definition(wd, dim=1, trials=10000, seed=7)
+    rep = damping.verify_definition(wd)
     flagged = any("unbounded" in f for f in rep.flags)
     ok = ok and h_ok and flagged
-    report(7, ok, f"5 kinds x dims (1,4,64) margins >= {worst:.2e}; weak-damping "
+    report(7, ok, f"5 kinds exact margins >= {worst:.2e}; weak-damping "
                   f"h-power reproduced and singularity flagged: {h_ok and flagged}")
 
 

@@ -1152,6 +1152,30 @@ c_S = 1.5
 radii = 1, 5
 """
 
+# wave32 under weak damping with a semiglobal certificate
+WAVE32_WEAK = """
+[system]
+name = wave
+N = 32
+a_profile = constant 1.0
+
+[damping]
+kind = weak
+c = 1.0
+q = 0.5
+
+[sim]
+dt = 1e-2
+t_end = 0.5
+error_control = off
+z0 = eigvec 0 0.5
+
+[analysis]
+certificate = semiglobal
+r = 5.0
+c_S = auto
+"""
+
 
 def line_of(text, key):
     """The line number at which `key = ...` is set in a config text."""
@@ -1183,9 +1207,8 @@ class TestBuildersFromConfig:
             "one of linear|norm_saturation|clamp|tanh|arctan|weak (line 8)")
 
     def test_override_failing_the_sector_inequality_refused(self, tmp_path, capsys):
-        # the clamp with C1 = 0.5, C2 = 2 fails item 3 by the margin that
-        # check-damping reports at seed 0 with the default verify_dim and
-        # verify_trials, so no certificate is written
+        # the clamp with C1 = 0.5, C2 = 2 fails item 3 by the exact margin that
+        # check-damping reports, so no certificate is written
         text = (MINIMAL + "\n[analysis]\ncertificate = exp\n").replace(
             "kind = clamp", "kind = clamp\nC1 = 0.5\nC2 = 2")
         assert run(tmp_path, "certify", text) == 3
@@ -1193,9 +1216,47 @@ class TestBuildersFromConfig:
         assert [line for line in out if line.startswith("ERROR")] == out[-1:]
         assert out[-1].startswith("ERROR ValidationError: [damping] C1 = 0.5, C2 = 2.0:")
         spec = DampingSpec(kind="componentwise_saturation", scalar_rule="clamp", C1=0.5, C2=2.0)
-        margin = damping.verify_definition(spec, dim=4, trials=1000, seed=0).sector_margin
+        margin = damping.verify_definition(spec).sector_margin
         assert margin < 0.0 and out[-1].endswith(f"min margin {margin!r}")
         assert not (tmp_path / "certificate.txt").exists()
+
+    @pytest.mark.parametrize("override, margin", [
+        ("C1 = 1.0000001", "-inf"), ("C1 = 0.999999", "-inf"),
+        ("C2 = 0.999", "-0.0010000000000000009")])
+    def test_thin_sector_violation_refused(self, tmp_path, capsys, override, margin):
+        # each override fails the sector inequality only near s = 0 or as
+        # |s| grows, where sampled draws miss it
+        text = (MINIMAL + "\n[analysis]\ncertificate = exp\n").replace(
+            "kind = clamp", f"kind = clamp\n{override}")
+        assert run(tmp_path, "certify", text) == 3
+        line = last_line(capsys)
+        assert line.startswith("ERROR ValidationError: [damping] C1 = ")
+        assert line.endswith(f"the sector inequality fails, min margin {margin}")
+        assert not (tmp_path / "certificate.txt").exists()
+
+    def test_weak_damping_certificate_refused(self, tmp_path, capsys):
+        # weak damping fails item 3 with any constants (min margin -inf), so no
+        # certificate rests on it; a run without a certificate is still made
+        assert run(tmp_path, "certify", WAVE32_WEAK) == 3
+        assert last_line(capsys) == ("ERROR ValidationError: [damping] C1 = 1.0, C2 = 1.0: "
+                                     "the sector inequality fails, min margin -inf")
+        assert run(tmp_path, "simulate", WAVE32_WEAK) == 3
+        assert last_line(capsys).endswith("min margin -inf")
+        assert not (tmp_path / "certificate.txt").exists()
+        assert not (tmp_path / "trajectory.csv").exists()
+        bare = WAVE32_WEAK.split("[analysis]")[0]
+        assert run(tmp_path, "simulate", bare, name="bare.cfg") == 0
+        assert run(tmp_path, "check-damping", bare, name="bare.cfg") == 0
+        assert (tmp_path / "damping_report.csv").read_text().splitlines()[3] == (
+            "sector_margin_min,-inf,False")
+
+    def test_check_damping_draws_no_seed(self, tmp_path):
+        for seed in (0, 7):
+            assert run(tmp_path, "check-damping", MINIMAL, out=tmp_path / str(seed),
+                       seed=seed) == 0
+        reports = [(tmp_path / d / "damping_report.csv").read_bytes() for d in ("0", "7")]
+        assert reports[0] == reports[1]
+        assert reports[0].decode().splitlines()[3] == "sector_margin_min,0.0,True"
 
     def test_sweep_reads_no_sector_constant(self, tmp_path, capsys):
         # sweep integrates the configured damping and fits the observed rates;

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,21 @@ ALL_BOUNDED = [damping.linear(), damping.norm_saturation(1.0), damping.clamp(1.0
 CATALOGUE = ALL_BOUNDED + [damping.weak_damping(1.0, 0.5)]
 
 
-def sampled_items_1_and_2(spec, dim, trials, seed):
-    """Oracle for verify_definition's exact items 1 and 2: the largest sampled
-    Lipschitz ratio on balls of radius 0.1, 1 and 10, and the least sampled
-    pairing <sigma(a) - sigma(b), a - b> over pairs at scales 1e-3 to 1e2."""
+def spec_id(value):
+    """A short test id: a spec's rule and sector constants, else the value."""
+    if isinstance(value, damping.DampingSpec):
+        return f"{value.scalar_rule or value.kind}-s0={value.s0}-C1={value.C1}-C2={value.C2}"
+    return repr(value)
+
+
+def sampled_items(spec, dim, trials, seed):
+    """Oracle for verify_definition's exact items: the largest sampled
+    Lipschitz ratio on balls of radius 0.1, 1 and 10, the least sampled
+    pairing <sigma(a) - sigma(b), a - b> over pairs at scales 1e-3 to 1e2, and
+    the least sampled normalized sector margin
+    C2 h(||s||_S) - ||sigma(s) - C1 s||_S' / <sigma(s), s> at scales 1e-8 to
+    1e8, in the sup norm with the l1 dual for the componentwise kinds and weak
+    damping, both Euclidean otherwise."""
     rng = np.random.default_rng(seed)
     ratios = []
     for radius in (0.1, 1.0, 10.0):
@@ -25,7 +38,15 @@ def sampled_items_1_and_2(spec, dim, trials, seed):
     S1 = scales * rng.standard_normal((trials, dim))
     S2 = scales * rng.standard_normal((trials, dim))
     pairing = np.sum((spec.apply(S1) - spec.apply(S2)) * (S1 - S2), axis=1)
-    return float(max(ratios)), float(np.min(pairing))
+    S = 10.0 ** rng.uniform(-8, 8, size=(trials, 1)) * rng.standard_normal((trials, dim))
+    on_sup = spec.kind in ("componentwise_saturation", "weak_damping")
+    s_norms = np.max(np.abs(S), axis=1) if on_sup else np.linalg.norm(S, axis=1)
+    sig = spec.apply(S)
+    diff = sig - spec.C1 * S
+    lhs = np.sum(np.abs(diff), axis=1) if on_sup else np.linalg.norm(diff, axis=1)
+    h_vals = np.array([spec.h_eval(x) for x in s_norms])
+    sector = spec.C2 * h_vals - lhs / np.sum(sig * S, axis=1)
+    return float(max(ratios)), float(np.min(pairing)), float(np.min(sector))
 
 
 class TestApply:
@@ -211,50 +232,70 @@ class TestKIntegral:
 
 class TestVerifyDefinition:
     def test_linear_passes_everything(self):
-        rep = damping.verify_definition(damping.linear(), dim=4, trials=2000, seed=0)
+        rep = damping.verify_definition(damping.linear())
         assert rep.item1_pass and rep.item2_pass and rep.item3_pass
         assert rep.sector_margin >= 0.0       # sigma - C1 s vanishes identically
 
     def test_clamp_scalar_inequality(self):
-        rep = damping.verify_definition(damping.clamp(1.0), dim=1, trials=2000, seed=1)
+        rep = damping.verify_definition(damping.clamp(1.0))
         assert rep.item3_pass and rep.sector_margin >= -1e-12
 
     def test_monotonicity_ten_thousand_pairs(self):
         for spec in ALL_BOUNDED:
-            _, pairing = sampled_items_1_and_2(spec, dim=4, trials=10000, seed=2)
+            _, pairing, _ = sampled_items(spec, dim=4, trials=10000, seed=2)
             assert pairing >= -1e-12
 
     @pytest.mark.parametrize("dim", [1, 4, 64])
-    @pytest.mark.parametrize("spec", CATALOGUE, ids=lambda spec: spec.scalar_rule or spec.kind)
+    @pytest.mark.parametrize("spec", CATALOGUE + [pytest.param(spec, id=spec_id(spec)) for spec in (
+        damping.clamp(2.5), damping.norm_saturation(0.4), replace(damping.clamp(), C1=0.5, C2=2.0),
+        replace(damping.clamp(), C2=0.99))], ids=lambda spec: spec.scalar_rule or spec.kind)
     def test_exact_items_bound_the_sampled_oracle(self, spec, dim):
-        rep = damping.verify_definition(spec, dim=dim, trials=2000, seed=7)
-        ratio, pairing = sampled_items_1_and_2(spec, dim=dim, trials=2000, seed=7)
+        rep = damping.verify_definition(spec)
+        ratio, pairing, sector = sampled_items(spec, dim=dim, trials=2000, seed=7)
         assert ratio <= rep.lipschitz_constant
         assert pairing >= rep.monotonicity_min - 1e-12
+        assert sector >= rep.sector_margin - 1e-12
+        if np.isfinite(rep.sector_margin):      # the samples come within reach of m
+            assert sector <= rep.sector_margin + 1e-6
 
-    @pytest.mark.parametrize("dim", [1, 4, 64])
-    def test_every_rule_but_weak_damping_is_1_lipschitz_and_monotone(self, dim):
+    def test_every_rule_but_weak_damping_is_1_lipschitz_and_monotone(self):
         for spec in ALL_BOUNDED + [damping.norm_saturation(0.4), damping.clamp(2.5)]:
-            rep = damping.verify_definition(spec, dim=dim, trials=2000, seed=7)
+            rep = damping.verify_definition(spec)
             assert rep.rows()[:2] == [("lipschitz_max_ratio", 1.0, True),
                                       ("monotonicity_min", 0.0, True)]
 
     def test_weak_damping_has_no_lipschitz_constant(self):
-        rep = damping.verify_definition(damping.weak_damping(1.0, 0.5), dim=4, trials=2000,
-                                        seed=7)
+        rep = damping.verify_definition(damping.weak_damping(1.0, 0.5))
         assert rep.rows()[:2] == [("lipschitz_max_ratio", np.inf, False),
                                   ("monotonicity_min", 0.0, True)]
         assert "item 1 (locally Lipschitz) constant: inf -> FAIL" in rep.text_block()
 
-    @pytest.mark.parametrize("spec", CATALOGUE, ids=lambda spec: spec.scalar_rule or spec.kind)
-    def test_items_1_and_2_draw_no_sample(self, spec):
-        rows = [damping.verify_definition(spec, dim=4, trials=trials, seed=seed).rows()[:2]
-                for seed, trials in ((0, 100), (7, 2000), (3, 10000))]
-        assert rows[0] == rows[1] == rows[2]
+    @pytest.mark.parametrize("spec, margin", [
+        (damping.linear(), 1.0), (damping.norm_saturation(1.0), 0.0), (damping.clamp(1.0), 0.0),
+        (damping.tanh_saturation(1.0), 0.0), (damping.arctan_saturation(1.0), 0.0),
+        (damping.weak_damping(1.0, 0.5), -np.inf), (damping.weak_damping(3.0, 0.2), -np.inf),
+        (replace(damping.linear(), C2=2.5), 2.5), (replace(damping.tanh_saturation(2.0), C2=1.0), 0.5),
+        (replace(damping.clamp(), C2=0.999), -0.0010000000000000009),
+        (replace(damping.clamp(), C1=1.0000001), -np.inf),
+        (replace(damping.norm_saturation(), C1=0.999999), -np.inf),
+        (replace(damping.linear(), C1=0.5, C2=2.0), -np.inf)], ids=spec_id)
+    def test_sector_margin_closed_form(self, spec, margin):
+        # C2 - 1/s0 for a saturation (C2 for linear damping) where C1 = sigma'(0),
+        # else -inf; the same row in every dimension
+        rep = damping.verify_definition(spec)
+        assert rep.rows()[2] == ("sector_margin_min", margin, margin >= 0.0)
+
+    def test_draws_no_random_number(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_definition drew a random number")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for spec in CATALOGUE:
+            assert len(damping.verify_definition(spec).rows()) == 3
 
     def test_weak_damping_flags_singularity(self):
         wd = damping.weak_damping(1.0, 0.5)
-        rep = damping.verify_definition(wd, dim=1, trials=2000, seed=3)
+        rep = damping.verify_definition(wd)
         assert any("unbounded" in f for f in rep.flags)
 
     def test_weak_damping_scalar_scan(self):
@@ -270,12 +311,8 @@ class TestVerifyDefinition:
         rhs_coeff = lhs / grid ** 1.0        # needed C2 at each sample (2q = 1)
         assert rhs_coeff.max() > 1.0         # no uniform C2 = 1 on the log grid
 
-    def test_trials_floor(self):
-        with pytest.raises(ValueError):
-            damping.verify_definition(damping.linear(), dim=2, trials=50)
-
     def test_report_rows_shape(self):
-        rep = damping.verify_definition(damping.clamp(1.0), dim=2, trials=500, seed=4)
+        rep = damping.verify_definition(damping.clamp(1.0))
         rows = rep.rows()
         assert [r[0] for r in rows] == ["lipschitz_max_ratio", "monotonicity_min",
                                         "sector_margin_min"]
