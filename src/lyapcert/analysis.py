@@ -250,20 +250,19 @@ def behavior_profile(traj, damping, B_norm, cert):
     lam_min = cert.alpha
     M = cert.M
     P_norm = cert.P_norm_H
-    h = damping.h_eval(0.0)                 # constant for every other kind
 
     def F(X):
         return damping.k_integral(X, B_norm) + lam_min * X
 
     def F_up(X):
-        return P_norm * X + M * X**1.5 * h
+        return P_norm * X + M * X**1.5
 
     def F_lo(X):
-        return lam_min * X + (2.0 * M * h / 3.0) * X**1.5
+        return lam_min * X + (2.0 * M / 3.0) * X**1.5
 
     n0 = traj.norm_H[0]
     X0 = n0 * n0
-    # F_up/F = (P + M h u)/((2/3) u + lam_min) with u = sqrt(X) is a Moebius
+    # F_up/F = (P + M u)/((2/3) u + lam_min) with u = sqrt(X) is a Moebius
     # function of u, so monotone: its maximum over [1, X0] is at an end
     ends = np.array([1.0, max(X0, 1.0 + 1e-9)])
     C4 = float(np.max(F_up(ends) / F(ends)))
@@ -291,8 +290,8 @@ def behavior_profile(traj, damping, B_norm, cert):
     pre_samples, pre_ratio = _against(traj, traj.times <= traj.t_star, norm_pred)
 
     # post-entry: exponential envelope with the in-ball decrease constant
-    C_V = 1.0 / (P_norm + M * h)
-    amp = np.sqrt((P_norm + M * h) / lam_min)
+    C_V = 1.0 / (P_norm + M)
+    amp = np.sqrt((P_norm + M) / lam_min)
     post_samples, post_ratio = _against(
         traj, traj.times >= traj.t_star,
         lambda t: amp * np.exp(-0.5 * C_V * (t - traj.t_star)))

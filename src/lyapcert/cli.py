@@ -112,12 +112,7 @@ def integrator_config(cfg):
 
 
 def build_certificate(cfg, system, damping, seed=0):
-    """The configured certificate.  The damping must first pass the exact sector
-    inequality (item 3): the certificate's M rests on C1, C2 and h."""
-    report = dmp.verify_definition(damping)
-    if not report.item3_pass:
-        raise ValidationError([f"[damping] C1 = {damping.C1!r}, C2 = {damping.C2!r}: the sector "
-                               f"inequality fails, min margin {report.sector_margin!r}"])
+    """The configured certificate; each builder runs `lyapunov.require_sector` first."""
     kind = cfg.get("analysis", "certificate", "exp")
     if kind == "exp":
         return lyapunov.build_exp_certificate(system, damping)
@@ -239,11 +234,13 @@ def cmd_sweep(cfg, out_dir, seed):
 def load_certificate(out_dir, cfg):
     """The certificate that certify exported to out_dir, as lyapunov.read_text
     reads it, and its provenance lines (config_hash, seed, tool_version) as a
-    dict; (None, {}) where there is no certificate.txt.  StaleCertificate
-    where it records the config_hash of another config than cfg."""
+    dict; (None, {}) where there is no certificate.txt.  The configured damping
+    passes `lyapunov.require_sector` first; StaleCertificate where the file
+    records the config_hash of another config than cfg."""
     path = os.path.join(out_dir, "certificate.txt")
     if not os.path.exists(path):
         return None, {}
+    lyapunov.require_sector(build_damping(cfg))
     with open(path) as fh:
         lines = fh.readlines()
     provenance = {key: val for key, _, val in (map(str.strip, ln.partition(" = ")) for ln in lines)

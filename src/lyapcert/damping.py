@@ -98,17 +98,14 @@ class DampingSpec:
         return float(x ** (self.q - 1.0))
 
     def k_integral(self, X, b_norm):
-        """K(X) = int_0^X sqrt(v) h(b_norm sqrt(v)) dv in closed form, for a
-        scalar or an array X >= 0."""
+        """K(X) = int_0^X sqrt(v) h(b_norm sqrt(v)) dv = (2/3) X^1.5 for a scalar or
+        an array X >= 0; none for weak damping, which no certificate carries."""
         X = np.asarray(X, dtype=float)
+        if self.kind == "weak_damping":
+            raise DomainError("weak damping fails the sector inequality: no certificate has K")
         if np.any(X < 0):
             raise DomainError("K is defined on X >= 0")
-        if self.kind == "weak_damping":
-            # sqrt(v) * (b sqrt(v))^(q-1) = b^(q-1) v^(q/2)
-            p = 0.5 * self.q + 1.0
-            K = b_norm ** (self.q - 1.0) * X**p / p
-        else:
-            K = (2.0 / 3.0) * X**1.5
+        K = (2.0 / 3.0) * X**1.5
         return float(K) if K.ndim == 0 else K
 
 

@@ -1,10 +1,11 @@
 """Construction, evaluation and text form of Lyapunov certificates.
 
 Three constructions are provided, each an H-form G and a rule for the weight M
-that one assembly, `_certificate`, turns into P, alpha and the norms.  With a
-norm-level (or linear) damping the compensated functional
+that one assembly, `_certificate`, turns into P, alpha and the norms.  Each
+builder first passes one gate, `require_sector` (an exact sector margin >= 0,
+so h = 1).  With a norm-level (or linear) damping the compensated functional
 
-    V(z) = <Pz, z>_H + M K(||z||_H^2),   K(X) = int_0^X sqrt(v) h(||B|| sqrt(v)) dv
+    V(z) = <Pz, z>_H + M K(||z||_H^2),   K(X) = int_0^X sqrt(v) dv = (2/3) X^1.5
 
 is a strict global Lyapunov function.  With componentwise damping measured in
 the sup norm the quadratic functional <Pz, z>_H + M ||z||_H^2 decays at a rate
@@ -20,7 +21,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import damping as dmp
-from .errors import CalibrationFailed, MissingInput, WrongNormChoice, require_positive
+from .errors import (CalibrationFailed, MissingInput, ValidationError, WrongNormChoice,
+                     require_positive)
 from .linalg import (InnerProduct, matrix_exponential, operator_norm_nonsym,
                      row_norms, solve_lyapunov)
 
@@ -65,6 +67,15 @@ class LyapunovCertificate:
         return {name: v for name, v in values.items() if v is not None}
 
 
+def require_sector(damping):
+    """ValidationError, with the margin last, unless the damping passes item 3
+    of `damping.verify_definition`: an exact sector margin >= 0."""
+    report = dmp.verify_definition(damping)
+    if not report.item3_pass:
+        raise ValidationError([f"[damping] C1 = {damping.C1!r}, C2 = {damping.C2!r}: the sector "
+                               f"inequality fails, min margin {report.sector_margin!r}"])
+
+
 def _certificate(kind, system, damping, G, M_rule, C=1.0, **fields):
     """The certificate of `kind` on the H-form G: P = W^-1 G; alpha and ||P||_H,
     the least lam and the largest |lam| of the pencil G z = lam W z (P is
@@ -92,8 +103,7 @@ def build_exp_certificate(system, damping):
     constant C1.  The decrease constant is normalized to C = 1 by solving the
     Lyapunov equation with right-hand side -W.
     """
-    if damping.kind == "weak_damping":
-        raise ValueError("weak damping has decreasing h; no global sector certificate")
+    require_sector(damping)
     if damping.kind == "componentwise_saturation" and system.S_choice == dmp.S_SUP:
         raise WrongNormChoice(
             "componentwise damping on a sup-norm system needs the semiglobal builder")
@@ -104,7 +114,8 @@ def build_exp_certificate(system, damping):
 
 def build_semiglobal_certificate(system, damping, r, c_S):
     """Quadratic certificate valid on ||z0||_{D(A)} <= r for sup-norm damping."""
-    if damping.kind not in ("componentwise_saturation", "weak_damping"):
+    require_sector(damping)
+    if damping.kind != "componentwise_saturation":
         raise WrongNormChoice("semiglobal certificate expects componentwise damping")
     if system.S_choice != dmp.S_SUP:
         raise WrongNormChoice("system does not use the sup-norm choice")
@@ -114,8 +125,7 @@ def build_semiglobal_certificate(system, damping, r, c_S):
     G = solve_lyapunov(system.closed_loop(damping.C1), system.H_ip.weight)
     cert = _certificate(
         "semiglobal_exp_SneqU", system, damping, G,
-        lambda B_norm, P_norm_DA, **_:
-            c_S * damping.C2 * damping.h_eval(B_norm * r) * r * P_norm_DA, r=r, c_S=c_S)
+        lambda B_norm, P_norm_DA, **_: c_S * damping.C2 * r * P_norm_DA, r=r, c_S=c_S)
     return replace(cert, mu=cert.C / (2.0 * max(cert.P_norm_H, cert.M)))
 
 
@@ -148,8 +158,7 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
     with 5% headroom.  r, gamma and C_theta must be positive and finite;
     gamma <= 1/2 is accepted but flagged.
     """
-    if damping.kind == "weak_damping":
-        raise ValueError("weak damping has decreasing h; certificate formulas do not apply")
+    require_sector(damping)
     require_positive(r=r, gamma=gamma)
     if C_theta is not None:
         require_positive(C_theta=C_theta)
@@ -173,7 +182,7 @@ def build_poly_certificate(system, damping, r, gamma, C_theta=None, seed=0):
              if gamma <= 0.5 else ())
     return _certificate(
         "semiglobal_poly", system, damping, G1,
-        lambda B_norm, **_: damping.C2 * C_theta * damping.h_eval(B_norm * r) * B_norm * r,
+        lambda B_norm, **_: damping.C2 * C_theta * B_norm * r,
         C=C, alpha=0.5 * float(lam[0]), r=r, C_theta=C_theta, gamma=gamma, flags=flags)
 
 
@@ -194,12 +203,9 @@ def sandwich_bounds(cert, z):
     """Kind-appropriate lower/upper envelopes of the functional at z."""
     z = np.asarray(z, dtype=float)
     nH = cert.system.norm_H(z)
-    if cert.kind == "global_exp_SU":
-        h0 = cert.damping_ref.h_eval(0.0)
-        lower = cert.alpha * nH**2 + cert.M * (2.0 * h0 / 3.0) * nH**3
-        h_at = cert.damping_ref.h_eval(cert.B_norm * nH)
-        upper = cert.P_norm_H * nH**2 + cert.M * nH**3 * h_at
-        return lower, upper
+    if cert.kind == "global_exp_SU":       # h = 1: K(X) = (2/3) X^1.5
+        return (cert.alpha * nH**2 + cert.M * (2.0 / 3.0) * nH**3,
+                cert.P_norm_H * nH**2 + cert.M * nH**3)
     if cert.kind == "semiglobal_exp_SneqU":
         return (cert.alpha + cert.M) * nH**2, (cert.P_norm_H + cert.M) * nH**2
     nDA = cert.system.norm_DA(z)

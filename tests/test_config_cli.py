@@ -1250,6 +1250,26 @@ class TestBuildersFromConfig:
         assert (tmp_path / "damping_report.csv").read_text().splitlines()[3] == (
             "sector_margin_min,-inf,False")
 
+    def test_weak_damping_certificate_not_reused(self, tmp_path, capsys):
+        # a certificate.txt for this config, as certify wrote it before the
+        # gate: simulate and verify read it only through that gate
+        cfg = parse_config(WAVE32_WEAK)
+        (tmp_path / "certificate.txt").write_text(
+            "kind = 'semiglobal_exp_SneqU'\nC = 1.0\nalpha = 0.5\nM = 1.2642623463893978\n"
+            "B_norm = 1.0\nP_norm_H = 2.0\nP_norm_DA = 3.0\nmu = 0.1\nr = 5.0\nc_S = 0.5\n"
+            "damping = weak_damping\ndamping_C1 = 1.0\ndamping_C2 = 1.0\n"
+            f"config_hash = {cli.config_hash(cfg)}\nseed = 0\ntool_version = {cli.__version__}\n")
+        save_matrix(tmp_path / "certificate_P.mat", np.eye(cli.build_system(cfg).n))
+        gate = ("ERROR ValidationError: [damping] C1 = 1.0, C2 = 1.0: "
+                "the sector inequality fails, min margin -inf")
+        assert run(tmp_path, "simulate", WAVE32_WEAK) == 3
+        assert last_line(capsys) == gate
+        assert not (tmp_path / "trajectory.csv").exists()
+        (tmp_path / "trajectory.csv").write_text(trajectory_text(TRAJECTORY_BODY))
+        assert run(tmp_path, "verify", WAVE32_WEAK) == 3
+        assert last_line(capsys) == gate
+        assert not (tmp_path / "verification.csv").exists()
+
     def test_check_damping_draws_no_seed(self, tmp_path):
         for seed in (0, 7):
             assert run(tmp_path, "check-damping", MINIMAL, out=tmp_path / str(seed),

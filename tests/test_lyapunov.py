@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from lyapcert import damping, lyapunov, models
-from lyapcert.errors import CalibrationFailed, NotHurwitz, WrongNormChoice
+from lyapcert.errors import CalibrationFailed, NotHurwitz, ValidationError, WrongNormChoice
 from lyapcert.linalg import InnerProduct
 from lyapcert.models import SemiDiscreteSystem
 
@@ -88,7 +88,7 @@ class TestExpCertificate:
             lyapunov.build_exp_certificate(sys0, damping.linear())
 
     def test_weak_damping_rejected(self, oscillator):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="the sector inequality fails"):
             lyapunov.build_exp_certificate(oscillator, damping.weak_damping())
 
 
@@ -204,7 +204,7 @@ class TestPolyCertificate:
             lyapunov.build_poly_certificate(oscillator, damping.linear(), **args)
 
     def test_weak_damping_rejected(self, oscillator):
-        with pytest.raises(ValueError, match="weak damping"):
+        with pytest.raises(ValidationError, match="the sector inequality fails"):
             lyapunov.build_poly_certificate(oscillator, damping.weak_damping(), r=1.0,
                                             gamma=1.0)
 
@@ -226,6 +226,60 @@ class TestPolyCertificate:
                 zt = matrix_exponential(At, t) @ z
                 lhs = float(zt @ cert.G @ zt) * (1.0 + t) ** (2 * cert.gamma - 1)
                 assert lhs <= cert.C_theta * (1.0 + 1e-9)
+
+
+BUILDERS = {
+    "exp": lyapunov.build_exp_certificate,
+    "semiglobal": lambda system, spec: lyapunov.build_semiglobal_certificate(
+        system, spec, 5.0, c_S=1.5),
+    "poly": lambda system, spec: lyapunov.build_poly_certificate(
+        system, spec, r=1.0, gamma=1.0)}
+OFF_SECTOR = dataclasses.replace(damping.clamp(1.0), C1=0.5, C2=2.0)
+THIN_C2 = dataclasses.replace(damping.norm_saturation(1.0), C2=0.999)
+
+
+class TestSectorGate:
+    """Every builder first passes the damping through require_sector: no
+    certificate rests on a damping whose exact sector margin is negative."""
+
+    @pytest.mark.parametrize("builder, system, spec", [
+        ("exp", "oscillator", damping.weak_damping()),
+        ("poly", "oscillator", damping.weak_damping()),
+        ("semiglobal", "wave32", damping.weak_damping()),
+        ("semiglobal", "oscillator", damping.weak_damping()),
+        ("exp", "oscillator", OFF_SECTOR),
+        ("poly", "oscillator", OFF_SECTOR),
+        ("exp", "oscillator", THIN_C2),
+        ("poly", "oscillator", THIN_C2),
+        ("semiglobal", "wave32", dataclasses.replace(damping.clamp(1.0), C2=0.999))],
+        ids=["exp-weak", "poly-weak", "semiglobal-weak", "semiglobal-weak-on-U-norm",
+             "exp-clamp-C1", "poly-clamp-C1", "exp-thin-C2", "poly-thin-C2",
+             "semiglobal-thin-C2"])
+    def test_builder_refuses_negative_margin(self, request, monkeypatch, builder, system,
+                                             spec):
+        # the gate comes before any other check or solve
+        def unreached(*args, **kwargs):
+            raise AssertionError("solved before the sector gate")
+        monkeypatch.setattr(lyapunov, "solve_lyapunov", unreached)
+        margin = damping.verify_definition(spec).sector_margin
+        assert margin < 0.0
+        with pytest.raises(ValidationError) as exc:
+            BUILDERS[builder](request.getfixturevalue(system), spec)
+        assert str(exc.value) == (f"[damping] C1 = {spec.C1!r}, C2 = {spec.C2!r}: the sector "
+                                  f"inequality fails, min margin {margin!r}")
+
+    def test_thin_margin_is_finite(self):
+        assert damping.verify_definition(THIN_C2).sector_margin == -0.0010000000000000009
+
+    @pytest.mark.parametrize("make", [damping.linear, damping.norm_saturation, damping.clamp,
+                                      damping.tanh_saturation, damping.arctan_saturation])
+    def test_every_other_default_builds(self, oscillator, wave32, make):
+        spec = make()
+        assert damping.verify_definition(spec).sector_margin >= 0.0
+        certs = [BUILDERS["exp"](oscillator, spec), BUILDERS["poly"](oscillator, spec)]
+        if spec.kind == "componentwise_saturation":
+            certs.append(BUILDERS["semiglobal"](wave32, spec))
+        assert all(cert.damping_ref == spec and cert.M > 0.0 for cert in certs)
 
 
 class TestLyapunovInequality:
