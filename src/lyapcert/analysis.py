@@ -241,7 +241,7 @@ def behavior_profile(traj, damping, B_norm, cert):
     F(X) = K(X) + lam_min X, so that V <= C4 F on ||z||_H >= 1.  With
     dV/dt <= -||z||_H^2 and F_lo <= V the norm envelope then holds as it is;
     the ratios report how close the run comes to it.  Weak damping (decreasing
-    h) is rejected.
+    h) is rejected.  B_norm is unused: h = 1 makes K independent of ||B*||.
     """
     if damping.kind == "weak_damping":
         raise ValueError("weak damping has decreasing h; the envelope brackets do not apply")
@@ -252,7 +252,7 @@ def behavior_profile(traj, damping, B_norm, cert):
     P_norm = cert.P_norm_H
 
     def F(X):
-        return damping.k_integral(X, B_norm) + lam_min * X
+        return damping.k_integral(X) + lam_min * X
 
     def F_up(X):
         return P_norm * X + M * X**1.5

@@ -10,6 +10,7 @@ CSVs; failures print one machine-parsable "ERROR <Name>: ..." line last.
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 from dataclasses import replace
@@ -18,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, analysis, damping as dmp, lyapunov, models, sim
-from .config import parse_config, parse_profile, serialize
+from .config import SECTIONS, parse_config, parse_profile
 from .errors import LyapcertError, MissingInput, NotDissipative, StaleCertificate, ValidationError
 from .io import (load_float_copy, load_matrix, read_csv_floats, read_csv_lines,
                  save_float_copy, save_matrix, write_csv, write_text)
@@ -112,7 +113,8 @@ def integrator_config(cfg):
 
 
 def build_certificate(cfg, system, damping, seed=0):
-    """The configured certificate; each builder runs `lyapunov.require_sector` first."""
+    """The configured certificate; the sector gate runs before the c_S estimate."""
+    lyapunov.require_sector(damping)
     kind = cfg.get("analysis", "certificate", "exp")
     if kind == "exp":
         return lyapunov.build_exp_certificate(system, damping)
@@ -155,10 +157,20 @@ def cmd_simulate(cfg, out_dir, seed):
 
 
 def config_hash(cfg):
-    """Hash of the parsed config in its serialized form, blind to comments and
-    layout; certify records it and verify compares it.  The prefix keeps the
-    certificate line non-numeric for readers of the scalars."""
-    return "sha256:" + hashlib.sha256(serialize(cfg).encode()).hexdigest()
+    """The identity of a certificate's closed loop: SHA-256 of sorted-key JSON of
+    the parsed sections (every default, matrices as nested lists) and the SHA-256
+    of each matrix file build_system reads; not comments, layout or [sim] z0's
+    file.  Earlier versions hashed the config's text form: their certificates
+    are stale.  The prefix keeps certify's line non-numeric for the scalar reader."""
+    doc = {sect: cfg.section(sect) for sect in SECTIONS}
+    doc["matrix_files"] = {}
+    for key in ("A", "B") if cfg.get("system", "name") == "finite_dim" else ():
+        path = cfg.get("system", key + "_file")
+        if path is not None and cfg.get("system", key) is None:
+            with open(os.path.join(cfg.base_dir, str(path)), "rb") as fh:
+                doc["matrix_files"][key + "_file"] = hashlib.sha256(fh.read()).hexdigest()
+    text = json.dumps(doc, sort_keys=True, default=np.ndarray.tolist)
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 def cmd_certify(cfg, out_dir, seed):

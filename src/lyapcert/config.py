@@ -1,4 +1,4 @@
-"""Experiment configuration: INI-style grammar, validation, serialization.
+"""Experiment configuration: INI-style grammar and validation.
 
 Grammar: `[section]` headers, `key = value` lines, `#` starts a comment,
 blank lines ignored.  Values parse as int, float, comma-separated list,
@@ -225,26 +225,11 @@ def validate(cfg):
             if rule and (val is not None or required):
                 for msg in rule(val):
                     bad(sect, key, msg)
+    if name == "finite_dim" and _choice(cfg.get("analysis", "certificate")) == "semiglobal":
+        bad("analysis", "certificate", "semiglobal needs the sup-norm choice of a kdv or "
+            "wave system, got finite_dim")
     lo, hi = cfg.get("analysis", "window_lo"), cfg.get("analysis", "window_hi")
     if _finite(lo) and _finite(hi) and lo >= hi:
         bad("analysis", "window_hi", f"must exceed window_lo = {lo!r}, got {hi!r}")
     return problems
 
-
-def serialize(cfg):
-    """Config back to text; parse(serialize(parse(text))) is stable."""
-    lines = []
-    for sect in SECTIONS:
-        data = cfg.section(sect)               # every section holds its defaults
-        lines.append(f"[{sect}]")
-        for key in sorted(data):
-            v = data[key]
-            if isinstance(v, np.ndarray):
-                body = "; ".join(", ".join(repr(float(x)) for x in row) for row in v)
-            elif isinstance(v, list):
-                body = ", ".join(str(x) for x in v)
-            else:
-                body = str(v)
-            lines.append(f"{key} = {body}")
-        lines.append("")
-    return "\n".join(lines)

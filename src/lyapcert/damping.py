@@ -97,9 +97,9 @@ class DampingSpec:
             raise DomainError("h(x) = x^(q-1) is unbounded at x = 0")
         return float(x ** (self.q - 1.0))
 
-    def k_integral(self, X, b_norm):
-        """K(X) = int_0^X sqrt(v) h(b_norm sqrt(v)) dv = (2/3) X^1.5 for a scalar or
-        an array X >= 0; none for weak damping, which no certificate carries."""
+    def k_integral(self, X):
+        """K(X) = int_0^X sqrt(v) dv = (2/3) X^1.5 (h = 1, whatever ||B*||) for a
+        scalar or an array X >= 0; none for weak damping, which no certificate has."""
         X = np.asarray(X, dtype=float)
         if self.kind == "weak_damping":
             raise DomainError("weak damping fails the sector inequality: no certificate has K")

@@ -195,7 +195,7 @@ def eval_V(cert, z=None, y=None, norm_H=None):
         norm_H = row_norms(y)
     quad = np.einsum("...i,...i->...", y @ cert.energy_form, y)
     if cert.kind == "global_exp_SU":
-        return quad + cert.M * cert.damping_ref.k_integral(norm_H * norm_H, cert.B_norm)
+        return quad + cert.M * cert.damping_ref.k_integral(norm_H * norm_H)
     return quad + cert.M * norm_H * norm_H
 
 

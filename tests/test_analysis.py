@@ -315,7 +315,7 @@ def bench_run(oscillator):
 def grid_C4(traj, damping_spec, cert):
     """C4 as the maximum of F_up/F over 64 geometric points of [1, X0]."""
     X = np.geomspace(1.0, max(traj.norm_H[0] ** 2, 1.0 + 1e-9), 64)
-    F = damping_spec.k_integral(X, cert.B_norm) + cert.alpha * X
+    F = damping_spec.k_integral(X) + cert.alpha * X
     F_up = cert.P_norm_H * X + cert.M * X**1.5 * damping_spec.h_eval(0.0)
     return float(np.max(F_up / F))
 

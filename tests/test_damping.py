@@ -205,30 +205,30 @@ class TestH:
 class TestKIntegral:
     def test_constant_h_closed_form(self):
         cl = damping.clamp(1.0)
-        assert abs(cl.k_integral(4.0, 1.0) - 16.0 / 3.0) < 1e-14
-        assert cl.k_integral(0.0, 1.0) == 0.0
+        assert abs(cl.k_integral(4.0) - 16.0 / 3.0) < 1e-14
+        assert cl.k_integral(0.0) == 0.0
         with pytest.raises(DomainError):
-            cl.k_integral(-1.0, 1.0)
+            cl.k_integral(-1.0)
 
     def test_weak_damping_refused(self):
         # weak damping fails the sector inequality, so no certificate has K
         wd = damping.weak_damping(1.0, 0.5)
         for X in (1.0, np.array([[0.0, 0.5], [2.0, 7.0]])):
             with pytest.raises(DomainError, match="sector inequality"):
-                wd.k_integral(X, 0.7)
+                wd.k_integral(X)
 
     def test_strictly_increasing(self):
         cl = damping.tanh_saturation(2.0)
         grid = np.linspace(0.0, 9.0, 40)
-        vals = [cl.k_integral(x, 0.7) for x in grid]
+        vals = [cl.k_integral(x) for x in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_array_matches_scalars(self):
         X = np.array([[0.0, 0.5], [2.0, 7.0]])
         spec = damping.clamp(1.0)
-        K = spec.k_integral(X, 0.7)
+        K = spec.k_integral(X)
         assert K.shape == X.shape
-        assert np.array_equal(K, [[spec.k_integral(x, 0.7) for x in row] for row in X])
+        assert np.array_equal(K, [[spec.k_integral(x) for x in row] for row in X])
 
 
 class TestVerifyDefinition:
